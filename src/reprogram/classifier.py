@@ -9,17 +9,27 @@ Two architectures:
   bag_mlp - mean-pool embeddings -> tanh hidden layer -> linear head
   birnn   - single bidirectional tanh recurrence, concatenated final states
             -> linear head
+
+One path serves training, reprogramming and evaluation: `forward` embeds a
+right-padded batch of token ids through a vocabulary embedding E and returns
+the logits with its cache; `backward` consumes the cache and returns dE, plus
+weight gradients only for source training. The single-sequence functions are
+batches of one.
 """
 
 import json
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .numerics import as_matrix, cross_entropy, softmax
+from .numerics import as_matrix, softmax
 
 FORMAT_VERSION = 1
+# Sequences per model call. Larger slices only raise the peak memory: a whole
+# split at once costs megabytes and runs no faster.
+MAX_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -91,75 +101,73 @@ def _init_weights(architecture, d, hidden, num_classes, rng):
     }
 
 
-def _forward_bag_mlp(w, embedded):
-    x = embedded.mean(axis=1)
-    h = np.tanh(w["w1"] @ x + w["b1"])
-    logits = w["w2"] @ h + w["b2"]
+def _forward_bag_mlp(w, embedded, mask):
+    x = np.where(mask[:, :, None], embedded, 0.0).sum(axis=1) / mask.sum(axis=1)[:, None]
+    h = np.tanh(x @ w["w1"].T + w["b1"])
+    logits = h @ w["w2"].T + w["b2"]
     return logits, (x, h)
 
 
-def _backward_bag_mlp(w, embedded, cache, dlogits):
+def _backward_bag_mlp(w, cache, mask, dlogits, weight_grads):
     x, h = cache
-    length = embedded.shape[1]
-    da1 = (w["w2"].T @ dlogits) * (1.0 - h * h)
-    dx = w["w1"].T @ da1
-    dembedded = np.repeat(dx[:, None] / length, length, axis=1)
-    grads = {
-        "w2": np.outer(dlogits, h),
-        "b2": dlogits,
-        "w1": np.outer(da1, x),
-        "b1": da1,
-    }
+    da1 = (dlogits @ w["w2"]) * (1.0 - h * h)
+    dx = (da1 @ w["w1"]) / mask.sum(axis=1)[:, None]
+    dembedded = np.broadcast_to(dx[:, None, :], mask.shape + dx.shape[1:])
+    if not weight_grads:
+        return dembedded, None
+    grads = {"w2": dlogits.T @ h, "b2": dlogits.sum(axis=0),
+             "w1": da1.T @ x, "b1": da1.sum(axis=0)}
     return dembedded, grads
 
 
-def _forward_birnn(w, embedded):
-    length = embedded.shape[1]
-    hidden = w["b_f"].size
-    hf = np.zeros((hidden, length))
-    hb = np.zeros((hidden, length))
-    prev = np.zeros(hidden)
-    for t in range(length):
-        prev = np.tanh(w["wx_f"] @ embedded[:, t] + w["wh_f"] @ prev + w["b_f"])
-        hf[:, t] = prev
-    prev = np.zeros(hidden)
-    for t in range(length - 1, -1, -1):
-        prev = np.tanh(w["wx_b"] @ embedded[:, t] + w["wh_b"] @ prev + w["b_b"])
-        hb[:, t] = prev
-    final = np.concatenate([hf[:, -1], hb[:, 0]])
-    logits = w["w_out"] @ final + w["b_out"]
-    return logits, (hf, hb, final)
+def _recur(embedded, wx, wh, b, mask, steps):
+    """tanh recurrence over `steps` for all sequences; a state holds still on padded steps."""
+    states = embedded @ wx.T  # the input terms, overwritten step by step by the states
+    states += b
+    h = np.zeros_like(states[:, 0])
+    for t in steps:
+        h = np.where(mask[:, t, None], np.tanh(states[:, t] + h @ wh.T), h)
+        states[:, t] = h
+    return states
 
 
-def _backward_birnn(w, embedded, cache, dlogits):
-    hf, hb, final = cache
-    hidden, length = hf.shape
-    dembedded = np.zeros_like(embedded)
-    grads = {name: np.zeros_like(arr) for name, arr in w.items()}
-    grads["w_out"] = np.outer(dlogits, final)
-    grads["b_out"] = dlogits.copy()
-    dfinal = w["w_out"].T @ dlogits
+def _recur_grad(dh, states, wh, mask, steps):
+    """Gradients of the pre-activations of `_recur`, walking its steps in reverse."""
+    da = np.zeros_like(states)
+    for t in steps:
+        live = mask[:, t, None]
+        da[:, t] = np.where(live, dh * (1.0 - states[:, t] ** 2), 0.0)
+        dh = np.where(live, da[:, t] @ wh, dh)
+    return da
 
-    dh = dfinal[:hidden]
-    for t in range(length - 1, -1, -1):
-        da = dh * (1.0 - hf[:, t] * hf[:, t])
-        prev = hf[:, t - 1] if t > 0 else np.zeros(hidden)
-        grads["wx_f"] += np.outer(da, embedded[:, t])
-        grads["wh_f"] += np.outer(da, prev)
-        grads["b_f"] += da
-        dembedded[:, t] += w["wx_f"].T @ da
-        dh = w["wh_f"].T @ da
 
-    dh = dfinal[hidden:]
-    for t in range(length):
-        da = dh * (1.0 - hb[:, t] * hb[:, t])
-        prev = hb[:, t + 1] if t < length - 1 else np.zeros(hidden)
-        grads["wx_b"] += np.outer(da, embedded[:, t])
-        grads["wh_b"] += np.outer(da, prev)
-        grads["b_b"] += da
-        dembedded[:, t] += w["wx_b"].T @ da
-        dh = w["wh_b"].T @ da
+def _forward_birnn(w, embedded, mask):
+    # the forward state freezes after step len-1; the backward one is zero until then
+    steps = range(mask.shape[1])
+    hf = _recur(embedded, w["wx_f"], w["wh_f"], w["b_f"], mask, steps)
+    hb = _recur(embedded, w["wx_b"], w["wh_b"], w["b_b"], mask, reversed(steps))
+    final = np.concatenate([hf[:, -1], hb[:, 0]], axis=1)
+    logits = final @ w["w_out"].T + w["b_out"]
+    return logits, (embedded, hf, hb, final)
 
+
+def _backward_birnn(w, cache, mask, dlogits, weight_grads):
+    embedded, hf, hb, final = cache
+    hidden, steps = hf.shape[2], range(mask.shape[1])
+    dfinal = dlogits @ w["w_out"]
+    daf = _recur_grad(dfinal[:, :hidden], hf, w["wh_f"], mask, reversed(steps))
+    dab = _recur_grad(dfinal[:, hidden:], hb, w["wh_b"], mask, steps)
+    dembedded = daf @ w["wx_f"] + dab @ w["wx_b"]
+    if not weight_grads:
+        return dembedded, None
+    grads = {"w_out": dlogits.T @ final, "b_out": dlogits.sum(axis=0)}
+    # the state each step read: the forward one from t-1, the backward one from t+1
+    prev_f = np.pad(hf[:, :-1], ((0, 0), (1, 0), (0, 0)))
+    prev_b = np.pad(hb[:, 1:], ((0, 0), (0, 1), (0, 0)))
+    for side, da, prev in (("f", daf, prev_f), ("b", dab, prev_b)):
+        grads[f"wx_{side}"] = np.tensordot(da, embedded, axes=([0, 1], [0, 1]))
+        grads[f"wh_{side}"] = np.tensordot(da, prev, axes=([0, 1], [0, 1]))
+        grads[f"b_{side}"] = da.sum(axis=(0, 1))
     return dembedded, grads
 
 
@@ -167,57 +175,110 @@ _FORWARD = {"bag_mlp": _forward_bag_mlp, "birnn": _forward_birnn}
 _BACKWARD = {"bag_mlp": _backward_bag_mlp, "birnn": _backward_birnn}
 
 
-def forward_embedded(model: FrozenClassifier, embedded_seq) -> np.ndarray:
-    """Logits for an already-embedded sequence (d x L)."""
+def pad(sequences, vocab_size: int):
+    """Right-pad token sequences with 0s: ids (N x L_max) and lengths (N).
+
+    Rejects an empty batch or sequence and tokens outside 0..vocab_size-1.
+    """
+    lengths = np.fromiter(map(len, sequences), dtype=np.intp)
+    if lengths.size == 0 or lengths.min() == 0:
+        raise ShapeError("empty batch or sequence")
+    ids = np.zeros((lengths.size, lengths.max()), dtype=np.intp)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = list(chain.from_iterable(sequences))
+    bad = ids[(ids < 0) | (ids >= vocab_size)]
+    if bad.size:
+        raise IndexError(f"token {bad[0]} out of range")
+    return ids, lengths
+
+
+def forward(params: ClassifierParams, vocab_embedding, ids, lengths):
+    """Logits (N x C) of right-padded token ids (N x L) under an embedding E (d x V).
+
+    Token v embeds as E[:, v]. Slots past a sequence's length never reach its
+    logits. Also returns the cache that `backward` consumes.
+    """
+    width = int(lengths.max())
+    ids, mask = ids[:, :width], np.arange(width) < lengths[:, None]
+    logits, cache = _FORWARD[params.architecture](params.weights, vocab_embedding.T[ids], mask)
+    return logits, (vocab_embedding.shape, ids, mask, cache)
+
+
+def backward(params: ClassifierParams, cache, dlogits, weight_grads=False):
+    """dE (d x V) of sum(dlogits * logits), and weight gradients (else None) if asked."""
+    (d, vocab_size), ids, mask, inner = cache
+    dembedded, grads = _BACKWARD[params.architecture](params.weights, inner, mask, dlogits,
+                                                      weight_grads)
+    # scatter-add the live slots into their tokens' columns
+    slots = (ids[mask][:, None] * d + np.arange(d)).ravel()
+    dvocab = np.bincount(slots, weights=dembedded[mask].ravel(), minlength=vocab_size * d)
+    return dvocab.reshape(vocab_size, d).T, grads
+
+
+def _slices(n):
+    return (slice(start, start + MAX_BATCH) for start in range(0, n, MAX_BATCH))
+
+
+def predict(params: ClassifierParams, vocab_embedding, ids, lengths) -> np.ndarray:
+    """`forward` logits of a padded batch of any size, MAX_BATCH sequences per call."""
+    return np.concatenate([forward(params, vocab_embedding, ids[rows], lengths[rows])[0]
+                           for rows in _slices(lengths.size)])
+
+
+def gradient(params: ClassifierParams, vocab_embedding, ids, lengths, labels, loss_grad,
+             weight_grads=False):
+    """Summed loss, dE and (if asked) weight gradients of a padded batch of any size.
+
+    `loss_grad(logits, labels)` gives the summed loss of a slice of at most
+    MAX_BATCH sequences and its gradient with respect to their logits.
+    """
+    loss, dvocab, grads = 0.0, np.zeros(vocab_embedding.shape), None
+    for rows in _slices(lengths.size):
+        logits, cache = forward(params, vocab_embedding, ids[rows], lengths[rows])
+        part_loss, dlogits = loss_grad(logits, labels[rows])
+        part_dvocab, part = backward(params, cache, dlogits, weight_grads)
+        loss, dvocab = loss + part_loss, dvocab + part_dvocab
+        grads = part if grads is None else {name: grads[name] + part[name] for name in grads}
+    return loss, dvocab, grads
+
+
+def _cross_entropy_grad(logits, labels):
+    """Summed cross-entropy of the rows of logits at their labels, and its gradient."""
+    p = softmax(logits)
+    rows = np.arange(len(labels))
+    loss = float(-np.log(p[rows, labels]).sum())
+    p[rows, labels] -= 1.0
+    return loss, p
+
+
+def _one_sequence(model: FrozenClassifier, embedded_seq):
+    """An embedded sequence (d x L) as a padded batch of one: E is the sequence itself."""
     embedded = as_matrix(embedded_seq)
     if embedded.shape[1] == 0:
         raise ShapeError("empty sequence")
     if embedded.shape[0] != model.embeddings.dim:
         raise ShapeError("embedded sequence dimension mismatch")
-    logits, _ = _FORWARD[model.params.architecture](model.params.weights, embedded)
-    return logits
+    return embedded, np.arange(embedded.shape[1])[None, :], np.array([embedded.shape[1]])
+
+
+def forward_embedded(model: FrozenClassifier, embedded_seq) -> np.ndarray:
+    """Logits for an already-embedded sequence (d x L)."""
+    return forward(model.params, *_one_sequence(model, embedded_seq))[0][0]
 
 
 def forward_tokens(model: FrozenClassifier, tokens) -> np.ndarray:
     """Logits for a source-token index sequence."""
-    tokens = list(tokens)
-    if len(tokens) == 0:
-        raise ShapeError("empty sequence")
-    for t in tokens:
-        if not 0 <= t < model.embeddings.vocab_size:
-            raise IndexError(f"token {t} out of range")
-    return forward_embedded(model, model.embeddings.table[:, tokens])
-
-
-def backward_from_logits(model: FrozenClassifier, embedded_seq, dlogits) -> np.ndarray:
-    """Gradient of a scalar with respect to the embedded input, given dlogits."""
-    embedded = as_matrix(embedded_seq)
-    arch = model.params.architecture
-    _, cache = _FORWARD[arch](model.params.weights, embedded)
-    dembedded, _ = _BACKWARD[arch](model.params.weights, embedded, cache, dlogits)
-    return dembedded
+    ids, lengths = pad([tuple(tokens)], model.embeddings.vocab_size)
+    return forward(model.params, model.embeddings.table, ids, lengths)[0][0]
 
 
 def input_gradient(model: FrozenClassifier, embedded_seq, target_class: int) -> np.ndarray:
     """Gradient of cross-entropy at target_class with respect to the input."""
     if not model.frozen:
         raise ConfigError("input_gradient requires a frozen model")
-    embedded = as_matrix(embedded_seq)
-    logits = forward_embedded(model, embedded)
-    if not 0 <= target_class < logits.size:
+    batch = _one_sequence(model, embedded_seq)
+    if not 0 <= target_class < model.params.num_classes:
         raise IndexError(f"class {target_class} out of range")
-    p = softmax(logits)
-    dlogits = p.copy()
-    dlogits[target_class] -= 1.0
-    return backward_from_logits(model, embedded, dlogits)
-
-
-def _accuracy(model, dataset) -> float:
-    correct = 0
-    for seq, label in zip(dataset.sequences, dataset.labels):
-        pred = int(np.argmax(forward_tokens(model, seq)))
-        correct += pred == label
-    return correct / len(dataset.sequences)
+    return gradient(model.params, *batch, np.array([target_class]), _cross_entropy_grad)[1]
 
 
 def _freeze(embeddings, params, seed) -> FrozenClassifier:
@@ -253,8 +314,11 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
     d, hidden = config.embed_dim, config.hidden_dim
     table = rng.uniform(-0.1, 0.1, size=(d, vocab_size))
     weights = _init_weights(config.architecture, d, hidden, num_classes, rng)
-    forward = _FORWARD[config.architecture]
-    backward = _BACKWARD[config.architecture]
+    params = ClassifierParams(
+        architecture=config.architecture, weights=weights, num_classes=num_classes
+    )
+    ids, lengths = pad(train.sequences, vocab_size)
+    labels = np.asarray(train.labels)
 
     n = len(train.sequences)
     lr = config.learning_rate
@@ -262,44 +326,31 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            wgrads = {name: np.zeros_like(arr) for name, arr in weights.items()}
-            egrads = np.zeros_like(table)
-            for i in batch:
-                seq = train.sequences[i]
-                embedded = table[:, seq]
-                logits, cache = forward(weights, embedded)
-                p = softmax(logits)
-                dlogits = p.copy()
-                dlogits[train.labels[i]] -= 1.0
-                dembedded, grads = backward(weights, embedded, cache, dlogits)
-                for name in wgrads:
-                    wgrads[name] += grads[name]
-                for pos, tok in enumerate(seq):
-                    egrads[:, tok] += dembedded[:, pos]
+            _, dtable, grads = gradient(params, table, ids[batch], lengths[batch],
+                                        labels[batch], _cross_entropy_grad, weight_grads=True)
             scale = lr / len(batch)
             for name in weights:
-                weights[name] -= scale * wgrads[name]
-            table -= scale * egrads
+                weights[name] -= scale * grads[name]
+            table -= scale * dtable
 
     if np.any(np.linalg.norm(table, axis=0) == 0.0):
         raise NumericError("training produced a zero embedding column")
 
-    params = ClassifierParams(
-        architecture=config.architecture, weights=weights, num_classes=num_classes
-    )
     model = _freeze(table, params, seed)
     report = {
-        "train_accuracy": _accuracy(model, train),
+        "train_accuracy": evaluate_source(model, train),
         "majority_class_accuracy": train.majority_class_accuracy(),
     }
     if valid is not None:
-        report["valid_accuracy"] = _accuracy(model, valid)
+        report["valid_accuracy"] = evaluate_source(model, valid)
     return model, report
 
 
 def evaluate_source(model: FrozenClassifier, dataset) -> float:
     """Plain accuracy of the frozen model on a source-task dataset."""
-    return _accuracy(model, dataset)
+    ids, lengths = pad(dataset.sequences, model.embeddings.vocab_size)
+    predicted = predict(model.params, model.embeddings.table, ids, lengths).argmax(axis=1)
+    return int(np.count_nonzero(predicted == np.asarray(dataset.labels))) / lengths.size
 
 
 def save_checkpoint(model: FrozenClassifier, path) -> None:

@@ -67,13 +67,14 @@ def thin_svd(a) -> SvdResult:
 
 
 def softmax(logits) -> np.ndarray:
-    """Shift-invariant softmax over a logit vector."""
-    z = as_vector(logits)
-    if z.size == 0:
+    """Shift-invariant softmax over a logit vector, or over each row of a matrix."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = as_vector(z) if z.ndim < 2 else as_matrix(z)
+    if z.shape[-1] == 0:
         raise ShapeError("softmax of an empty vector")
-    z = z - np.max(z)
+    z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def cross_entropy(probs, label: int) -> float:

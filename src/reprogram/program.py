@@ -5,15 +5,20 @@ target token j is the source embedding table times column j. Training
 alternates a sparse-coding projection of theta (OMP/k-SVD against the
 normalized source embeddings) with mini-batch gradient steps through the
 frozen source classifier.
+
+Loss, gradient and evaluation hand the classifier's padded-batch path one
+vocabulary embedding E = basis @ theta (d x |V_T|) and the padded target
+tokens; the gradient with respect to theta is basis^T @ dE. `apply_program`
+and the single-sequence helpers are views of the same computation.
 """
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .classifier import FrozenClassifier, backward_from_logits, forward_embedded
+from .classifier import FrozenClassifier, gradient, pad, predict
 from .errors import ConfigError, ShapeError
 from .numerics import as_matrix, softmax
 from .sparse_coding import Dictionary, KsvdConfig, ksvd_run
@@ -99,89 +104,78 @@ def initial_theta(source_vocab_size: int, target_vocab_size: int, seed: int) -> 
     return rng.uniform(-0.01, 0.01, size=(source_vocab_size, target_vocab_size))
 
 
-def _basis(model: FrozenClassifier, override=None) -> np.ndarray:
-    return model.embeddings.table if override is None else override
+def _program_batch(theta, model: FrozenClassifier, sequences, basis=None):
+    """Check theta and the target sequences once: basis, E = basis @ theta, ids, lengths."""
+    theta = as_matrix(theta)
+    basis = model.embeddings.table if basis is None else basis
+    if theta.shape[0] != basis.shape[1]:
+        raise ShapeError("theta rows must match source vocabulary size")
+    ids, lengths = pad(sequences, theta.shape[1])
+    return basis, basis @ theta, ids, lengths
 
 
 def apply_program(theta, model: FrozenClassifier, target_tokens, basis=None) -> np.ndarray:
     """Embed a target-token sequence: column l = basis @ theta[:, tokens[l]]."""
-    theta = as_matrix(theta)
-    basis = _basis(model, basis)
-    tokens = list(target_tokens)
-    for t in tokens:
-        if not 0 <= t < theta.shape[1]:
-            raise IndexError(f"target token {t} out of range")
-    if theta.shape[0] != basis.shape[1]:
-        raise ShapeError("theta rows must match source vocabulary size")
-    return basis @ theta[:, tokens]
+    _, embedding, ids, _ = _program_batch(theta, model, [tuple(target_tokens)], basis)
+    return embedding[:, ids[0]]
 
 
 def map_output(label_map: LabelMap, source_probs) -> np.ndarray:
-    """Sum source-class probabilities into their mapped target classes."""
+    """Sum source-class probabilities (last axis) into their mapped target classes."""
     p = np.asarray(source_probs, dtype=np.float64)
-    if p.size != label_map.num_source_classes:
+    if p.ndim == 0 or p.shape[-1] != label_map.num_source_classes:
         raise ShapeError("probability vector size does not match label map")
-    out = np.zeros(label_map.num_target_classes)
-    np.add.at(out, np.array(label_map.source_to_target), p)
+    out = np.zeros(p.shape[:-1] + (label_map.num_target_classes,))
+    np.add.at(out, (..., np.array(label_map.source_to_target)), p)
     return out
 
 
-def _mapped_loss_dlogits(logits, label_map: LabelMap, target_label: int):
-    """Cross-entropy of the mapped distribution and its gradient wrt logits."""
+def _mapped_loss_dlogits(logits, label_map: LabelMap, labels):
+    """Summed cross-entropy of the mapped distributions and its gradient wrt the logits."""
     p = softmax(logits)
-    mapped = map_output(label_map, p)
-    loss = float(-np.log(mapped[target_label]))
-    hits = np.array(label_map.source_to_target) == target_label
-    dlogits = p - np.where(hits, p / mapped[target_label], 0.0)
-    return loss, dlogits
+    target = map_output(label_map, p)[np.arange(len(labels)), labels]
+    hits = np.array(label_map.source_to_target) == labels[:, None]
+    dlogits = p - np.where(hits, p / target[:, None], 0.0)
+    return float(-np.log(target).sum()), dlogits
+
+
+def _labelled_batch(theta, model, batch, basis):
+    """`_program_batch` of a non-empty batch of (target_tokens, label) pairs, plus the labels."""
+    if not batch:
+        raise ConfigError("batch must be non-empty")
+    sequences, labels = zip(*batch)
+    return *_program_batch(theta, model, sequences, basis), np.asarray(labels)
 
 
 def reprogram_loss(theta, model, label_map: LabelMap, batch, basis=None) -> float:
     """Mean mapped cross-entropy over a batch of (target_tokens, target_label)."""
-    loss, _ = _loss_and_grad(theta, model, label_map, batch, basis=basis, want_grad=False)
-    return loss
+    _, embedding, ids, lengths, labels = _labelled_batch(theta, model, batch, basis)
+    logits = predict(model.params, embedding, ids, lengths)
+    return _mapped_loss_dlogits(logits, label_map, labels)[0] / len(batch)
 
 
 def grad_theta(theta, model, label_map: LabelMap, batch, basis=None) -> np.ndarray:
     """Gradient of the mean mapped cross-entropy with respect to theta."""
-    _, grad = _loss_and_grad(theta, model, label_map, batch, basis=basis)
-    return grad
+    return _loss_and_grad(theta, model, label_map, batch, basis)[1]
 
 
-def _loss_and_grad(theta, model, label_map, batch, basis=None, want_grad=True):
-    theta = as_matrix(theta)
-    basis = _basis(model, basis)
-    if not batch:
-        raise ConfigError("batch must be non-empty")
-    total_loss = 0.0
-    grad = np.zeros_like(theta) if want_grad else None
-    for tokens, label in batch:
-        embedded = apply_program(theta, model, tokens, basis=basis)
-        logits = forward_embedded(model, embedded)
-        loss, dlogits = _mapped_loss_dlogits(logits, label_map, label)
-        total_loss += loss
-        if want_grad:
-            dembedded = backward_from_logits(model, embedded, dlogits)
-            dcoefs = basis.T @ dembedded
-            for pos, tok in enumerate(tokens):
-                grad[:, tok] += dcoefs[:, pos]
-    scale = 1.0 / len(batch)
-    if want_grad:
-        grad *= scale
-    return total_loss * scale, grad
+def _loss_and_grad(theta, model, label_map, batch, basis=None):
+    basis, embedding, ids, lengths, labels = _labelled_batch(theta, model, batch, basis)
+    loss_grad = lambda logits, y: _mapped_loss_dlogits(logits, label_map, y)
+    loss, dembedding, _ = gradient(model.params, embedding, ids, lengths, labels, loss_grad)
+    return loss / len(batch), (basis.T @ dembedding) / len(batch)
 
 
 def evaluate(theta, model, label_map: LabelMap, dataset, basis=None):
     """Argmax accuracy and target-class confusion counts (rows = true class)."""
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
+    _, embedding, ids, lengths = _program_batch(theta, model, dataset.sequences, basis)
+    logits = predict(model.params, embedding, ids, lengths)
+    predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
     n_classes = label_map.num_target_classes
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for tokens, label in zip(dataset.sequences, dataset.labels):
-        embedded = apply_program(theta, model, tokens, basis=basis)
-        probs = map_output(label_map, softmax(forward_embedded(model, embedded)))
-        pred = int(np.argmax(probs))
-        confusion[label, pred] += 1
+    np.add.at(confusion, (np.asarray(dataset.labels), predicted), 1)
     accuracy = float(np.trace(confusion)) / len(dataset)
     return accuracy, confusion
 

@@ -72,8 +72,7 @@ class SparseCode:
 
     def densify(self, num_atoms: int) -> np.ndarray:
         dense = np.zeros(num_atoms)
-        for idx, coef in zip(self.support, self.coefficients):
-            dense[idx] = coef
+        dense[list(self.support)] = self.coefficients
         return dense
 
 

@@ -9,8 +9,10 @@ from reprogram.classifier import (
     FrozenClassifier,
     TrainConfig,
     evaluate_source,
+    forward,
     forward_embedded,
     forward_tokens,
+    gradient,
     input_gradient,
     load_checkpoint,
     save_checkpoint,
@@ -169,6 +171,66 @@ class TestInputGradient:
             fd = finite_difference(model, embedded, target)
             rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel <= 1e-5
+
+
+def mixed_length_batch(rng, model, lengths=(3, 1, 5, 2, 4), pads=4):
+    """Padded ids over E = [table | pads columns of large values]; padded slots
+    select only the extra columns, which no live slot uses."""
+    vocab = model.embeddings.vocab_size
+    extra = rng.normal(scale=1e3, size=(model.embeddings.dim, pads))
+    vocab_embedding = np.hstack([model.embeddings.table, extra])
+    lengths = np.array(lengths)
+    ids = rng.integers(vocab, vocab + pads, size=(len(lengths), lengths.max()))
+    for n, length in enumerate(lengths):
+        ids[n, :length] = rng.integers(0, vocab, size=length)
+    return vocab_embedding, ids, lengths
+
+
+class TestPaddedBatch:
+    @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
+    def test_padding_invariance(self, architecture):
+        rng = np.random.default_rng(11)
+        model = make_model(rng, architecture=architecture)
+        vocab_embedding, ids, lengths = mixed_length_batch(rng, model)
+        logits, _ = forward(model.params, vocab_embedding, ids, lengths)
+        for n, length in enumerate(lengths):
+            single = forward_embedded(model, vocab_embedding[:, ids[n, :length]])
+            assert np.max(np.abs(logits[n] - single)) <= 1e-12
+
+    @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
+    def test_weight_gradients_match_finite_differences(self, architecture):
+        rng = np.random.default_rng(12)
+        model = make_model(rng, architecture=architecture)
+        vocab_embedding, ids, lengths = mixed_length_batch(rng, model)
+        weights = {name: arr.copy() for name, arr in model.params.weights.items()}
+        params = ClassifierParams(architecture, weights, model.params.num_classes)
+        # loss = sum(cotangent * logits), so backward starts from a known dlogits
+        cotangent = rng.normal(size=(len(lengths), model.params.num_classes))
+        rows = np.arange(len(lengths))
+
+        def linear(logits, picked):
+            return float(np.sum(cotangent[picked] * logits)), cotangent[picked]
+
+        def loss():
+            return gradient(params, vocab_embedding, ids, lengths, rows, linear)[0]
+
+        _, dvocab, grads = gradient(params, vocab_embedding, ids, lengths, rows, linear,
+                                    weight_grads=True)
+        vocab = model.embeddings.vocab_size
+        assert np.array_equal(dvocab[:, vocab:], np.zeros_like(dvocab[:, vocab:]))
+        h = 1e-6
+        for name, arr in weights.items():
+            fd = np.zeros_like(arr)
+            for idx in np.ndindex(arr.shape):
+                saved = arr[idx]
+                arr[idx] = saved + h
+                up = loss()
+                arr[idx] = saved - h
+                down = loss()
+                arr[idx] = saved
+                fd[idx] = (up - down) / (2 * h)
+            rel = np.linalg.norm(grads[name] - fd) / max(np.linalg.norm(fd), 1e-12)
+            assert rel <= 1e-5, name
 
 
 @pytest.fixture(scope="module")

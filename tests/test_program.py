@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from reprogram.classifier import ClassifierParams, EmbeddingTable, FrozenClassifier, _freeze
+from reprogram.classifier import (
+    ClassifierParams,
+    EmbeddingTable,
+    FrozenClassifier,
+    _freeze,
+    _init_weights,
+)
 from reprogram.data import SequenceDataset, Vocab
 from reprogram.errors import ConfigError, ShapeError
 from reprogram.program import (
@@ -26,15 +32,19 @@ from reprogram.program import (
 from reprogram.sparse_coding import Dictionary, KsvdConfig, ksvd_run
 
 
-def small_model(rng, d=5, vocab=12, hidden=4, classes=2):
-    weights = {
-        "w1": rng.normal(size=(hidden, d)),
-        "b1": rng.normal(size=hidden),
-        "w2": rng.normal(size=(classes, hidden)),
-        "b2": rng.normal(size=classes),
-    }
+def small_model(rng, d=5, vocab=12, hidden=4, classes=2, architecture="bag_mlp"):
+    if architecture == "bag_mlp":
+        weights = {
+            "w1": rng.normal(size=(hidden, d)),
+            "b1": rng.normal(size=hidden),
+            "w2": rng.normal(size=(classes, hidden)),
+            "b2": rng.normal(size=classes),
+        }
+    else:
+        shapes = _init_weights(architecture, d, hidden, classes, rng)
+        weights = {name: rng.normal(size=arr.shape) for name, arr in shapes.items()}
     table = rng.normal(size=(d, vocab))
-    params = ClassifierParams("bag_mlp", weights, classes)
+    params = ClassifierParams(architecture, weights, classes)
     return _freeze(table, params, seed=0)
 
 
@@ -181,9 +191,10 @@ class TestGradTheta:
         assert np.array_equal(grad[:, 2], np.zeros(12))
         assert np.array_equal(grad[:, 3], np.zeros(12))
 
-    def test_finite_difference_random_entries(self):
+    @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
+    def test_finite_difference_random_entries(self, architecture):
         rng = np.random.default_rng(10)
-        model = small_model(rng)
+        model = small_model(rng, architecture=architecture)
         h = LabelMap((1, 0))
         theta = rng.normal(size=(12, 4)) * 0.1
         batch = [
