@@ -268,6 +268,10 @@ def cmd_sweep_ksvd(cfg, grid, source_checkpoint, out_dir) -> int:
     model = classifier.load_checkpoint(source_checkpoint)
     _, target = _datasets(cfg)
     label_map = _label_map(cfg)
+    if not cfg["reprogram"]["ksvd"]["update_dictionary"]:
+        print("sweep-ksvd: update_dictionary is false, so every sweep count codes "
+              "against the same fixed dictionary and the rows cannot differ",
+              file=sys.stderr)
     rows = []
     for sweeps in grid:
         run_cfg = json.loads(json.dumps(cfg))

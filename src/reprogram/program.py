@@ -307,9 +307,12 @@ def load_program(path) -> AdversarialProgram:
 
 
 def trace_to_csv(trace, path) -> None:
+    """One row per outer iteration; coding_error is empty where none was coded."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "loss", "valid_accuracy", "mean_support"])
+        writer.writerow(
+            ["iteration", "loss", "valid_accuracy", "mean_support", "coding_error"]
+        )
         for entry in trace:
             writer.writerow(
                 [
@@ -317,5 +320,6 @@ def trace_to_csv(trace, path) -> None:
                     repr(entry["loss"]),
                     repr(entry["valid_accuracy"]),
                     repr(entry["mean_support"]),
+                    repr(entry["coding_error"]) if "coding_error" in entry else "",
                 ]
             )

@@ -5,9 +5,16 @@ residual norm drops below epsilon or the atom budget is exhausted; the
 dictionary-update stage replaces each atom and its coefficient row with the
 leading singular pair of the atom's restricted residual.
 
+Coding is Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008) run in lockstep:
+all signals of a call advance together, one atom per step, with one product
+for every live signal's correlations and one stacked solve that refits each
+over its support's block of the Gram matrix G = atoms^T atoms, formed once
+per call. `omp_encode` is the same path with a single signal.
+
 Update mode (`KsvdConfig.update_dictionary`) decides whether the dictionary
-itself is learned: off, every sweep codes the signals against the fixed
-initial atoms; on, each sweep codes and then runs one k-SVD update, so the
+itself is learned: off, the signals are coded once against the fixed
+initial atoms, since every further sweep would repeat that coding exactly;
+on, each sweep codes and then runs one k-SVD update, so the
 returned atoms may drift away from the initial ones and the codes are only
 meaningful over the returned dictionary. An atom that no signal uses is
 either kept or, as in K-SVD (Aharon, Elad & Bruckstein, 2006), replaced by
@@ -107,71 +114,140 @@ class KsvdConfig:
             raise ConfigError(f"unknown residual_norm {self.residual_norm!r}")
 
 
-def _residual_norm(residual: np.ndarray, kind: str, axis=None):
-    """l1 or l2 norm of a residual vector, or of each column with axis=0."""
+def _residual_norm(residual: np.ndarray, kind: str, axis: int):
+    """l1 or l2 norm of each residual along `axis` (columns: 0, rows: 1)."""
     if kind == "l1":
         return np.sum(np.abs(residual), axis=axis)
     return np.linalg.norm(residual, axis=axis)
 
 
 def omp_encode(dictionary: Dictionary, signal, cfg: KsvdConfig) -> SparseCode:
-    """Greedy atom selection with least-squares refit on the chosen support.
-
-    Stops as soon as the residual norm is within cfg.epsilon or cfg.max_atoms
-    atoms are active. Atom selection maximizes |<atom, residual>|, ties going
-    to the lowest index; an atom that fails to shrink the residual is rejected
-    and coding stops.
-    """
+    """Code one signal by the rules of `batch_encode`, through the same path."""
     signal = as_vector(signal)
-    if signal.size != dictionary.dim:
-        raise ShapeError(
-            f"signal length {signal.size} != dictionary dim {dictionary.dim}"
-        )
-    if cfg.max_atoms > dictionary.num_atoms:
-        raise ConfigError("max_atoms exceeds the number of atoms")
-
-    atoms = dictionary.atoms
-    residual = signal.copy()
-    support: list[int] = []
-    coefficients = np.zeros(0)
-    stop_norm = _residual_norm(residual, cfg.residual_norm)
-    l2 = float(np.linalg.norm(residual))
-
-    while stop_norm > cfg.epsilon and len(support) < cfg.max_atoms:
-        correlations = np.abs(atoms.T @ residual)
-        correlations[support] = -1.0
-        pick = int(np.argmax(correlations))
-        if correlations[pick] <= 0.0:
-            break
-        trial = support + [pick]
-        coefs, *_ = np.linalg.lstsq(atoms[:, trial], signal, rcond=None)
-        new_residual = signal - atoms[:, trial] @ coefs
-        new_l2 = float(np.linalg.norm(new_residual))
-        # least-squares refit cannot increase the l2 residual; a failure to
-        # shrink it means the remaining atoms add nothing
-        if new_l2 >= l2:
-            break
-        support = trial
-        coefficients = coefs
-        residual = new_residual
-        l2 = new_l2
-        stop_norm = _residual_norm(residual, cfg.residual_norm)
-
+    support, coefficients, sizes, residual = _lockstep_omp(
+        dictionary, signal[None, :], cfg
+    )
+    size = sizes[0]
     return SparseCode(
-        support=tuple(support),
-        coefficients=coefficients,
-        residual_l1=float(np.sum(np.abs(residual))),
+        support=tuple(support[0, :size].tolist()),
+        coefficients=coefficients[0, :size],
+        residual_l1=float(np.sum(np.abs(residual[0]))),
     )
 
 
 def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray:
-    """Code every signal column independently; returns dense K x M codes."""
+    """Error-constrained OMP of every signal column; returns dense K x M codes.
+
+    All columns advance in lockstep, one atom per step. A live column takes
+    the atom maximizing |<atom, residual>| (ties to the lowest index), from
+    one product atoms^T R over every live residual, and is refit over its
+    trial support by one stacked solve with the support's Gram sub-matrix
+    and right-hand side alpha = atoms^T x; G and alpha are formed once per
+    call. A column stops for good when its residual norm (cfg.residual_norm)
+    is within cfg.epsilon, when cfg.max_atoms atoms are active, when its best
+    correlation is not positive, or when the trial atom brings no gain: the
+    atom is numerically in the span of the support (Schur complement at most
+    sqrt(eps), or a singular Gram sub-matrix), or the refit fails to shrink
+    the l2 residual. The trial atom is then rejected and the previous code
+    kept. Every product and solve is taken per column, so a column's code is
+    bitwise the same whatever else shares its batch.
+    """
     signals = as_matrix(signals)
+    support, coefficients, sizes, _ = _lockstep_omp(dictionary, signals.T, cfg)
     codes = np.zeros((dictionary.num_atoms, signals.shape[1]))
-    for j in range(signals.shape[1]):
-        code = omp_encode(dictionary, signals[:, j], cfg)
-        codes[:, j] = code.densify(dictionary.num_atoms)
+    filled = np.arange(cfg.max_atoms) < sizes[:, None]
+    codes[support[filled], np.nonzero(filled)[0]] = coefficients[filled]
     return codes
+
+
+# A trial atom whose Schur complement s (its squared sine to the support's
+# span) is at most sqrt(eps) counts as in that span: a Gram-matrix refit
+# loses about eps / s relative accuracy, half the digits at that floor.
+_SCHUR_FLOOR = float(np.sqrt(np.finfo(float).eps))
+
+
+def _solve(gram, rhs):
+    """Stacked `np.linalg.solve`; a singular system gives NaN, not an error.
+
+    numpy solves each system of the stack on its own but raises for the
+    whole stack when one is singular; the fallback solves them one by one,
+    which reproduces every other system bitwise.
+    """
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for i in range(len(gram)):
+            try:
+                out[i] = np.linalg.solve(gram[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _lockstep_omp(dictionary: Dictionary, signals: np.ndarray, cfg: KsvdConfig):
+    """The lockstep loop of `batch_encode`, over the rows of `signals` (M x d).
+
+    Returns supports and coefficients (M x cfg.max_atoms; row j holds its
+    first sizes[j] atoms in pick order), sizes, and residuals (M x d).
+    """
+    atoms = dictionary.atoms
+    if signals.shape[1] != dictionary.dim:
+        raise ShapeError(
+            f"signal length {signals.shape[1]} != dictionary dim {dictionary.dim}"
+        )
+    if cfg.max_atoms > dictionary.num_atoms:
+        raise ConfigError("max_atoms exceeds the number of atoms")
+
+    signals = np.ascontiguousarray(signals)  # each row a contiguous BLAS vector
+    m = signals.shape[0]
+    support = np.zeros((m, cfg.max_atoms), dtype=np.intp)
+    coefficients = np.zeros((m, cfg.max_atoms))
+    sizes = np.zeros(m, dtype=np.intp)
+    residual = signals.copy()
+    stop_norm = _residual_norm(residual, cfg.residual_norm, axis=1)
+    gram = atoms.T @ atoms
+    # (M, 1, d) @ (d, K) is one matrix-vector product per signal, so no
+    # signal's arithmetic depends on the others in the batch.
+    alpha = np.matmul(signals[:, None, :], atoms)[:, 0, :]
+    live = np.arange(m)
+
+    for t in range(cfg.max_atoms):
+        live = live[stop_norm[live] > cfg.epsilon]
+        if live.size == 0:
+            break
+        correlations = np.abs(np.matmul(residual[live, None, :], atoms)[:, 0, :])
+        chosen = support[live, :t]
+        np.put_along_axis(correlations, chosen, -1.0, axis=1)
+        pick = np.argmax(correlations, axis=1)
+        positive = correlations.max(axis=1) > 0.0
+        live = live[positive]
+        trial = np.column_stack([chosen[positive], pick[positive]])
+
+        rhs = np.zeros((live.size, t + 1, 2))
+        rhs[:, :, 0] = alpha[live[:, None], trial]
+        rhs[:, t, 1] = 1.0
+        solution = _solve(gram[trial[:, :, None], trial[:, None, :]], rhs)
+        # the second right-hand side e_t gives 1 / the trial atom's Schur complement
+        inverse_schur = solution[:, t, 1]
+        independent = (inverse_schur > 0.0) & (inverse_schur < 1.0 / _SCHUR_FLOOR)
+        live, trial = live[independent], trial[independent]
+        trial_coefs = solution[independent, :, 0]
+
+        fitted = np.matmul(trial_coefs[:, None, :], atoms.T[trial])[:, 0, :]
+        trial_residual = signals[live] - fitted
+        trial_l2 = np.linalg.norm(trial_residual, axis=1)
+        # a least-squares refit cannot increase the l2 residual; failing to
+        # shrink it means the remaining atoms add nothing
+        gain = trial_l2 < np.linalg.norm(residual[live], axis=1)
+        live = live[gain]
+        support[live, : t + 1] = trial[gain]
+        coefficients[live, : t + 1] = trial_coefs[gain]
+        sizes[live] = t + 1
+        residual[live] = trial_residual[gain]
+        stop_norm[live] = _residual_norm(residual[live], cfg.residual_norm, axis=1)
+
+    return support, coefficients, sizes, residual
 
 
 def _fix_sign(atom: np.ndarray, row: np.ndarray):
@@ -254,13 +330,14 @@ def ksvd_run(signals, init_dict: Dictionary, cfg: KsvdConfig):
     """Alternate coding and (optionally) dictionary update for cfg.sweeps sweeps.
 
     Returns the final dictionary, the final dense codes, and the Frobenius
-    reconstruction error recorded after each sweep.
+    reconstruction error recorded after each sweep. With a fixed dictionary
+    every sweep would code the same signals against the same atoms, so the
+    signals are coded once and that error stands for all cfg.sweeps sweeps.
     """
     signals = as_matrix(signals)
     dictionary = init_dict
-    codes = np.zeros((dictionary.num_atoms, signals.shape[1]))
     error_trace: list[float] = []
-    for _ in range(cfg.sweeps):
+    for _ in range(cfg.sweeps if cfg.update_dictionary else 1):
         codes = batch_encode(dictionary, signals, cfg)
         if cfg.update_dictionary:
             dictionary, codes = ksvd_dictionary_update(
@@ -273,4 +350,5 @@ def ksvd_run(signals, init_dict: Dictionary, cfg: KsvdConfig):
             )
         error = float(np.linalg.norm(signals - dictionary.atoms @ codes))
         error_trace.append(error)
+    error_trace += error_trace[-1:] * (cfg.sweeps - len(error_trace))
     return dictionary, codes, error_trace

@@ -130,6 +130,19 @@ class TestSweeps:
         assert lines[0] == "ksvd_sweeps,train_accuracy,test_accuracy,final_coding_error"
         assert len(lines) == 3
 
+    def test_sweep_ksvd_fixed_dictionary_says_rows_cannot_differ(
+        self, tmp_path, config_path, source_checkpoint, capsys
+    ):
+        capsys.readouterr()
+        code = main(["sweep-ksvd", "--config", config_path,
+                     "--source-checkpoint", source_checkpoint,
+                     "--grid", "1,2", "--out", str(tmp_path / "sk")])
+        assert code == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "cannot differ" in err[0]
+        rows = (tmp_path / "sk" / "sweep_ksvd.csv").read_text().strip().splitlines()[1:]
+        assert rows[0].split(",")[1:] == rows[1].split(",")[1:]
+
     def test_descending_grid_rejected(self, tmp_path, config_path, source_checkpoint):
         code = main(["sweep-ksvd", "--config", config_path,
                      "--source-checkpoint", source_checkpoint,

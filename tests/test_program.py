@@ -377,5 +377,16 @@ class TestProgramSerialization:
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,loss,valid_accuracy,mean_support"
+        assert lines[0] == "iteration,loss,valid_accuracy,mean_support,coding_error"
         assert len(lines) == 6
+        coding_errors = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert coding_errors == [entry["coding_error"] for entry in trace]
+
+    def test_trace_csv_coding_error_empty_when_not_coded(self, tmp_path, training_setup):
+        model, train, valid = training_setup
+        cfg = base_config(projection_mode="encode_once")
+        _, trace = reprogram_train(model, LabelMap((0, 1)), train, valid, cfg)
+        path = tmp_path / "trace.csv"
+        trace_to_csv(trace, path)
+        rows = path.read_text().strip().splitlines()[1:]
+        assert len(rows) == 5 and all(row.endswith(",") for row in rows)

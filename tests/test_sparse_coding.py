@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reprogram import sparse_coding
 from reprogram.errors import ConfigError, NumericError, ShapeError
 from reprogram.sparse_coding import (
     Dictionary,
@@ -159,6 +160,182 @@ class TestBatchEncode:
             assert code.residual_l1 <= 0.05 or len(code.support) == 4
 
 
+def reference_omp(atoms, signal, cfg):
+    """Per-signal OMP with an lstsq refit: (support, coefficients, stop reason).
+
+    The coding rule written plainly, one signal at a time. A trial support
+    of deficient rank counts as no gain, like a refit that fails to shrink
+    the l2 residual.
+    """
+    if cfg.residual_norm == "l1":
+        norm = lambda r: np.sum(np.abs(r))
+    else:
+        norm = np.linalg.norm
+    support, coefs, residual = [], np.zeros(0), signal.copy()
+    while True:
+        if norm(residual) <= cfg.epsilon:
+            return support, coefs, "epsilon"
+        if len(support) == cfg.max_atoms:
+            return support, coefs, "max_atoms"
+        correlations = np.abs(atoms.T @ residual)
+        correlations[support] = -1.0
+        pick = int(np.argmax(correlations))
+        if correlations[pick] <= 0.0:
+            return support, coefs, "zero_correlation"
+        trial = atoms[:, support + [pick]]
+        trial_coefs = np.linalg.lstsq(trial, signal, rcond=None)[0]
+        trial_residual = signal - trial @ trial_coefs
+        if (np.linalg.matrix_rank(trial) <= len(support)
+                or np.linalg.norm(trial_residual) >= np.linalg.norm(residual)):
+            return support, coefs, "no_gain"
+        support, coefs, residual = support + [pick], trial_coefs, trial_residual
+
+
+def assert_matches_reference(dic, signals, cfg):
+    """batch_encode and omp_encode against reference_omp; returns the stop reasons."""
+    codes = batch_encode(dic, signals, cfg)
+    reasons = []
+    for j in range(signals.shape[1]):
+        support, coefs, reason = reference_omp(dic.atoms, signals[:, j], cfg)
+        code = omp_encode(dic, signals[:, j], cfg)
+        assert code.support == tuple(support)
+        assert np.abs(code.coefficients - coefs).max(initial=0.0) <= (
+            1e-12 * np.abs(coefs).max(initial=0.0)
+        )
+        assert np.array_equal(codes[:, j], code.densify(dic.num_atoms))
+        reasons.append(reason)
+    return reasons
+
+
+class TestLockstepEquivalence:
+    """The lockstep Gram-solve path against the per-signal lstsq reference."""
+
+    @pytest.mark.parametrize("residual_norm", ["l1", "l2"])
+    def test_random_dictionaries(self, residual_norm):
+        rng = np.random.default_rng(30)
+        reasons = set()
+        for _ in range(40):
+            d = int(rng.integers(4, 33))
+            k = int(rng.integers(d, 3 * d))
+            dic = random_dictionary(rng, d, k)
+            signals = rng.normal(size=(d, int(rng.integers(1, 12))))
+            # supports of at most d/2 atoms keep the Gram sub-matrices well
+            # conditioned, so 1e-12 is a fair bound for normal equations
+            cfg = KsvdConfig(epsilon=float(rng.uniform(0.05, 1.0)),
+                             max_atoms=int(rng.integers(1, d // 2 + 1)),
+                             residual_norm=residual_norm)
+            reasons.update(assert_matches_reference(dic, signals, cfg))
+        assert reasons == {"epsilon", "max_atoms"}
+
+    def test_zero_correlation_stop(self):
+        # after e0 the residual (0, 0, 3, 0) is orthogonal to e1 and e3
+        dic = Dictionary.from_matrix(np.eye(4)[:, [0, 1, 3]])
+        signals = np.array([[1.0], [0.0], [3.0], [0.0]])
+        cfg = KsvdConfig(epsilon=0.0, max_atoms=3)
+        assert assert_matches_reference(dic, signals, cfg) == ["zero_correlation"]
+        assert batch_encode(dic, signals, cfg)[:, 0].tolist() == [1.0, 0.0, 0.0]
+
+    def test_no_gain_stop_when_the_refit_cannot_shrink_the_residual(self):
+        # after e0 the residual (0, 0, 3, 0) meets w = (0, 0, 1e-9, 1) with
+        # correlation 3e-9: w is independent, but refitting on it moves the
+        # l2 residual by 1e-18 relative, below rounding, so w is rejected
+        cols = np.eye(4)[:, [0, 1, 3]]
+        cols[2, 2] = 1e-9
+        dic = Dictionary.from_matrix(cols)
+        signals = np.array([[1.0], [0.0], [3.0], [0.0]])
+        cfg = KsvdConfig(epsilon=0.0, max_atoms=3)
+        assert assert_matches_reference(dic, signals, cfg) == ["no_gain"]
+        assert omp_encode(dic, signals[:, 0], cfg).support == (0,)
+
+    def test_no_gain_stop_on_a_dependent_atom(self):
+        # any two of the three atoms span the plane, so a third adds nothing;
+        # whether rounding gives it a positive correlation or not, the code
+        # keeps two atoms
+        rng = np.random.default_rng(31)
+        dic = Dictionary.from_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]))
+        signals = rng.normal(size=(2, 40))
+        for residual_norm in ("l1", "l2"):
+            cfg = KsvdConfig(epsilon=0.0, max_atoms=3, residual_norm=residual_norm)
+            reasons = assert_matches_reference(dic, signals, cfg)
+            assert "no_gain" in reasons
+            assert np.all(np.count_nonzero(batch_encode(dic, signals, cfg), axis=0) == 2)
+
+    def test_zero_signal(self):
+        rng = np.random.default_rng(32)
+        dic = random_dictionary(rng, 6, 9)
+        signals = np.column_stack([np.zeros(6), rng.normal(size=6)])
+        for eps in (0.0, 0.1):
+            cfg = KsvdConfig(epsilon=eps, max_atoms=3)
+            assert assert_matches_reference(dic, signals, cfg)[0] == "epsilon"
+            assert not np.any(batch_encode(dic, signals, cfg)[:, 0])
+
+    def test_max_atoms_zero(self):
+        rng = np.random.default_rng(33)
+        dic = random_dictionary(rng, 5, 7)
+        signals = rng.normal(size=(5, 4))
+        cfg = KsvdConfig(epsilon=0.0, max_atoms=0)
+        assert assert_matches_reference(dic, signals, cfg) == ["max_atoms"] * 4
+        assert np.array_equal(batch_encode(dic, signals, cfg), np.zeros((7, 4)))
+        code = omp_encode(dic, signals[:, 0], cfg)
+        assert code.support == () and code.coefficients.size == 0
+        assert code.residual_l1 == np.sum(np.abs(signals[:, 0]))
+
+    def test_single_column(self):
+        rng = np.random.default_rng(34)
+        dic = random_dictionary(rng, 12, 30)
+        signal = rng.normal(size=(12, 1))
+        cfg = KsvdConfig(epsilon=0.01, max_atoms=5)
+        assert assert_matches_reference(dic, signal, cfg) == ["max_atoms"]
+
+    def test_repeat_calls_bitwise(self):
+        rng = np.random.default_rng(35)
+        dic = random_dictionary(rng, 32, 200)
+        signals = rng.normal(size=(32, 7))
+        cfg = KsvdConfig(epsilon=0.045, max_atoms=16)
+        first = batch_encode(dic, signals, cfg)
+        assert np.array_equal(first, batch_encode(dic, signals, cfg))
+        # a column's code does not depend on the other columns of its batch
+        assert np.array_equal(first[:, 2:5], batch_encode(dic, signals[:, 2:5], cfg))
+
+
+class TestDependentAtoms:
+    def test_duplicated_atom(self):
+        # eps 0 and a budget above d: past d atoms every trial atom is in the
+        # span, and atom 3's copy is in the span whenever atom 3 is used
+        rng = np.random.default_rng(36)
+        raw = rng.normal(size=(6, 10))
+        dic = Dictionary.from_matrix(np.column_stack([raw, raw[:, 3]]))
+        signals = rng.normal(size=(6, 20))
+        cfg = KsvdConfig(epsilon=0.0, max_atoms=9)
+        codes = batch_encode(dic, signals, cfg)
+        assert not np.any((codes[3] != 0) & (codes[10] != 0))
+        assert np.all(np.count_nonzero(codes, axis=0) <= 6)
+        assert np.abs(signals - dic.atoms @ codes).max() <= 1e-10
+        for j in range(20):
+            assert np.array_equal(codes[:, j], batch_encode(dic, signals[:, [j]], cfg)[:, 0])
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-5])
+    def test_numerically_dependent_atom_stops_only_its_column(self, delta):
+        # atoms e0 and (e0 + delta e2)/|.|: at delta 1e-9 their Gram block is
+        # exactly singular, at 1e-5 the Schur complement is about 1e-10
+        cols = np.zeros((3, 3))
+        cols[:, 0] = [1.0, 0.0, 0.0]
+        cols[:, 1] = [1.0, 0.0, delta]
+        cols[:, 2] = [0.0, 1.0, 0.0]
+        dic = Dictionary.from_matrix(cols)
+        signals = np.array([[1.0, 2.0], [0.0, 3.0], [1.0, 0.0]])
+        cfg = KsvdConfig(epsilon=0.0, max_atoms=3)
+        codes = batch_encode(dic, signals, cfg)
+        # column 0 takes atom 1, then atom 0 is rejected and its code kept
+        code = omp_encode(dic, signals[:, 0], cfg)
+        assert code.support == (1,)
+        assert code.coefficients[0] == pytest.approx(dic.atoms[:, 1] @ signals[:, 0])
+        assert np.array_equal(codes[:, 0], code.densify(3))
+        # column 1 is untouched by column 0's singular system
+        assert np.array_equal(codes[:, 1], batch_encode(dic, signals[:, [1]], cfg)[:, 0])
+        assert np.abs(signals[:, 1] - dic.atoms @ codes[:, 1]).max() <= 1e-9
+
+
 def frob(signals, dic, codes):
     return np.linalg.norm(signals - dic.atoms @ codes)
 
@@ -275,6 +452,39 @@ class TestKsvdRun:
         assert np.array_equal(codes, batch_encode(dic, signals, cfg))
         assert np.array_equal(out_dic.atoms, dic.atoms)
         assert len(trace) == 1
+
+    @staticmethod
+    def count_batch_encode(monkeypatch):
+        calls = []
+        real = sparse_coding.batch_encode
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(sparse_coding, "batch_encode", counted)
+        return calls
+
+    def test_fixed_dictionary_codes_once(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        dic = random_dictionary(rng, 8, 10)
+        signals = rng.normal(size=(8, 6))
+        cfg = KsvdConfig(epsilon=0.05, max_atoms=4, sweeps=5, update_dictionary=False)
+        calls = self.count_batch_encode(monkeypatch)
+        out_dic, codes, trace = ksvd_run(signals, dic, cfg)
+        assert len(calls) == 1
+        assert out_dic is dic
+        assert len(trace) == 5 and len(set(trace)) == 1
+        assert trace[0] == np.linalg.norm(signals - dic.atoms @ codes)
+
+    def test_dictionary_update_codes_every_sweep(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        dic = random_dictionary(rng, 8, 10)
+        signals = rng.normal(size=(8, 6))
+        cfg = KsvdConfig(epsilon=0.05, max_atoms=4, sweeps=4)
+        calls = self.count_batch_encode(monkeypatch)
+        _, _, trace = ksvd_run(signals, dic, cfg)
+        assert len(calls) == 4 and len(trace) == 4
 
     def test_planted_signals_converge(self):
         rng = np.random.default_rng(21)
