@@ -14,7 +14,7 @@ from .classifier import (
 )
 from .data import SequenceDataset, SplitSpec, Vocab, load_csv, load_fasta, split, subsample, synth_tasks
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
-from .numerics import SvdResult, cross_entropy, matmul, softmax, thin_svd
+from .numerics import cross_entropy, softmax
 from .program import (
     AdversarialProgram,
     LabelMap,

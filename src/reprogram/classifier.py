@@ -23,6 +23,7 @@ from itertools import chain
 
 import numpy as np
 
+from .data import read_json
 from .errors import ConfigError, NumericError, ShapeError
 from .numerics import as_matrix, softmax
 
@@ -373,8 +374,7 @@ def save_checkpoint(model: FrozenClassifier, path) -> None:
 
 
 def load_checkpoint(path) -> FrozenClassifier:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('format_version')}")
     table = np.array(doc["embeddings"]).reshape(doc["d"], doc["vocab_size"])

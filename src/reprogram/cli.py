@@ -18,44 +18,6 @@ from . import classifier, data, program
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .sparse_coding import KsvdConfig
 
-_SCHEMA = {
-    "seed": None,
-    "data": {
-        "mode": None,
-        "source_size": None,
-        "target_size": None,
-        "source_path": None,
-        "target_path": None,
-        "sequence_column": None,
-        "label_column": None,
-    },
-    "split": {"train": None, "valid": None, "test": None, "seed": None},
-    "train": {
-        "architecture": None,
-        "embed_dim": None,
-        "hidden_dim": None,
-        "epochs": None,
-        "batch_size": None,
-        "learning_rate": None,
-    },
-    "reprogram": {
-        "outer_iterations": None,
-        "step_size": None,
-        "decay": None,
-        "batch_size": None,
-        "projection_mode": None,
-        "label_map": None,
-        "ksvd": {
-            "epsilon": None,
-            "max_atoms": None,
-            "sweeps": None,
-            "update_dictionary": None,
-            "unused_atom_policy": None,
-            "residual_norm": None,
-        },
-    },
-}
-
 _DEFAULTS = {
     "seed": 0,
     "data": {"mode": "synthetic", "source_size": 2000, "target_size": 2500,
@@ -79,15 +41,16 @@ _DEFAULTS = {
 }
 
 
-def _check_keys(doc, schema, prefix=""):
+def _check_keys(doc, defaults, prefix=""):
+    """Reject unknown keys and non-object sections by walking the defaults tree."""
     for key, value in doc.items():
-        if key not in schema:
-            raise ConfigError(f"unknown config key {prefix}{key!r}")
-        sub = schema[key]
-        if isinstance(sub, dict):
+        name = prefix + key
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {name!r}")
+        if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"config key {prefix}{key!r} must be an object")
-            _check_keys(value, sub, prefix=f"{prefix}{key}.")
+                raise ConfigError(f"config key {name!r} must be an object")
+            _check_keys(value, defaults[key], prefix=f"{name}.")
 
 
 def _merge(defaults, doc):
@@ -104,12 +67,10 @@ def load_config(path) -> dict:
     """Load, validate (unknown keys rejected), and default-fill a config file."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    _check_keys(doc, _SCHEMA)
+    doc = data.read_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object")
+    _check_keys(doc, _DEFAULTS)
     cfg = _merge(_DEFAULTS, doc)
     for key in ("source_path", "target_path"):
         value = cfg["data"].get(key)
@@ -154,7 +115,10 @@ def _reprogram_config(cfg, seed):
 
 
 def _label_map(cfg):
-    return program.LabelMap(source_to_target=tuple(cfg["reprogram"]["label_map"]))
+    value = cfg["reprogram"]["label_map"]
+    if not isinstance(value, list):
+        raise ConfigError("config key 'reprogram.label_map' must be a list")
+    return program.LabelMap(source_to_target=tuple(value))
 
 
 def _write_json(doc, path):

@@ -5,13 +5,12 @@ are tokenized on whitespace (lowercased). Datasets are immutable once built.
 """
 
 import csv
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-
-UNK_TOKEN = "<unk>"
 
 
 @dataclass(frozen=True)
@@ -37,12 +36,6 @@ class Vocab:
         if idx is None:
             raise KeyError(f"token {token!r} not in vocabulary")
         return idx
-
-    def with_unknown(self) -> "Vocab":
-        """Append a reserved unknown-token index for out-of-vocab inference."""
-        if UNK_TOKEN in self.token_to_index:
-            return self
-        return Vocab.from_tokens(self.index_to_token + (UNK_TOKEN,))
 
 
 @dataclass(frozen=True)
@@ -123,6 +116,15 @@ def _build_dataset(rows):
         vocab=vocab,
         class_names=tuple(class_names),
     )
+
+
+def read_json(path):
+    """Parse a JSON file; a file that is not valid JSON is a DataFormatError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def load_csv(path, sequence_column="sequence", label_column="label") -> SequenceDataset:

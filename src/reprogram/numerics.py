@@ -1,11 +1,9 @@
-"""Dense linear algebra and differentiable-loss primitives.
+"""Float64 input checks and differentiable-loss primitives.
 
 All public operations work on 64-bit float numpy arrays, validate their
 inputs, and are deterministic (sequential numpy reductions, no threading
 assumptions beyond BLAS determinism for fixed shapes).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,40 +28,6 @@ def as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericError("vector contains NaN or Inf")
     return x
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape validation."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD: u (m x r), singular_values descending, vt (r x n)."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.vt
-
-
-def thin_svd(a) -> SvdResult:
-    """Thin singular value decomposition, rank r = min(m, n).
-
-    Singular values are non-negative and sorted descending; u columns and
-    vt rows are orthonormal.
-    """
-    a = as_matrix(a)
-    if a.size == 0:
-        raise ShapeError("cannot decompose an empty matrix")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u=u, singular_values=s, vt=vt)
 
 
 def softmax(logits) -> np.ndarray:

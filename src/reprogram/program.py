@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .classifier import FrozenClassifier, gradient, pad, predict
+from .data import read_json
 from .errors import ConfigError, ShapeError
 from .numerics import as_matrix, softmax
 from .sparse_coding import Dictionary, KsvdConfig, ksvd_run
@@ -35,6 +36,8 @@ class LabelMap:
     def __post_init__(self):
         if not self.source_to_target:
             raise ConfigError("label map must cover at least one source class")
+        if not all(type(t) is int and t >= 0 for t in self.source_to_target):
+            raise ConfigError("label map entries must be non-negative integers")
         targets = set(self.source_to_target)
         expected = set(range(self.num_target_classes))
         if targets != expected:
@@ -187,13 +190,6 @@ def evaluate_program(program: AdversarialProgram, model, label_map, dataset):
     )
 
 
-def _project(theta, table, dictionary, ksvd_cfg):
-    """Sparsify theta: code the implied target embeddings against the dictionary."""
-    signals = table @ theta
-    dictionary, codes, trace = ksvd_run(signals, dictionary, ksvd_cfg)
-    return dictionary.fold_codes(codes), dictionary, trace
-
-
 def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
                     cfg: ReprogramConfig):
     """Alternating sparse-coding projection and gradient descent on theta.
@@ -216,30 +212,23 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
 
     table = model.embeddings.table
     dictionary = Dictionary.from_matrix(table)
-    basis_changes = cfg.ksvd.update_dictionary
-
+    basis = None  # the model's own table until the dictionary is learned
     theta = initial_theta(table.shape[1], len(train.vocab), cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-
-    if cfg.projection_mode == "encode_once":
-        theta, dictionary, _ = _project(theta, table, dictionary, cfg.ksvd)
-        if basis_changes:
-            table = dictionary.atoms
+    every_iteration = cfg.projection_mode == "every_outer_iteration"
 
     samples = list(zip(train.sequences, train.labels))
     order: list[int] = []
     trace = []
     best_acc = -1.0
-    basis = table if basis_changes else None
 
     for it in range(cfg.outer_iterations):
-        coding_error = None
-        if cfg.projection_mode == "every_outer_iteration":
-            theta, dictionary, ksvd_trace = _project(theta, table, dictionary, cfg.ksvd)
-            coding_error = ksvd_trace[-1]
-            if basis_changes:
-                table = dictionary.atoms
-                basis = table
+        if it == 0 or every_iteration:
+            signals = (table if basis is None else basis) @ theta
+            dictionary, codes, ksvd_trace = ksvd_run(signals, dictionary, cfg.ksvd)
+            theta = dictionary.fold_codes(codes)
+            if cfg.ksvd.update_dictionary:
+                basis = dictionary.atoms
 
         if not order:
             order = list(rng.permutation(len(samples)))
@@ -257,10 +246,8 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
             "valid_accuracy": valid_acc,
             "mean_support": float(np.mean(np.count_nonzero(theta, axis=0))),
         }
-        if coding_error is not None:
-            entry["coding_error"] = coding_error
-        if basis_changes:
-            entry["dictionary_updated"] = True
+        if every_iteration:
+            entry["coding_error"] = ksvd_trace[-1]
         trace.append(entry)
         if valid_acc > best_acc:
             best_acc = valid_acc
@@ -292,8 +279,7 @@ def save_program(program: AdversarialProgram, path) -> None:
 
 
 def load_program(path) -> AdversarialProgram:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if doc.get("format_version") != PROGRAM_FORMAT_VERSION:
         raise ConfigError(f"unsupported program version {doc.get('format_version')}")
     theta = np.array(doc["theta"]).reshape(

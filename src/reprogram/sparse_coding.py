@@ -24,12 +24,12 @@ no qualifying signal is left the atom is kept, so a dictionary that already
 codes every signal within epsilon is a fixed point of the update.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .numerics import as_matrix, as_vector, thin_svd
+from .numerics import as_matrix, as_vector
 
 
 @dataclass(frozen=True)
@@ -310,10 +310,8 @@ def ksvd_dictionary_update(
             continue
         # Residual with atom k removed, restricted to the signals that use it.
         restricted = residual[:, used] + np.outer(atoms[:, k], codes[k, used])
-        svd = thin_svd(restricted)
-        atom = svd.u[:, 0]
-        row = svd.singular_values[0] * svd.vt[0, :]
-        atom, row = _fix_sign(atom, row)
+        u, s, vt = np.linalg.svd(restricted, full_matrices=False)
+        atom, row = _fix_sign(u[:, 0], s[0] * vt[0])
         atoms[:, k] = atom
         codes[k, used] = row
         residual[:, used] = restricted - np.outer(atom, row)

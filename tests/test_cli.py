@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,22 @@ class TestConfig:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["train-source", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "the config must be a JSON object"),
+        ('{"reprogram": 5}', "'reprogram' must be an object"),
+        ('{"reprogram": {"ksvd": []}}', "'reprogram.ksvd' must be an object"),
+    ])
+    def test_non_object_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+
+    def test_list_valued_label_map_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"reprogram": {"label_map": [1, 0]}}))
+        assert load_config(str(path))["reprogram"]["label_map"] == [1, 0]
 
     def test_defaults_filled(self, config_path):
         cfg = load_config(config_path)
@@ -148,3 +165,46 @@ class TestSweeps:
                      "--source-checkpoint", source_checkpoint,
                      "--grid", "3,1", "--out", str(tmp_path / "sk")])
         assert code == 2
+
+
+def _single_error_line(capsys, name):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+
+
+class TestMalformedInputs:
+    def test_truncated_checkpoint_exit_2(self, tmp_path, config_path, source_checkpoint,
+                                         capsys):
+        cut = tmp_path / "cut_checkpoint.json"
+        cut.write_bytes(Path(source_checkpoint).read_bytes()[:500])
+        capsys.readouterr()
+        code = main(["reprogram", "--config", config_path, "--source-checkpoint",
+                     str(cut), "--out", str(tmp_path / "r")])
+        assert code == 2
+        _single_error_line(capsys, "cut_checkpoint.json")
+
+    def test_truncated_program_exit_2(self, tmp_path, config_path, source_checkpoint,
+                                      capsys):
+        cut = tmp_path / "cut_program.json"
+        cut.write_text('{"format_version": 1, "theta": [0.1, ')
+        capsys.readouterr()
+        code = main(["eval", "--config", config_path, "--source-checkpoint",
+                     source_checkpoint, "--program", str(cut), "--out", str(tmp_path / "e")])
+        assert code == 2
+        _single_error_line(capsys, "cut_program.json")
+
+    @pytest.mark.parametrize("label_map, message", [
+        (["a", "b"], "non-negative integers"),
+        (5, "must be a list"),
+    ])
+    def test_malformed_label_map_exit_2(self, tmp_path, source_checkpoint, capsys,
+                                        label_map, message):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["reprogram"]["label_map"] = label_map
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["reprogram", "--config", str(path), "--source-checkpoint",
+                     source_checkpoint, "--out", str(tmp_path / "r")])
+        assert code == 2
+        _single_error_line(capsys, message)

@@ -174,11 +174,6 @@ class TestVocab:
         assert v.encode("b") == 1
         assert v.index_to_token[2] == "c"
 
-    def test_unknown_token_extension(self):
-        v = Vocab.from_tokens(["a"]).with_unknown()
-        assert len(v) == 2
-        assert v.with_unknown() == v
-
     def test_dataset_rejects_out_of_range_tokens(self):
         v = Vocab.from_tokens(["a", "b"])
         with pytest.raises(DataFormatError):

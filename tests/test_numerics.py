@@ -3,90 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reprogram.errors import NumericError, ShapeError
-from reprogram.numerics import cross_entropy, matmul, softmax, thin_svd
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference product."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            for l in range(k):
-                out[i, j] += a[i, l] * b[l, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_checked(self):
-        out = matmul([[1, 2], [3, 4]], [[0], [1]])
-        assert np.array_equal(out, [[2], [4]])
-
-    def test_against_naive_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        assert np.allclose(matmul(a, b), naive_matmul(a, b), rtol=1e-12, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_nan(self):
-        with pytest.raises(NumericError):
-            matmul(np.array([[np.nan]]), np.ones((1, 1)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 5))
-            c = rng.normal(size=(5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.allclose(left, right, rtol=1e-9)
-
-
-class TestThinSvd:
-    def test_identity_singular_values(self):
-        res = thin_svd(np.eye(3))
-        assert np.allclose(res.singular_values, [1, 1, 1])
-
-    def test_diagonal(self):
-        res = thin_svd(np.diag([3.0, 2.0]))
-        assert np.allclose(res.singular_values, [3.0, 2.0])
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(6, 4))
-        res = thin_svd(a)
-        err = np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a)
-        assert err <= 1e-8
-
-    @pytest.mark.parametrize("shape", [(3, 3), (10, 4), (4, 10), (64, 64)])
-    def test_invariants_random(self, shape):
-        rng = np.random.default_rng(shape[0] * 100 + shape[1])
-        a = rng.normal(size=shape)
-        res = thin_svd(a)
-        s = res.singular_values
-        assert np.all(s >= 0)
-        assert np.all(np.diff(s) <= 0)
-        r = min(shape)
-        assert np.allclose(res.u.T @ res.u, np.eye(r), atol=1e-8)
-        assert np.allclose(res.vt @ res.vt.T, np.eye(r), atol=1e-8)
-        rel = np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a)
-        assert rel <= 1e-8
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(NumericError):
-            thin_svd(np.array([[np.inf, 0.0]]))
+from reprogram.errors import ShapeError
+from reprogram.numerics import cross_entropy, softmax
 
 
 class TestSoftmax:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -138,6 +139,11 @@ class TestLabelMap:
     def test_size_mismatch(self):
         with pytest.raises(ShapeError):
             map_output(LabelMap((0, 1)), [0.2, 0.3, 0.5])
+
+    @pytest.mark.parametrize("entries", [("a", "b"), (0, 1.0), (0, -1, 1), (False, True)])
+    def test_non_integer_or_negative_entries_rejected(self, entries):
+        with pytest.raises(ConfigError, match="non-negative integers"):
+            LabelMap(entries)
 
 
 class TestLoss:
@@ -303,6 +309,18 @@ class TestReprogramTrain:
         prog, trace = reprogram_train(model, h, train, valid, cfg)
         accuracy, _ = evaluate_program(prog, model, h, valid)
         assert accuracy == max(entry["valid_accuracy"] for entry in trace)
+
+    @pytest.mark.parametrize("mode", ["every_outer_iteration", "encode_once"])
+    def test_fixed_dictionary_stores_no_basis(self, training_setup, tmp_path, mode):
+        # theta codes over the model's own table, so the program must not
+        # carry a copy of it
+        model, train, valid = training_setup
+        cfg = base_config(projection_mode=mode)
+        prog, _ = reprogram_train(model, LabelMap((0, 1)), train, valid, cfg)
+        assert prog.source_basis is None
+        path = tmp_path / "program.json"
+        save_program(prog, path)
+        assert "source_basis" not in json.loads(path.read_text())
 
     def test_unfrozen_model_rejected(self, training_setup):
         model, train, valid = training_setup
