@@ -6,7 +6,6 @@ from .classifier import (
     FrozenClassifier,
     TrainConfig,
     forward_embedded,
-    forward_tokens,
     input_gradient,
     load_checkpoint,
     save_checkpoint,
@@ -19,21 +18,17 @@ from .program import (
     AdversarialProgram,
     LabelMap,
     ReprogramConfig,
-    apply_program,
     evaluate,
-    grad_theta,
+    loss_and_grad,
     map_output,
-    reprogram_loss,
     reprogram_train,
 )
 from .sparse_coding import (
     Dictionary,
     KsvdConfig,
-    SparseCode,
     batch_encode,
     ksvd_dictionary_update,
     ksvd_run,
-    omp_encode,
 )
 
 __version__ = "0.1.0"

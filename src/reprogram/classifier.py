@@ -13,7 +13,8 @@ Two architectures:
 One path serves training, reprogramming and evaluation: `forward` embeds a
 right-padded batch of token ids through a vocabulary embedding E and returns
 the logits with its cache; `backward` consumes the cache and returns dE, plus
-weight gradients only for source training. The single-sequence functions are
+weight gradients only for source training. `forward_embedded` and
+`input_gradient`, the frozen model's interface on one embedded sequence, are
 batches of one.
 """
 
@@ -23,13 +24,12 @@ from itertools import chain
 
 import numpy as np
 
-from .data import read_json
+from .data import read_document
 from .errors import ConfigError, NumericError, ShapeError
 from .numerics import as_matrix, softmax
 
 FORMAT_VERSION = 1
-# Sequences per model call. Larger slices only raise the peak memory: a whole
-# split at once costs megabytes and runs no faster.
+# Sequences per model call; it bounds the peak memory of one call.
 MAX_BATCH = 32
 
 
@@ -266,12 +266,6 @@ def forward_embedded(model: FrozenClassifier, embedded_seq) -> np.ndarray:
     return forward(model.params, *_one_sequence(model, embedded_seq))[0][0]
 
 
-def forward_tokens(model: FrozenClassifier, tokens) -> np.ndarray:
-    """Logits for a source-token index sequence."""
-    ids, lengths = pad([tuple(tokens)], model.embeddings.vocab_size)
-    return forward(model.params, model.embeddings.table, ids, lengths)[0][0]
-
-
 def input_gradient(model: FrozenClassifier, embedded_seq, target_class: int) -> np.ndarray:
     """Gradient of cross-entropy at target_class with respect to the input."""
     if not model.frozen:
@@ -374,17 +368,21 @@ def save_checkpoint(model: FrozenClassifier, path) -> None:
 
 
 def load_checkpoint(path) -> FrozenClassifier:
-    doc = read_json(path)
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {doc.get('format_version')}")
-    table = np.array(doc["embeddings"]).reshape(doc["d"], doc["vocab_size"])
-    weights = {
-        name: np.array(spec["data"]).reshape(spec["shape"])
-        for name, spec in doc["weights"].items()
-    }
-    params = ClassifierParams(
-        architecture=doc["architecture"],
-        weights=weights,
-        num_classes=doc["num_classes"],
-    )
-    return _freeze(table, params, doc["seed"])
+    """Read a `save_checkpoint` file; a malformed one is a DataFormatError naming it."""
+    with read_document(path, "checkpoint", FORMAT_VERSION) as doc:
+        architecture = doc["architecture"]
+        if architecture not in _FORWARD:
+            raise ValueError(f"unknown architecture {architecture!r}")
+        table = np.array(doc["embeddings"], dtype=np.float64).reshape(
+            doc["d"], doc["vocab_size"]
+        )
+        weights = {
+            name: np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
+            for name, spec in doc["weights"].items()
+        }
+        params = ClassifierParams(
+            architecture=architecture,
+            weights=weights,
+            num_classes=doc["num_classes"],
+        )
+        return _freeze(table, params, doc["seed"])

@@ -183,6 +183,9 @@ def cmd_eval(cfg, program_path, source_checkpoint, out_dir) -> int:
     prog = program.load_program(program_path)
     if prog.theta.shape[0] != model.embeddings.vocab_size:
         raise ConfigError("program does not match the source model vocabulary")
+    basis = prog.source_basis
+    if basis is not None and basis.shape != model.embeddings.table.shape:
+        raise ConfigError("program source_basis does not match the source model's d x vocab")
     _, target = _datasets(cfg)
     _, _, test = data.split(target, _split_spec(cfg))
     label_map = _label_map(cfg)
@@ -232,20 +235,22 @@ def cmd_sweep_ksvd(cfg, grid, source_checkpoint, out_dir) -> int:
     model = classifier.load_checkpoint(source_checkpoint)
     _, target = _datasets(cfg)
     label_map = _label_map(cfg)
-    if not cfg["reprogram"]["ksvd"]["update_dictionary"]:
+    fixed = not cfg["reprogram"]["ksvd"]["update_dictionary"]
+    if fixed:
         print("sweep-ksvd: update_dictionary is false, so every sweep count codes "
               "against the same fixed dictionary and the rows cannot differ",
               file=sys.stderr)
     rows = []
     for sweeps in grid:
-        run_cfg = json.loads(json.dumps(cfg))
-        run_cfg["reprogram"]["ksvd"]["sweeps"] = sweeps
-        prog, trace, test_acc, _, splits, _ = _run_reprogram(
-            run_cfg, model, target, cfg["seed"]
-        )
-        train_acc, _ = program.evaluate_program(prog, model, label_map, splits[0])
-        coding_errors = [e["coding_error"] for e in trace if "coding_error" in e]
-        final_error = coding_errors[-1] if coding_errors else float("nan")
+        if not (fixed and rows):  # a fixed dictionary's run is trained once
+            run_cfg = json.loads(json.dumps(cfg))
+            run_cfg["reprogram"]["ksvd"]["sweeps"] = sweeps
+            prog, trace, test_acc, _, splits, _ = _run_reprogram(
+                run_cfg, model, target, cfg["seed"]
+            )
+            train_acc, _ = program.evaluate_program(prog, model, label_map, splits[0])
+            coding_errors = [e["coding_error"] for e in trace if "coding_error" in e]
+            final_error = coding_errors[-1] if coding_errors else float("nan")
         rows.append((sweeps, train_acc, test_acc, final_error))
         print(f"sweeps={sweeps}: train={train_acc:.4f} test={test_acc:.4f} "
               f"coding_error={final_error:.6f}")

@@ -6,6 +6,7 @@ are tokenized on whitespace (lowercased). Datasets are immutable once built.
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,6 +126,28 @@ def read_json(path):
             return json.load(fh)
         except ValueError as exc:
             raise DataFormatError(f"invalid JSON in {path}: {exc}") from exc
+
+
+@contextmanager
+def read_document(path, kind: str, version: int):
+    """Yield the JSON object of a `kind` file (checkpoint, program) of format `version`.
+
+    Invalid JSON, a document that is not an object, and a structure error
+    raised while the with-block reads it (a missing key, a value of the wrong
+    type or shape) are a DataFormatError naming the file; another format
+    version is a ConfigError.
+    """
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: a {kind} must be a JSON object")
+    if doc.get("format_version") != version:
+        raise ConfigError(f"unsupported {kind} version {doc.get('format_version')}")
+    try:
+        yield doc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(
+            f"{path}: malformed {kind} ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def load_csv(path, sequence_column="sequence", label_column="label") -> SequenceDataset:

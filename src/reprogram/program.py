@@ -8,8 +8,8 @@ frozen source classifier.
 
 Loss, gradient and evaluation hand the classifier's padded-batch path one
 vocabulary embedding E = basis @ theta (d x |V_T|) and the padded target
-tokens; the gradient with respect to theta is basis^T @ dE. `apply_program`
-and the single-sequence helpers are views of the same computation.
+tokens; the gradient with respect to theta is basis^T @ dE. `loss_and_grad`
+is the training step's loss and gradient, `evaluate` scores a whole split.
 """
 
 import csv
@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .classifier import FrozenClassifier, gradient, pad, predict
-from .data import read_json
+from .data import read_document
 from .errors import ConfigError, ShapeError
 from .numerics import as_matrix, softmax
 from .sparse_coding import Dictionary, KsvdConfig, ksvd_run
@@ -117,12 +117,6 @@ def _program_batch(theta, model: FrozenClassifier, sequences, basis=None):
     return basis, basis @ theta, ids, lengths
 
 
-def apply_program(theta, model: FrozenClassifier, target_tokens, basis=None) -> np.ndarray:
-    """Embed a target-token sequence: column l = basis @ theta[:, tokens[l]]."""
-    _, embedding, ids, _ = _program_batch(theta, model, [tuple(target_tokens)], basis)
-    return embedding[:, ids[0]]
-
-
 def map_output(label_map: LabelMap, source_probs) -> np.ndarray:
     """Sum source-class probabilities (last axis) into their mapped target classes."""
     p = np.asarray(source_probs, dtype=np.float64)
@@ -142,30 +136,18 @@ def _mapped_loss_dlogits(logits, label_map: LabelMap, labels):
     return float(-np.log(target).sum()), dlogits
 
 
-def _labelled_batch(theta, model, batch, basis):
-    """`_program_batch` of a non-empty batch of (target_tokens, label) pairs, plus the labels."""
+def loss_and_grad(theta, model, label_map: LabelMap, batch, basis=None):
+    """Mean mapped cross-entropy over a batch and its gradient with respect to theta.
+
+    `batch` is a non-empty sequence of (target_tokens, target_label) pairs.
+    """
     if not batch:
         raise ConfigError("batch must be non-empty")
     sequences, labels = zip(*batch)
-    return *_program_batch(theta, model, sequences, basis), np.asarray(labels)
-
-
-def reprogram_loss(theta, model, label_map: LabelMap, batch, basis=None) -> float:
-    """Mean mapped cross-entropy over a batch of (target_tokens, target_label)."""
-    _, embedding, ids, lengths, labels = _labelled_batch(theta, model, batch, basis)
-    logits = predict(model.params, embedding, ids, lengths)
-    return _mapped_loss_dlogits(logits, label_map, labels)[0] / len(batch)
-
-
-def grad_theta(theta, model, label_map: LabelMap, batch, basis=None) -> np.ndarray:
-    """Gradient of the mean mapped cross-entropy with respect to theta."""
-    return _loss_and_grad(theta, model, label_map, batch, basis)[1]
-
-
-def _loss_and_grad(theta, model, label_map, batch, basis=None):
-    basis, embedding, ids, lengths, labels = _labelled_batch(theta, model, batch, basis)
+    basis, embedding, ids, lengths = _program_batch(theta, model, sequences, basis)
     loss_grad = lambda logits, y: _mapped_loss_dlogits(logits, label_map, y)
-    loss, dembedding, _ = gradient(model.params, embedding, ids, lengths, labels, loss_grad)
+    loss, dembedding, _ = gradient(model.params, embedding, ids, lengths,
+                                   np.asarray(labels), loss_grad)
     return loss / len(batch), (basis.T @ dembedding) / len(batch)
 
 
@@ -236,7 +218,7 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
         order = order[cfg.batch_size :]
         batch = [samples[i] for i in batch_idx]
 
-        loss, grad = _loss_and_grad(theta, model, label_map, batch, basis=basis)
+        loss, grad = loss_and_grad(theta, model, label_map, batch, basis=basis)
         theta = theta - cfg.step_at(it) * grad
 
         valid_acc, _ = evaluate(theta, model, label_map, valid, basis=basis)
@@ -279,17 +261,16 @@ def save_program(program: AdversarialProgram, path) -> None:
 
 
 def load_program(path) -> AdversarialProgram:
-    doc = read_json(path)
-    if doc.get("format_version") != PROGRAM_FORMAT_VERSION:
-        raise ConfigError(f"unsupported program version {doc.get('format_version')}")
-    theta = np.array(doc["theta"]).reshape(
-        doc["source_vocab_size"], doc["target_vocab_size"]
-    )
-    basis = None
-    if "source_basis" in doc:
-        spec = doc["source_basis"]
-        basis = np.array(spec["data"]).reshape(spec["shape"])
-    return AdversarialProgram(theta=theta, config=doc["config"], source_basis=basis)
+    """Read a `save_program` file; a malformed one is a DataFormatError naming it."""
+    with read_document(path, "program", PROGRAM_FORMAT_VERSION) as doc:
+        theta = np.array(doc["theta"], dtype=np.float64).reshape(
+            doc["source_vocab_size"], doc["target_vocab_size"]
+        )
+        basis = None
+        if "source_basis" in doc:
+            spec = doc["source_basis"]
+            basis = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        return AdversarialProgram(theta=theta, config=doc["config"], source_basis=basis)
 
 
 def trace_to_csv(trace, path) -> None:

@@ -9,7 +9,7 @@ Coding is Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008) run in lockstep:
 all signals of a call advance together, one atom per step, with one product
 for every live signal's correlations and one stacked solve that refits each
 over its support's block of the Gram matrix G = atoms^T atoms, formed once
-per call. `omp_encode` is the same path with a single signal.
+per call. A single signal is a batch of one column.
 
 Update mode (`KsvdConfig.update_dictionary`) decides whether the dictionary
 itself is learned: off, the signals are coded once against the fixed
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix
 
 
 @dataclass(frozen=True)
@@ -70,20 +70,6 @@ class Dictionary:
 
 
 @dataclass(frozen=True)
-class SparseCode:
-    """Support indices, aligned coefficients, and the final l1 residual norm."""
-
-    support: tuple
-    coefficients: np.ndarray
-    residual_l1: float
-
-    def densify(self, num_atoms: int) -> np.ndarray:
-        dense = np.zeros(num_atoms)
-        dense[list(self.support)] = self.coefficients
-        return dense
-
-
-@dataclass(frozen=True)
 class KsvdConfig:
     """Sparse-coding and k-SVD loop parameters.
 
@@ -121,45 +107,6 @@ def _residual_norm(residual: np.ndarray, kind: str, axis: int):
     return np.linalg.norm(residual, axis=axis)
 
 
-def omp_encode(dictionary: Dictionary, signal, cfg: KsvdConfig) -> SparseCode:
-    """Code one signal by the rules of `batch_encode`, through the same path."""
-    signal = as_vector(signal)
-    support, coefficients, sizes, residual = _lockstep_omp(
-        dictionary, signal[None, :], cfg
-    )
-    size = sizes[0]
-    return SparseCode(
-        support=tuple(support[0, :size].tolist()),
-        coefficients=coefficients[0, :size],
-        residual_l1=float(np.sum(np.abs(residual[0]))),
-    )
-
-
-def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray:
-    """Error-constrained OMP of every signal column; returns dense K x M codes.
-
-    All columns advance in lockstep, one atom per step. A live column takes
-    the atom maximizing |<atom, residual>| (ties to the lowest index), from
-    one product atoms^T R over every live residual, and is refit over its
-    trial support by one stacked solve with the support's Gram sub-matrix
-    and right-hand side alpha = atoms^T x; G and alpha are formed once per
-    call. A column stops for good when its residual norm (cfg.residual_norm)
-    is within cfg.epsilon, when cfg.max_atoms atoms are active, when its best
-    correlation is not positive, or when the trial atom brings no gain: the
-    atom is numerically in the span of the support (Schur complement at most
-    sqrt(eps), or a singular Gram sub-matrix), or the refit fails to shrink
-    the l2 residual. The trial atom is then rejected and the previous code
-    kept. Every product and solve is taken per column, so a column's code is
-    bitwise the same whatever else shares its batch.
-    """
-    signals = as_matrix(signals)
-    support, coefficients, sizes, _ = _lockstep_omp(dictionary, signals.T, cfg)
-    codes = np.zeros((dictionary.num_atoms, signals.shape[1]))
-    filled = np.arange(cfg.max_atoms) < sizes[:, None]
-    codes[support[filled], np.nonzero(filled)[0]] = coefficients[filled]
-    return codes
-
-
 # A trial atom whose Schur complement s (its squared sine to the support's
 # span) is at most sqrt(eps) counts as in that span: a Gram-matrix refit
 # loses about eps / s relative accuracy, half the digits at that floor.
@@ -185,25 +132,37 @@ def _solve(gram, rhs):
         return out
 
 
-def _lockstep_omp(dictionary: Dictionary, signals: np.ndarray, cfg: KsvdConfig):
-    """The lockstep loop of `batch_encode`, over the rows of `signals` (M x d).
+def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray:
+    """Error-constrained OMP of every signal column; returns dense K x M codes.
 
-    Returns supports and coefficients (M x cfg.max_atoms; row j holds its
-    first sizes[j] atoms in pick order), sizes, and residuals (M x d).
+    All columns advance in lockstep, one atom per step. A live column takes
+    the atom maximizing |<atom, residual>| (ties to the lowest index), from
+    one product atoms^T R over every live residual, and is refit over its
+    trial support by one stacked solve with the support's Gram sub-matrix
+    and right-hand side alpha = atoms^T x; G and alpha are formed once per
+    call. A column stops for good when its residual norm (cfg.residual_norm)
+    is within cfg.epsilon, when cfg.max_atoms atoms are active, when its best
+    correlation is not positive, or when the trial atom brings no gain: the
+    atom is numerically in the span of the support (Schur complement at most
+    sqrt(eps), or a singular Gram sub-matrix), or the refit fails to shrink
+    the l2 residual. The trial atom is then rejected and the previous code
+    kept. Every product and solve is taken per column, so a column's code is
+    bitwise the same whatever else shares its batch.
     """
     atoms = dictionary.atoms
-    if signals.shape[1] != dictionary.dim:
+    signals = as_matrix(signals)
+    if signals.shape[0] != dictionary.dim:
         raise ShapeError(
-            f"signal length {signals.shape[1]} != dictionary dim {dictionary.dim}"
+            f"signal length {signals.shape[0]} != dictionary dim {dictionary.dim}"
         )
     if cfg.max_atoms > dictionary.num_atoms:
         raise ConfigError("max_atoms exceeds the number of atoms")
 
-    signals = np.ascontiguousarray(signals)  # each row a contiguous BLAS vector
+    signals = np.ascontiguousarray(signals.T)  # one row per signal, a contiguous BLAS vector
     m = signals.shape[0]
+    codes = np.zeros((dictionary.num_atoms, m))
+    # row j: column j's atoms in pick order; a live column has taken one per step
     support = np.zeros((m, cfg.max_atoms), dtype=np.intp)
-    coefficients = np.zeros((m, cfg.max_atoms))
-    sizes = np.zeros(m, dtype=np.intp)
     residual = signals.copy()
     stop_norm = _residual_norm(residual, cfg.residual_norm, axis=1)
     gram = atoms.T @ atoms
@@ -240,14 +199,14 @@ def _lockstep_omp(dictionary: Dictionary, signals: np.ndarray, cfg: KsvdConfig):
         # a least-squares refit cannot increase the l2 residual; failing to
         # shrink it means the remaining atoms add nothing
         gain = trial_l2 < np.linalg.norm(residual[live], axis=1)
-        live = live[gain]
-        support[live, : t + 1] = trial[gain]
-        coefficients[live, : t + 1] = trial_coefs[gain]
-        sizes[live] = t + 1
+        live, trial = live[gain], trial[gain]
+        support[live, : t + 1] = trial
+        # the trial support holds the old one, so this overwrites the whole code
+        codes[trial, live[:, None]] = trial_coefs[gain]
         residual[live] = trial_residual[gain]
         stop_norm[live] = _residual_norm(residual[live], cfg.residual_norm, axis=1)
 
-    return support, coefficients, sizes, residual
+    return codes
 
 
 def _fix_sign(atom: np.ndarray, row: np.ndarray):

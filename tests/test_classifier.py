@@ -11,10 +11,10 @@ from reprogram.classifier import (
     evaluate_source,
     forward,
     forward_embedded,
-    forward_tokens,
     gradient,
     input_gradient,
     load_checkpoint,
+    pad,
     save_checkpoint,
     train_source,
 )
@@ -34,6 +34,12 @@ def make_model(rng, d=6, vocab=10, hidden=5, classes=2, architecture="bag_mlp"):
     params = ClassifierParams(architecture=architecture, weights=weights,
                               num_classes=classes)
     return _freeze(table, params, seed=0)
+
+
+def token_logits(model, tokens):
+    """Logits of one source-token sequence, a padded batch of one over the model's table."""
+    ids, lengths = pad([tuple(tokens)], model.embeddings.vocab_size)
+    return forward(model.params, model.embeddings.table, ids, lengths)[0][0]
 
 
 def model_digest(model):
@@ -85,7 +91,7 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward_embedded(model, np.zeros((6, 0)))
         with pytest.raises(ShapeError):
-            forward_tokens(model, [])
+            token_logits(model, [])
 
     def test_tokens_equals_gathered_embeddings(self):
         rng = np.random.default_rng(2)
@@ -93,14 +99,14 @@ class TestForward:
         for _ in range(10):
             seq = list(rng.integers(0, 10, size=rng.integers(1, 8)))
             gathered = model.embeddings.table[:, seq]
-            assert np.array_equal(forward_tokens(model, seq),
+            assert np.array_equal(token_logits(model, seq),
                                   forward_embedded(model, gathered))
 
     def test_token_out_of_range(self):
         rng = np.random.default_rng(3)
         model = make_model(rng)
         with pytest.raises(IndexError):
-            forward_tokens(model, [0, 99])
+            token_logits(model, [0, 99])
 
     def test_birnn_forward_order_sensitive(self):
         rng = np.random.default_rng(4)

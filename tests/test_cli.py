@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from reprogram import program
 from reprogram.cli import load_config, main
 from reprogram.errors import ConfigError
 
@@ -31,6 +32,14 @@ def source_checkpoint(tmp_path, config_path):
     out = tmp_path / "src"
     assert main(["train-source", "--config", config_path, "--out", str(out)]) == 0
     return str(out / "source_checkpoint.json")
+
+
+@pytest.fixture
+def program_path(tmp_path, config_path, source_checkpoint):
+    out = tmp_path / "prog"
+    assert main(["reprogram", "--config", config_path,
+                 "--source-checkpoint", source_checkpoint, "--out", str(out)]) == 0
+    return str(out / "program.json")
 
 
 class TestConfig:
@@ -148,8 +157,9 @@ class TestSweeps:
         assert len(lines) == 3
 
     def test_sweep_ksvd_fixed_dictionary_says_rows_cannot_differ(
-        self, tmp_path, config_path, source_checkpoint, capsys
+        self, tmp_path, config_path, source_checkpoint, capsys, monkeypatch
     ):
+        runs = count_calls(monkeypatch, program, "reprogram_train")
         capsys.readouterr()
         code = main(["sweep-ksvd", "--config", config_path,
                      "--source-checkpoint", source_checkpoint,
@@ -159,6 +169,21 @@ class TestSweeps:
         assert len(err) == 1 and "cannot differ" in err[0]
         rows = (tmp_path / "sk" / "sweep_ksvd.csv").read_text().strip().splitlines()[1:]
         assert rows[0].split(",")[1:] == rows[1].split(",")[1:]
+        assert len(runs) == 1  # the fixed dictionary's program is trained once
+
+    def test_sweep_ksvd_learned_dictionary_trains_each_entry(
+        self, tmp_path, source_checkpoint, monkeypatch
+    ):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["reprogram"]["ksvd"]["update_dictionary"] = True
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        runs = count_calls(monkeypatch, program, "reprogram_train")
+        code = main(["sweep-ksvd", "--config", str(path),
+                     "--source-checkpoint", source_checkpoint,
+                     "--grid", "1,2", "--out", str(tmp_path / "sk")])
+        assert code == 0
+        assert [args[-1].ksvd.sweeps for args in runs] == [1, 2]
 
     def test_descending_grid_rejected(self, tmp_path, config_path, source_checkpoint):
         code = main(["sweep-ksvd", "--config", config_path,
@@ -167,9 +192,34 @@ class TestSweeps:
         assert code == 2
 
 
-def _single_error_line(capsys, name):
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name to record each call's positional arguments; returns the record."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _exits_2_with_one_error_line(capsys, argv, name):
+    """`main(argv)` returns 2 and writes one `error:` line that contains `name`."""
+    capsys.readouterr()
+    assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+
+
+def _reprogram_argv(config_path, checkpoint, tmp_path):
+    return ["reprogram", "--config", str(config_path), "--source-checkpoint", str(checkpoint),
+            "--out", str(tmp_path / "r")]
+
+
+def _eval_argv(config_path, checkpoint, program_file, tmp_path):
+    return ["eval", "--config", config_path, "--source-checkpoint", checkpoint,
+            "--program", str(program_file), "--out", str(tmp_path / "e")]
 
 
 class TestMalformedInputs:
@@ -177,21 +227,50 @@ class TestMalformedInputs:
                                          capsys):
         cut = tmp_path / "cut_checkpoint.json"
         cut.write_bytes(Path(source_checkpoint).read_bytes()[:500])
-        capsys.readouterr()
-        code = main(["reprogram", "--config", config_path, "--source-checkpoint",
-                     str(cut), "--out", str(tmp_path / "r")])
-        assert code == 2
-        _single_error_line(capsys, "cut_checkpoint.json")
+        _exits_2_with_one_error_line(capsys, _reprogram_argv(config_path, cut, tmp_path),
+                                     "cut_checkpoint.json")
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: [],
+        lambda doc: {key: value for key, value in doc.items() if key != "embeddings"},
+        lambda doc: {**doc, "architecture": "lstm"},
+    ], ids=["not_an_object", "no_embeddings", "unknown_architecture"])
+    def test_malformed_checkpoint_exit_2(self, tmp_path, config_path, source_checkpoint,
+                                         capsys, damage):
+        bad = tmp_path / "bad_checkpoint.json"
+        bad.write_text(json.dumps(damage(json.loads(Path(source_checkpoint).read_text()))))
+        _exits_2_with_one_error_line(capsys, _reprogram_argv(config_path, bad, tmp_path),
+                                     "bad_checkpoint.json")
 
     def test_truncated_program_exit_2(self, tmp_path, config_path, source_checkpoint,
                                       capsys):
         cut = tmp_path / "cut_program.json"
         cut.write_text('{"format_version": 1, "theta": [0.1, ')
-        capsys.readouterr()
-        code = main(["eval", "--config", config_path, "--source-checkpoint",
-                     source_checkpoint, "--program", str(cut), "--out", str(tmp_path / "e")])
-        assert code == 2
-        _single_error_line(capsys, "cut_program.json")
+        _exits_2_with_one_error_line(
+            capsys, _eval_argv(config_path, source_checkpoint, cut, tmp_path), "cut_program.json"
+        )
+
+    def test_malformed_program_exit_2(self, tmp_path, config_path, source_checkpoint,
+                                      program_path, capsys):
+        doc = json.loads(Path(program_path).read_text())
+        doc["theta"].pop()
+        bad = tmp_path / "bad_program.json"
+        bad.write_text(json.dumps(doc))
+        _exits_2_with_one_error_line(
+            capsys, _eval_argv(config_path, source_checkpoint, bad, tmp_path), "bad_program.json"
+        )
+
+    def test_source_basis_mismatch_exit_2(self, tmp_path, config_path, source_checkpoint,
+                                          program_path, capsys):
+        checkpoint = json.loads(Path(source_checkpoint).read_text())
+        shape = [checkpoint["d"] - 1, checkpoint["vocab_size"]]
+        doc = json.loads(Path(program_path).read_text())
+        doc["source_basis"] = {"shape": shape, "data": [1.0] * (shape[0] * shape[1])}
+        bad = tmp_path / "bad_basis.json"
+        bad.write_text(json.dumps(doc))
+        _exits_2_with_one_error_line(
+            capsys, _eval_argv(config_path, source_checkpoint, bad, tmp_path), "source_basis"
+        )
 
     @pytest.mark.parametrize("label_map, message", [
         (["a", "b"], "non-negative integers"),
@@ -203,8 +282,5 @@ class TestMalformedInputs:
         cfg["reprogram"]["label_map"] = label_map
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        capsys.readouterr()
-        code = main(["reprogram", "--config", str(path), "--source-checkpoint",
-                     source_checkpoint, "--out", str(tmp_path / "r")])
-        assert code == 2
-        _single_error_line(capsys, message)
+        _exits_2_with_one_error_line(capsys, _reprogram_argv(path, source_checkpoint, tmp_path),
+                                     message)

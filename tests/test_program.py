@@ -11,21 +11,21 @@ from reprogram.classifier import (
     FrozenClassifier,
     _freeze,
     _init_weights,
+    forward_embedded,
 )
 from reprogram.data import SequenceDataset, Vocab
 from reprogram.errors import ConfigError, ShapeError
+from reprogram.numerics import softmax
 from reprogram.program import (
     AdversarialProgram,
     LabelMap,
     ReprogramConfig,
-    apply_program,
     evaluate,
     evaluate_program,
-    grad_theta,
     initial_theta,
     load_program,
+    loss_and_grad,
     map_output,
-    reprogram_loss,
     reprogram_train,
     save_program,
     trace_to_csv,
@@ -78,39 +78,6 @@ def model_digest(model):
     return h.hexdigest()
 
 
-class TestApplyProgram:
-    def test_unit_column_selects_source_embedding(self):
-        rng = np.random.default_rng(0)
-        model = small_model(rng)
-        theta = np.zeros((12, 4))
-        theta[7, 2] = 1.0
-        out = apply_program(theta, model, [2])
-        assert np.array_equal(out[:, 0], model.embeddings.table[:, 7])
-
-    def test_zero_theta(self):
-        rng = np.random.default_rng(1)
-        model = small_model(rng)
-        out = apply_program(np.zeros((12, 4)), model, [0, 1, 2])
-        assert np.array_equal(out, np.zeros((5, 3)))
-
-    def test_linearity(self):
-        rng = np.random.default_rng(2)
-        model = small_model(rng)
-        t1 = rng.normal(size=(12, 4))
-        t2 = rng.normal(size=(12, 4))
-        a, b = 1.7, -0.3
-        tokens = [0, 3, 1]
-        combined = apply_program(a * t1 + b * t2, model, tokens)
-        separate = a * apply_program(t1, model, tokens) + b * apply_program(t2, model, tokens)
-        assert np.allclose(combined, separate, atol=1e-12)
-
-    def test_token_out_of_range(self):
-        rng = np.random.default_rng(3)
-        model = small_model(rng)
-        with pytest.raises(IndexError):
-            apply_program(np.zeros((12, 4)), model, [4])
-
-
 class TestLabelMap:
     def test_bijection_permutes(self):
         h = LabelMap((1, 0))
@@ -155,7 +122,7 @@ class TestLoss:
                         ClassifierParams("bag_mlp", weights, 2), 0)
         theta = rng.normal(size=(12, 4))
         batch = [((0, 1), 0), ((2,), 1)]
-        loss = reprogram_loss(theta, model, LabelMap((0, 1)), batch)
+        loss, _ = loss_and_grad(theta, model, LabelMap((0, 1)), batch)
         assert loss == pytest.approx(math.log(2))
 
     def test_confident_correct_model(self):
@@ -163,7 +130,7 @@ class TestLoss:
         model = constant_class_model(rng, winner=0)
         theta = rng.normal(size=(12, 4))
         batch = [((0, 1, 2), 0), ((3,), 0)]
-        loss = reprogram_loss(theta, model, LabelMap((0, 1)), batch)
+        loss, _ = loss_and_grad(theta, model, LabelMap((0, 1)), batch)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_single_sample_hand_computed(self):
@@ -171,20 +138,37 @@ class TestLoss:
         model = small_model(rng)
         theta = rng.normal(size=(12, 4)) * 0.1
         tokens = (1, 3)
-        from reprogram.classifier import forward_embedded
-        from reprogram.numerics import softmax
-
-        probs = softmax(forward_embedded(model, apply_program(theta, model, tokens)))
-        mapped = map_output(LabelMap((1, 0)), probs)
+        embedded = (model.embeddings.table @ theta)[:, tokens]
+        mapped = map_output(LabelMap((1, 0)), softmax(forward_embedded(model, embedded)))
         expected = -math.log(mapped[1])
-        loss = reprogram_loss(theta, model, LabelMap((1, 0)), [(tokens, 1)])
+        loss, _ = loss_and_grad(theta, model, LabelMap((1, 0)), [(tokens, 1)])
+        assert loss == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_theta_embeds_every_token_as_zero(self):
+        rng = np.random.default_rng(1)
+        model = small_model(rng)
+        probs = softmax(forward_embedded(model, np.zeros((5, 1))))
+        mapped = map_output(LabelMap((0, 1)), probs)
+        expected = -(math.log(mapped[0]) + math.log(mapped[1])) / 2
+        batch = [((0, 1, 2), 0), ((3,), 1)]
+        loss, _ = loss_and_grad(np.zeros((12, 4)), model, LabelMap((0, 1)), batch)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(8)
         model = small_model(rng)
         with pytest.raises(ConfigError):
-            reprogram_loss(np.zeros((12, 4)), model, LabelMap((0, 1)), [])
+            loss_and_grad(np.zeros((12, 4)), model, LabelMap((0, 1)), [])
+
+    def test_token_out_of_range(self):
+        # theta has 4 columns, so target token 4 has no embedding
+        rng = np.random.default_rng(3)
+        model = small_model(rng)
+        with pytest.raises(IndexError):
+            loss_and_grad(np.zeros((12, 4)), model, LabelMap((0, 1)), [((0, 4), 1)])
+        dataset = SequenceDataset(((0, 4),), (1,), Vocab.from_tokens("ABCDE"), ("neg", "pos"))
+        with pytest.raises(IndexError):
+            evaluate(np.zeros((12, 4)), model, LabelMap((0, 1)), dataset)
 
 
 class TestGradTheta:
@@ -193,7 +177,7 @@ class TestGradTheta:
         model = small_model(rng)
         theta = rng.normal(size=(12, 4)) * 0.1
         batch = [((0, 1), 0), ((1, 0, 0), 1)]  # token 2 and 3 never used
-        grad = grad_theta(theta, model, LabelMap((0, 1)), batch)
+        _, grad = loss_and_grad(theta, model, LabelMap((0, 1)), batch)
         assert np.array_equal(grad[:, 2], np.zeros(12))
         assert np.array_equal(grad[:, 3], np.zeros(12))
 
@@ -208,7 +192,7 @@ class TestGradTheta:
              int(rng.integers(2)))
             for _ in range(6)
         ]
-        grad = grad_theta(theta, model, h, batch)
+        _, grad = loss_and_grad(theta, model, h, batch)
         step = 1e-6
         picks = [(int(rng.integers(12)), int(rng.integers(4))) for _ in range(20)]
         fd = np.zeros(len(picks))
@@ -218,8 +202,8 @@ class TestGradTheta:
             up[r, c] += step
             down = theta.copy()
             down[r, c] -= step
-            fd[i] = (reprogram_loss(up, model, h, batch)
-                     - reprogram_loss(down, model, h, batch)) / (2 * step)
+            fd[i] = (loss_and_grad(up, model, h, batch)[0]
+                     - loss_and_grad(down, model, h, batch)[0]) / (2 * step)
             an[i] = grad[r, c]
         rel = np.linalg.norm(an - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel <= 1e-5
@@ -230,8 +214,8 @@ class TestGradTheta:
         h = LabelMap((0, 1))
         theta = rng.normal(size=(12, 4)) * 0.1
         batch = [((0, 1), 0), ((2, 3), 1)]
-        g1 = grad_theta(theta, model, h, batch)
-        g2 = grad_theta(theta, model, h, batch + batch)
+        _, g1 = loss_and_grad(theta, model, h, batch)
+        _, g2 = loss_and_grad(theta, model, h, batch + batch)
         assert np.allclose(g1, g2, atol=1e-15)
 
 

@@ -9,7 +9,6 @@ from reprogram.sparse_coding import (
     batch_encode,
     ksvd_dictionary_update,
     ksvd_run,
-    omp_encode,
 )
 
 
@@ -42,36 +41,48 @@ class TestDictionary:
         assert np.allclose(raw @ dic.fold_codes(codes), dic.atoms @ codes)
 
 
+def encode_one(dic, signal, cfg):
+    """One signal coded as a one-column batch: its dense code and (sorted) support."""
+    code = batch_encode(dic, np.asarray(signal)[:, None], cfg)[:, 0]
+    return code, np.flatnonzero(code)
+
+
+def residual_l1(dic, signal, code):
+    return float(np.sum(np.abs(signal - dic.atoms @ code)))
+
+
 class TestOmpEncode:
+    """Error-constrained OMP of single signals, each a one-column batch."""
+
     def test_single_atom_signal(self):
         rng = np.random.default_rng(2)
         dic = orthonormal_dictionary(rng, 6)
         cfg = KsvdConfig(epsilon=1e-6, max_atoms=3)
-        code = omp_encode(dic, 2.0 * dic.atoms[:, 3], cfg)
-        assert code.support == (3,)
-        assert code.coefficients[0] == pytest.approx(2.0)
-        assert code.residual_l1 <= 1e-10
+        signal = 2.0 * dic.atoms[:, 3]
+        code, support = encode_one(dic, signal, cfg)
+        assert support.tolist() == [3]
+        assert code[3] == pytest.approx(2.0)
+        assert residual_l1(dic, signal, code) <= 1e-10
 
     def test_epsilon_dominates(self):
         rng = np.random.default_rng(3)
         dic = random_dictionary(rng, 5, 7)
         signal = np.full(5, 1e-4)
         cfg = KsvdConfig(epsilon=1.0, max_atoms=3)
-        code = omp_encode(dic, signal, cfg)
-        assert code.support == ()
-        assert code.coefficients.size == 0
+        code, support = encode_one(dic, signal, cfg)
+        assert support.size == 0
+        assert not np.any(code)
 
     def test_exact_recovery_on_orthonormal(self):
         rng = np.random.default_rng(4)
         dic = orthonormal_dictionary(rng, 6)
         signal = 1.5 * dic.atoms[:, 1] - 0.5 * dic.atoms[:, 4]
         cfg = KsvdConfig(epsilon=1e-8, max_atoms=4)
-        code = omp_encode(dic, signal, cfg)
-        assert sorted(code.support) == [1, 4]
-        recovered = dict(zip(code.support, code.coefficients))
-        assert recovered[1] == pytest.approx(1.5, abs=1e-10)
-        assert recovered[4] == pytest.approx(-0.5, abs=1e-10)
-        assert code.residual_l1 <= 1e-8
+        code, support = encode_one(dic, signal, cfg)
+        assert support.tolist() == [1, 4]
+        assert code[1] == pytest.approx(1.5, abs=1e-10)
+        assert code[4] == pytest.approx(-0.5, abs=1e-10)
+        assert residual_l1(dic, signal, code) <= 1e-8
 
     def test_planted_sparse_recovery_many(self):
         rng = np.random.default_rng(5)
@@ -83,9 +94,9 @@ class TestOmpEncode:
             support = rng.choice(d, size=s, replace=False)
             coefs = rng.uniform(0.5, 2.0, size=s) * rng.choice([-1, 1], size=s)
             signal = dic.atoms[:, support] @ coefs
-            code = omp_encode(dic, signal, cfg)
-            assert sorted(code.support) == sorted(support)
-            assert code.residual_l1 <= 1e-8
+            code, found = encode_one(dic, signal, cfg)
+            assert found.tolist() == sorted(support)
+            assert residual_l1(dic, signal, code) <= 1e-8
 
     def test_residual_strictly_decreases(self):
         # each accepted atom strictly shrinks the least-squares (l2) residual
@@ -95,9 +106,8 @@ class TestOmpEncode:
         norms = []
         for k in range(1, 6):
             cfg = KsvdConfig(epsilon=0.0, max_atoms=k)
-            code = omp_encode(dic, signal, cfg)
-            residual = signal - dic.atoms @ code.densify(20)
-            norms.append(np.linalg.norm(residual))
+            code, _ = encode_one(dic, signal, cfg)
+            norms.append(np.linalg.norm(signal - dic.atoms @ code))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_stops_at_max_atoms_or_epsilon(self):
@@ -105,41 +115,42 @@ class TestOmpEncode:
         dic = random_dictionary(rng, 8, 14)
         cfg = KsvdConfig(epsilon=0.05, max_atoms=4)
         for _ in range(20):
-            code = omp_encode(dic, rng.normal(size=8), cfg)
-            assert code.residual_l1 <= 0.05 or len(code.support) == 4
+            signal = rng.normal(size=8)
+            code, support = encode_one(dic, signal, cfg)
+            assert residual_l1(dic, signal, code) <= 0.05 or support.size == 4
 
     def test_signal_length_mismatch(self):
         rng = np.random.default_rng(8)
         dic = random_dictionary(rng, 6, 6)
         with pytest.raises(ShapeError):
-            omp_encode(dic, np.ones(5), KsvdConfig(epsilon=0.1, max_atoms=2))
+            encode_one(dic, np.ones(5), KsvdConfig(epsilon=0.1, max_atoms=2))
 
     def test_nonfinite_signal_rejected(self):
         rng = np.random.default_rng(9)
         dic = random_dictionary(rng, 4, 4)
         with pytest.raises(NumericError):
-            omp_encode(dic, np.array([np.nan, 0, 0, 0]), KsvdConfig(epsilon=0.1, max_atoms=2))
+            encode_one(dic, np.array([np.nan, 0, 0, 0]), KsvdConfig(epsilon=0.1, max_atoms=2))
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         dic = random_dictionary(rng, 9, 15)
         signal = rng.normal(size=9)
         cfg = KsvdConfig(epsilon=0.01, max_atoms=5)
-        a = omp_encode(dic, signal, cfg)
-        b = omp_encode(dic, signal, cfg)
-        assert a.support == b.support
-        assert np.array_equal(a.coefficients, b.coefficients)
-        assert a.residual_l1 == b.residual_l1
+        a, _ = encode_one(dic, signal, cfg)
+        b, _ = encode_one(dic, signal, cfg)
+        assert np.array_equal(a, b)
 
 
 class TestBatchEncode:
-    def test_single_column_matches_omp(self):
+    def test_single_column_matches_wider_batch(self):
+        # a column's code does not depend on the other columns of its batch
         rng = np.random.default_rng(11)
         dic = random_dictionary(rng, 7, 10)
-        signal = rng.normal(size=7)
+        signals = rng.normal(size=(7, 6))
         cfg = KsvdConfig(epsilon=0.02, max_atoms=4)
-        dense = batch_encode(dic, signal[:, None], cfg)
-        assert np.array_equal(dense[:, 0], omp_encode(dic, signal, cfg).densify(10))
+        dense = batch_encode(dic, signals, cfg)
+        for j in range(6):
+            assert np.array_equal(dense[:, j], encode_one(dic, signals[:, j], cfg)[0])
 
     def test_atoms_encode_to_identity_pattern(self):
         rng = np.random.default_rng(12)
@@ -155,9 +166,9 @@ class TestBatchEncode:
         cfg = KsvdConfig(epsilon=0.05, max_atoms=4)
         codes = batch_encode(dic, signals, cfg)
         for j in range(10):
-            code = omp_encode(dic, signals[:, j], cfg)
-            assert np.array_equal(codes[:, j], code.densify(12))
-            assert code.residual_l1 <= 0.05 or len(code.support) == 4
+            code, support = encode_one(dic, signals[:, j], cfg)
+            assert np.array_equal(codes[:, j], code)
+            assert residual_l1(dic, signals[:, j], code) <= 0.05 or support.size == 4
 
 
 def reference_omp(atoms, signal, cfg):
@@ -192,17 +203,20 @@ def reference_omp(atoms, signal, cfg):
 
 
 def assert_matches_reference(dic, signals, cfg):
-    """batch_encode and omp_encode against reference_omp; returns the stop reasons."""
+    """batch_encode, whole and one column at a time, against reference_omp.
+
+    Returns the stop reasons.
+    """
     codes = batch_encode(dic, signals, cfg)
     reasons = []
     for j in range(signals.shape[1]):
         support, coefs, reason = reference_omp(dic.atoms, signals[:, j], cfg)
-        code = omp_encode(dic, signals[:, j], cfg)
-        assert code.support == tuple(support)
-        assert np.abs(code.coefficients - coefs).max(initial=0.0) <= (
+        code, found = encode_one(dic, signals[:, j], cfg)
+        assert found.tolist() == sorted(support)
+        assert np.abs(code[support] - coefs).max(initial=0.0) <= (
             1e-12 * np.abs(coefs).max(initial=0.0)
         )
-        assert np.array_equal(codes[:, j], code.densify(dic.num_atoms))
+        assert np.array_equal(codes[:, j], code)
         reasons.append(reason)
     return reasons
 
@@ -245,7 +259,7 @@ class TestLockstepEquivalence:
         signals = np.array([[1.0], [0.0], [3.0], [0.0]])
         cfg = KsvdConfig(epsilon=0.0, max_atoms=3)
         assert assert_matches_reference(dic, signals, cfg) == ["no_gain"]
-        assert omp_encode(dic, signals[:, 0], cfg).support == (0,)
+        assert encode_one(dic, signals[:, 0], cfg)[1].tolist() == [0]
 
     def test_no_gain_stop_on_a_dependent_atom(self):
         # any two of the three atoms span the plane, so a third adds nothing;
@@ -276,9 +290,6 @@ class TestLockstepEquivalence:
         cfg = KsvdConfig(epsilon=0.0, max_atoms=0)
         assert assert_matches_reference(dic, signals, cfg) == ["max_atoms"] * 4
         assert np.array_equal(batch_encode(dic, signals, cfg), np.zeros((7, 4)))
-        code = omp_encode(dic, signals[:, 0], cfg)
-        assert code.support == () and code.coefficients.size == 0
-        assert code.residual_l1 == np.sum(np.abs(signals[:, 0]))
 
     def test_single_column(self):
         rng = np.random.default_rng(34)
@@ -327,10 +338,10 @@ class TestDependentAtoms:
         cfg = KsvdConfig(epsilon=0.0, max_atoms=3)
         codes = batch_encode(dic, signals, cfg)
         # column 0 takes atom 1, then atom 0 is rejected and its code kept
-        code = omp_encode(dic, signals[:, 0], cfg)
-        assert code.support == (1,)
-        assert code.coefficients[0] == pytest.approx(dic.atoms[:, 1] @ signals[:, 0])
-        assert np.array_equal(codes[:, 0], code.densify(3))
+        code, support = encode_one(dic, signals[:, 0], cfg)
+        assert support.tolist() == [1]
+        assert code[1] == pytest.approx(dic.atoms[:, 1] @ signals[:, 0])
+        assert np.array_equal(codes[:, 0], code)
         # column 1 is untouched by column 0's singular system
         assert np.array_equal(codes[:, 1], batch_encode(dic, signals[:, [1]], cfg)[:, 0])
         assert np.abs(signals[:, 1] - dic.atoms @ codes[:, 1]).max() <= 1e-9
