@@ -11,7 +11,7 @@ from .classifier import (
     save_checkpoint,
     train_source,
 )
-from .data import SequenceDataset, SplitSpec, Vocab, load_csv, load_fasta, split, subsample, synth_tasks
+from .data import SequenceDataset, SplitSpec, Vocab, load_csv, split, subsample, synth_tasks
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .numerics import cross_entropy, softmax
 from .program import (

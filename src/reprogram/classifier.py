@@ -10,17 +10,16 @@ Two architectures:
   birnn   - single bidirectional tanh recurrence, concatenated final states
             -> linear head
 
-One path serves training, reprogramming and evaluation: `forward` embeds a
-right-padded batch of token ids through a vocabulary embedding E and returns
-the logits with its cache; `backward` consumes the cache and returns dE, plus
-weight gradients only for source training. `forward_embedded` and
-`input_gradient`, the frozen model's interface on one embedded sequence, are
-batches of one.
+One path serves training, reprogramming and evaluation: `forward` embeds the
+right-padded token ids of a dataset (padded once, in `data`) through a
+vocabulary embedding E and returns the logits with its cache; `backward`
+consumes the cache and returns dE, plus weight gradients only for source
+training. `forward_embedded` and `input_gradient`, the frozen model's
+interface on one embedded sequence, are batches of one.
 """
 
 import json
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -81,25 +80,30 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
 
 
-def _init_weights(architecture, d, hidden, num_classes, rng):
-    u = lambda *shape: rng.uniform(-0.1, 0.1, size=shape)
+def _weight_shapes(architecture, d, hidden, num_classes):
+    """The name and shape of each weight of an architecture; the first is hidden x d."""
     if architecture == "bag_mlp":
         return {
-            "w1": u(hidden, d),
-            "b1": u(hidden),
-            "w2": u(num_classes, hidden),
-            "b2": u(num_classes),
+            "w1": (hidden, d),
+            "b1": (hidden,),
+            "w2": (num_classes, hidden),
+            "b2": (num_classes,),
         }
     return {
-        "wx_f": u(hidden, d),
-        "wh_f": u(hidden, hidden),
-        "b_f": u(hidden),
-        "wx_b": u(hidden, d),
-        "wh_b": u(hidden, hidden),
-        "b_b": u(hidden),
-        "w_out": u(num_classes, 2 * hidden),
-        "b_out": u(num_classes),
+        "wx_f": (hidden, d),
+        "wh_f": (hidden, hidden),
+        "b_f": (hidden,),
+        "wx_b": (hidden, d),
+        "wh_b": (hidden, hidden),
+        "b_b": (hidden,),
+        "w_out": (num_classes, 2 * hidden),
+        "b_out": (num_classes,),
     }
+
+
+def _init_weights(architecture, d, hidden, num_classes, rng):
+    shapes = _weight_shapes(architecture, d, hidden, num_classes)
+    return {name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes.items()}
 
 
 def _forward_bag_mlp(w, embedded, mask):
@@ -174,22 +178,6 @@ def _backward_birnn(w, cache, mask, dlogits, weight_grads):
 
 _FORWARD = {"bag_mlp": _forward_bag_mlp, "birnn": _forward_birnn}
 _BACKWARD = {"bag_mlp": _backward_bag_mlp, "birnn": _backward_birnn}
-
-
-def pad(sequences, vocab_size: int):
-    """Right-pad token sequences with 0s: ids (N x L_max) and lengths (N).
-
-    Rejects an empty batch or sequence and tokens outside 0..vocab_size-1.
-    """
-    lengths = np.fromiter(map(len, sequences), dtype=np.intp)
-    if lengths.size == 0 or lengths.min() == 0:
-        raise ShapeError("empty batch or sequence")
-    ids = np.zeros((lengths.size, lengths.max()), dtype=np.intp)
-    ids[np.arange(ids.shape[1]) < lengths[:, None]] = list(chain.from_iterable(sequences))
-    bad = ids[(ids < 0) | (ids >= vocab_size)]
-    if bad.size:
-        raise IndexError(f"token {bad[0]} out of range")
-    return ids, lengths
 
 
 def forward(params: ClassifierParams, vocab_embedding, ids, lengths):
@@ -312,8 +300,7 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
     params = ClassifierParams(
         architecture=config.architecture, weights=weights, num_classes=num_classes
     )
-    ids, lengths = pad(train.sequences, vocab_size)
-    labels = np.asarray(train.labels)
+    ids, lengths, labels = train.ids, train.lengths, np.asarray(train.labels)
 
     n = len(train.sequences)
     lr = config.learning_rate
@@ -343,9 +330,13 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
 
 def evaluate_source(model: FrozenClassifier, dataset) -> float:
     """Plain accuracy of the frozen model on a source-task dataset."""
-    ids, lengths = pad(dataset.sequences, model.embeddings.vocab_size)
-    predicted = predict(model.params, model.embeddings.table, ids, lengths).argmax(axis=1)
-    return int(np.count_nonzero(predicted == np.asarray(dataset.labels))) / lengths.size
+    if len(dataset) == 0:
+        raise ConfigError("cannot evaluate on an empty dataset")
+    if len(dataset.vocab) != model.embeddings.vocab_size:
+        raise ShapeError("dataset vocabulary size does not match the model's")
+    logits = predict(model.params, model.embeddings.table, dataset.ids, dataset.lengths)
+    predicted = logits.argmax(axis=1)
+    return int(np.count_nonzero(predicted == np.asarray(dataset.labels))) / len(dataset)
 
 
 def save_checkpoint(model: FrozenClassifier, path) -> None:
@@ -368,7 +359,11 @@ def save_checkpoint(model: FrozenClassifier, path) -> None:
 
 
 def load_checkpoint(path) -> FrozenClassifier:
-    """Read a `save_checkpoint` file; a malformed one is a DataFormatError naming it."""
+    """Read a `save_checkpoint` file; a malformed one is a DataFormatError naming it.
+
+    The weights must have the names and shapes `_init_weights` builds for the
+    architecture, d, hidden size and class count, and every value must be finite.
+    """
     with read_document(path, "checkpoint", FORMAT_VERSION) as doc:
         architecture = doc["architecture"]
         if architecture not in _FORWARD:
@@ -380,6 +375,14 @@ def load_checkpoint(path) -> FrozenClassifier:
             name: np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
             for name, spec in doc["weights"].items()
         }
+        first = next(iter(_weight_shapes(architecture, 0, 0, 0)))  # hidden x d
+        hidden = len(weights[first])
+        expected = _weight_shapes(architecture, doc["d"], hidden, doc["num_classes"])
+        shapes = {name: arr.shape for name, arr in weights.items()}
+        if shapes != expected:
+            raise ValueError(f"weight shapes {shapes}, expected {expected}")
+        if not all(np.isfinite(arr).all() for arr in (table, *weights.values())):
+            raise ValueError("non-finite embedding or weight")
         params = ClassifierParams(
             architecture=architecture,
             weights=weights,

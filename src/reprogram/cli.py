@@ -188,6 +188,8 @@ def cmd_eval(cfg, program_path, source_checkpoint, out_dir) -> int:
         raise ConfigError("program source_basis does not match the source model's d x vocab")
     _, target = _datasets(cfg)
     _, _, test = data.split(target, _split_spec(cfg))
+    if prog.theta.shape[1] != len(test.vocab):
+        raise ConfigError("program does not match the target vocabulary size")
     label_map = _label_map(cfg)
     accuracy, confusion = program.evaluate_program(prog, model, label_map, test)
     summary = {"accuracy": accuracy, "confusion": confusion.tolist(),

@@ -1,13 +1,14 @@
 """Dataset ingestion, splits, subsampling, and synthetic task generation.
 
-Target-task files are tokenized at the character level; source text corpora
-are tokenized on whitespace (lowercased). Datasets are immutable once built.
+Target-task files are tokenized at the character level. A dataset is checked
+and padded once, when built; every consumer reads its read-only `ids` and `lengths`.
 """
 
 import csv
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -39,24 +40,38 @@ class Vocab:
         return idx
 
 
+def pad(sequences):
+    """Right-pad token sequences with 0s: ids (N x L_max) and lengths (N)."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
+    # every dataset keeps its ids, and int32 halves the memory they hold
+    ids = np.zeros((lengths.size, lengths.max(initial=0)), dtype=np.int32)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(sequences), dtype=np.int32, count=lengths.sum())
+    return ids, lengths
+
+
 @dataclass(frozen=True)
 class SequenceDataset:
     sequences: tuple
     labels: tuple
     vocab: Vocab
     class_names: tuple
+    ids: np.ndarray = field(init=False, compare=False, repr=False)
+    lengths: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.sequences) != len(self.labels):
             raise DataFormatError("sequences and labels differ in length")
-        size = len(self.vocab)
-        for seq in self.sequences:
-            for tok in seq:
-                if not 0 <= tok < size:
-                    raise DataFormatError(f"token index {tok} out of range")
-        for label in self.labels:
-            if not 0 <= label < len(self.class_names):
-                raise DataFormatError(f"label {label} out of range")
+        ids, lengths = pad(self.sequences)
+        for name, values, lo, hi in (("sequence length", lengths, 1, np.inf),
+                                     ("token index", ids, 0, len(self.vocab)),
+                                     ("label", np.asarray(self.labels), 0, len(self.class_names))):
+            bad = values[(values < lo) | (values >= hi)]
+            if bad.size:
+                raise DataFormatError(f"{name} {bad[0]} out of range")
+        ids.flags.writeable = lengths.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "lengths", lengths)
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -178,42 +193,6 @@ def save_csv(dataset: SequenceDataset, path, sequence_column="sequence", label_c
         for seq, label in zip(dataset.sequences, dataset.labels):
             text = "".join(dataset.vocab.index_to_token[t] for t in seq)
             writer.writerow([text, dataset.class_names[label]])
-
-
-def load_fasta(path, delimiter="|") -> SequenceDataset:
-    """FASTA records; the label is the header field after `delimiter`."""
-    rows = []
-    header = None
-    body: list[str] = []
-
-    def flush(lineno):
-        if header is None:
-            return
-        if delimiter not in header:
-            raise DataFormatError(f"{path}: header without label near line {lineno}")
-        label = header.split(delimiter, 1)[1].strip()
-        seq = "".join(body)
-        if not seq:
-            raise DataFormatError(f"{path}: empty sequence near line {lineno}")
-        rows.append((seq, label))
-
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(">"):
-                flush(lineno)
-                header = line[1:]
-                body = []
-            else:
-                if header is None:
-                    raise DataFormatError(f"{path}: sequence before header at line {lineno}")
-                body.append(line)
-        flush("end")
-    if not rows:
-        raise DataFormatError(f"{path}: no records")
-    return _build_dataset(rows)
 
 
 def split(dataset: SequenceDataset, spec: SplitSpec):

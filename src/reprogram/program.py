@@ -7,9 +7,10 @@ normalized source embeddings) with mini-batch gradient steps through the
 frozen source classifier.
 
 Loss, gradient and evaluation hand the classifier's padded-batch path one
-vocabulary embedding E = basis @ theta (d x |V_T|) and the padded target
-tokens; the gradient with respect to theta is basis^T @ dE. `loss_and_grad`
-is the training step's loss and gradient, `evaluate` scores a whole split.
+vocabulary embedding E = basis @ theta (d x |V_T|) and a target dataset's
+`ids` and `lengths`, padded once when the dataset was built; the gradient
+with respect to theta is basis^T @ dE. `loss_and_grad` is the training
+step's loss and gradient on a batch, `evaluate` scores a whole split.
 """
 
 import csv
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .classifier import FrozenClassifier, gradient, pad, predict
+from .classifier import FrozenClassifier, gradient, predict
 from .data import read_document
 from .errors import ConfigError, ShapeError
 from .numerics import as_matrix, softmax
@@ -107,14 +108,15 @@ def initial_theta(source_vocab_size: int, target_vocab_size: int, seed: int) -> 
     return rng.uniform(-0.01, 0.01, size=(source_vocab_size, target_vocab_size))
 
 
-def _program_batch(theta, model: FrozenClassifier, sequences, basis=None):
-    """Check theta and the target sequences once: basis, E = basis @ theta, ids, lengths."""
+def _embedding(theta, model: FrozenClassifier, dataset, basis=None):
+    """Check theta against the source and target vocabularies: basis, E = basis @ theta."""
     theta = as_matrix(theta)
     basis = model.embeddings.table if basis is None else basis
     if theta.shape[0] != basis.shape[1]:
         raise ShapeError("theta rows must match source vocabulary size")
-    ids, lengths = pad(sequences, theta.shape[1])
-    return basis, basis @ theta, ids, lengths
+    if theta.shape[1] != len(dataset.vocab):
+        raise ShapeError("theta columns must match target vocabulary size")
+    return basis, basis @ theta
 
 
 def map_output(label_map: LabelMap, source_probs) -> np.ndarray:
@@ -139,15 +141,14 @@ def _mapped_loss_dlogits(logits, label_map: LabelMap, labels):
 def loss_and_grad(theta, model, label_map: LabelMap, batch, basis=None):
     """Mean mapped cross-entropy over a batch and its gradient with respect to theta.
 
-    `batch` is a non-empty sequence of (target_tokens, target_label) pairs.
+    `batch` is a non-empty target dataset, such as `train.take(rows)`.
     """
-    if not batch:
+    if len(batch) == 0:
         raise ConfigError("batch must be non-empty")
-    sequences, labels = zip(*batch)
-    basis, embedding, ids, lengths = _program_batch(theta, model, sequences, basis)
+    basis, embedding = _embedding(theta, model, batch, basis)
     loss_grad = lambda logits, y: _mapped_loss_dlogits(logits, label_map, y)
-    loss, dembedding, _ = gradient(model.params, embedding, ids, lengths,
-                                   np.asarray(labels), loss_grad)
+    loss, dembedding, _ = gradient(model.params, embedding, batch.ids, batch.lengths,
+                                   np.asarray(batch.labels), loss_grad)
     return loss / len(batch), (basis.T @ dembedding) / len(batch)
 
 
@@ -155,8 +156,8 @@ def evaluate(theta, model, label_map: LabelMap, dataset, basis=None):
     """Argmax accuracy and target-class confusion counts (rows = true class)."""
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
-    _, embedding, ids, lengths = _program_batch(theta, model, dataset.sequences, basis)
-    logits = predict(model.params, embedding, ids, lengths)
+    _, embedding = _embedding(theta, model, dataset, basis)
+    logits = predict(model.params, embedding, dataset.ids, dataset.lengths)
     predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
     n_classes = label_map.num_target_classes
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
@@ -199,7 +200,6 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
     rng = np.random.default_rng(cfg.seed)
     every_iteration = cfg.projection_mode == "every_outer_iteration"
 
-    samples = list(zip(train.sequences, train.labels))
     order: list[int] = []
     trace = []
     best_acc = -1.0
@@ -213,10 +213,9 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
                 basis = dictionary.atoms
 
         if not order:
-            order = list(rng.permutation(len(samples)))
-        batch_idx = order[: cfg.batch_size]
+            order = list(rng.permutation(len(train)))
+        batch = train.take(order[: cfg.batch_size])
         order = order[cfg.batch_size :]
-        batch = [samples[i] for i in batch_idx]
 
         loss, grad = loss_and_grad(theta, model, label_map, batch, basis=basis)
         theta = theta - cfg.step_at(it) * grad

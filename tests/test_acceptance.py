@@ -13,7 +13,7 @@ import pytest
 
 from reprogram.classifier import ClassifierParams, TrainConfig, _freeze, _init_weights, input_gradient, train_source
 from reprogram.cli import main as cli_main
-from reprogram.data import SplitSpec, split, subsample, synth_tasks
+from reprogram.data import SequenceDataset, SplitSpec, Vocab, split, subsample, synth_tasks
 from reprogram.numerics import cross_entropy, softmax
 from reprogram.program import (
     LabelMap,
@@ -140,11 +140,14 @@ def test_criterion_3_gradient_fidelity():
     for _ in range(50):
         model = random_bag_model(rng)
         theta = rng.normal(size=(12, 4)) * 0.1
-        batch = [
+        pairs = [
             (tuple(int(t) for t in rng.integers(0, 4, size=rng.integers(1, 5))),
              int(rng.integers(2)))
             for _ in range(4)
         ]
+        batch = SequenceDataset(tuple(seq for seq, _ in pairs),
+                                tuple(label for _, label in pairs),
+                                Vocab.from_tokens("ABCD"), ("neg", "pos"))
         _, grad = loss_and_grad(theta, model, label_map, batch)
         h = 1e-6
         an, fd = [], []

@@ -14,13 +14,12 @@ from reprogram.classifier import (
     gradient,
     input_gradient,
     load_checkpoint,
-    pad,
     save_checkpoint,
     train_source,
 )
 from reprogram.errors import ConfigError, ShapeError
 from reprogram.numerics import cross_entropy, softmax
-from reprogram.data import synth_tasks, split, SplitSpec
+from reprogram.data import SequenceDataset, SplitSpec, Vocab, split, synth_tasks
 
 
 def make_model(rng, d=6, vocab=10, hidden=5, classes=2, architecture="bag_mlp"):
@@ -37,8 +36,8 @@ def make_model(rng, d=6, vocab=10, hidden=5, classes=2, architecture="bag_mlp"):
 
 
 def token_logits(model, tokens):
-    """Logits of one source-token sequence, a padded batch of one over the model's table."""
-    ids, lengths = pad([tuple(tokens)], model.embeddings.vocab_size)
+    """Logits of one source-token sequence, a batch of one over the model's table."""
+    ids, lengths = np.array([tokens]), np.array([len(tokens)])
     return forward(model.params, model.embeddings.table, ids, lengths)[0][0]
 
 
@@ -90,8 +89,6 @@ class TestForward:
         model = make_model(rng)
         with pytest.raises(ShapeError):
             forward_embedded(model, np.zeros((6, 0)))
-        with pytest.raises(ShapeError):
-            token_logits(model, [])
 
     def test_tokens_equals_gathered_embeddings(self):
         rng = np.random.default_rng(2)
@@ -102,11 +99,14 @@ class TestForward:
             assert np.array_equal(token_logits(model, seq),
                                   forward_embedded(model, gathered))
 
-    def test_token_out_of_range(self):
+    def test_evaluate_source_rejects_empty_or_foreign_dataset(self):
         rng = np.random.default_rng(3)
         model = make_model(rng)
-        with pytest.raises(IndexError):
-            token_logits(model, [0, 99])
+        with pytest.raises(ConfigError):
+            evaluate_source(model, SequenceDataset((), (), Vocab.from_tokens(range(10)), ("x",)))
+        dataset = SequenceDataset(((0, 4),), (1,), Vocab.from_tokens("ABCDE"), ("x", "y"))
+        with pytest.raises(ShapeError):
+            evaluate_source(model, dataset)
 
     def test_birnn_forward_order_sensitive(self):
         rng = np.random.default_rng(4)

@@ -6,6 +6,7 @@ import pytest
 
 from reprogram import program
 from reprogram.cli import load_config, main
+from reprogram.data import save_csv, synth_tasks
 from reprogram.errors import ConfigError
 
 TINY = {
@@ -234,7 +235,13 @@ class TestMalformedInputs:
         lambda doc: [],
         lambda doc: {key: value for key, value in doc.items() if key != "embeddings"},
         lambda doc: {**doc, "architecture": "lstm"},
-    ], ids=["not_an_object", "no_embeddings", "unknown_architecture"])
+        lambda doc: {**doc, "weights": {name: spec for name, spec in doc["weights"].items()
+                                        if name != "w1"}},
+        lambda doc: {**doc, "weights": {**doc["weights"],
+                                        "w1": {"shape": [32, 31], "data": [0.0] * 32 * 31}}},
+        lambda doc: {**doc, "embeddings": [float("nan"), *doc["embeddings"][1:]]},
+    ], ids=["not_an_object", "no_embeddings", "unknown_architecture", "no_w1", "w1_shape",
+            "nan_embedding"])
     def test_malformed_checkpoint_exit_2(self, tmp_path, config_path, source_checkpoint,
                                          capsys, damage):
         bad = tmp_path / "bad_checkpoint.json"
@@ -270,6 +277,20 @@ class TestMalformedInputs:
         bad.write_text(json.dumps(doc))
         _exits_2_with_one_error_line(
             capsys, _eval_argv(config_path, source_checkpoint, bad, tmp_path), "source_basis"
+        )
+
+    def test_target_vocabulary_mismatch_exit_2(self, tmp_path, source_checkpoint,
+                                               program_path, capsys):
+        # without "A" the alphabet has 6 letters, so every token id would shift
+        _, target = synth_tasks(TINY["seed"], 10, TINY["data"]["target_size"])
+        save_csv(target, tmp_path / "target.csv")
+        no_a = tmp_path / "no_a.csv"
+        no_a.write_text((tmp_path / "target.csv").read_text().replace("A", "B"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "data": {"mode": "csv", "target_path": str(no_a)}}))
+        _exits_2_with_one_error_line(
+            capsys, _eval_argv(str(path), source_checkpoint, program_path, tmp_path),
+            "target vocabulary"
         )
 
     @pytest.mark.parametrize("label_map, message", [

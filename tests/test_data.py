@@ -6,7 +6,6 @@ from reprogram.data import (
     SplitSpec,
     Vocab,
     load_csv,
-    load_fasta,
     save_csv,
     split,
     subsample,
@@ -55,30 +54,6 @@ class TestLoadCsv:
     def test_loader_deterministic(self, tmp_path):
         path = write(tmp_path / "d.csv", "sequence,label\nABBA,x\nBAB,y\n")
         assert load_csv(path) == load_csv(path)
-
-
-class TestLoadFasta:
-    def test_single_record(self, tmp_path):
-        path = write(tmp_path / "f.fa", ">s1|toxic\nACD\n")
-        ds = load_fasta(path)
-        assert len(ds) == 1
-        assert ds.class_names == ("toxic",)
-
-    def test_multiline_body_concatenated(self, tmp_path):
-        path = write(tmp_path / "f.fa", ">s1|x\nAC\nDG\n>s2|y\nGG\n")
-        ds = load_fasta(path)
-        seq = "".join(ds.vocab.index_to_token[t] for t in ds.sequences[0])
-        assert seq == "ACDG"
-
-    def test_header_without_label(self, tmp_path):
-        path = write(tmp_path / "f.fa", ">nolabel\nACD\n")
-        with pytest.raises(DataFormatError, match="header without label"):
-            load_fasta(path)
-
-    def test_matches_csv_loader(self, tmp_path):
-        fasta = write(tmp_path / "f.fa", ">a|toxic\nACDK\n>b|nontoxic\nGG\n")
-        csvp = write(tmp_path / "d.csv", "sequence,label\nACDK,toxic\nGG,nontoxic\n")
-        assert load_fasta(fasta) == load_csv(csvp)
 
 
 @pytest.fixture
@@ -174,7 +149,23 @@ class TestVocab:
         assert v.encode("b") == 1
         assert v.index_to_token[2] == "c"
 
-    def test_dataset_rejects_out_of_range_tokens(self):
+    @pytest.mark.parametrize("sequence", [(0, 2), (0, -1), ()],
+                             ids=["token_equals_vocab_size", "negative_token", "empty_sequence"])
+    def test_dataset_rejects_out_of_range_tokens(self, sequence):
         v = Vocab.from_tokens(["a", "b"])
         with pytest.raises(DataFormatError):
-            SequenceDataset(((0, 5),), (0,), v, ("x",))
+            SequenceDataset(((1,), sequence), (0, 0), v, ("x",))
+
+    def test_dataset_rejects_out_of_range_labels(self):
+        v = Vocab.from_tokens(["a", "b"])
+        with pytest.raises(DataFormatError, match="label 1"):
+            SequenceDataset(((0,), (1,)), (0, 1), v, ("x",))
+
+    def test_padded_ids_are_built_once_and_read_only(self):
+        v = Vocab.from_tokens(["a", "b", "c"])
+        ds = SequenceDataset(((2, 1, 0), (1,)), (0, 1), v, ("x", "y"))
+        assert ds.ids.tolist() == [[2, 1, 0], [1, 0, 0]]
+        assert ds.lengths.tolist() == [3, 1]
+        with pytest.raises(ValueError):
+            ds.ids[0, 0] = 1
+        assert ds == SequenceDataset(((2, 1, 0), (1,)), (0, 1), v, ("x", "y"))

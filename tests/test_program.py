@@ -13,6 +13,7 @@ from reprogram.classifier import (
     _init_weights,
     forward_embedded,
 )
+from reprogram import data
 from reprogram.data import SequenceDataset, Vocab
 from reprogram.errors import ConfigError, ShapeError
 from reprogram.numerics import softmax
@@ -61,13 +62,20 @@ def constant_class_model(rng, winner=0, d=5, vocab=12):
 
 
 def target_dataset(rng, vocab_size=4, n=30, max_len=6):
-    vocab = Vocab.from_tokens([chr(65 + i) for i in range(vocab_size)])
     seqs = tuple(
         tuple(int(t) for t in rng.integers(0, vocab_size, size=rng.integers(1, max_len)))
         for _ in range(n)
     )
     labels = tuple(int(rng.integers(2)) for _ in range(n))
-    return SequenceDataset(seqs, labels, vocab, ("neg", "pos"))
+    return as_batch(zip(seqs, labels), vocab_size)
+
+
+def as_batch(pairs, vocab_size=4):
+    """A two-class target dataset of (tokens, label) pairs over vocab_size tokens."""
+    pairs = list(pairs)
+    vocab = Vocab.from_tokens([chr(65 + i) for i in range(vocab_size)])
+    return SequenceDataset(tuple(seq for seq, _ in pairs), tuple(label for _, label in pairs),
+                           vocab, ("neg", "pos"))
 
 
 def model_digest(model):
@@ -121,7 +129,7 @@ class TestLoss:
         model = _freeze(rng.normal(size=(5, 12)),
                         ClassifierParams("bag_mlp", weights, 2), 0)
         theta = rng.normal(size=(12, 4))
-        batch = [((0, 1), 0), ((2,), 1)]
+        batch = as_batch([((0, 1), 0), ((2,), 1)])
         loss, _ = loss_and_grad(theta, model, LabelMap((0, 1)), batch)
         assert loss == pytest.approx(math.log(2))
 
@@ -129,7 +137,7 @@ class TestLoss:
         rng = np.random.default_rng(6)
         model = constant_class_model(rng, winner=0)
         theta = rng.normal(size=(12, 4))
-        batch = [((0, 1, 2), 0), ((3,), 0)]
+        batch = as_batch([((0, 1, 2), 0), ((3,), 0)])
         loss, _ = loss_and_grad(theta, model, LabelMap((0, 1)), batch)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
@@ -141,7 +149,7 @@ class TestLoss:
         embedded = (model.embeddings.table @ theta)[:, tokens]
         mapped = map_output(LabelMap((1, 0)), softmax(forward_embedded(model, embedded)))
         expected = -math.log(mapped[1])
-        loss, _ = loss_and_grad(theta, model, LabelMap((1, 0)), [(tokens, 1)])
+        loss, _ = loss_and_grad(theta, model, LabelMap((1, 0)), as_batch([(tokens, 1)]))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_zero_theta_embeds_every_token_as_zero(self):
@@ -150,7 +158,7 @@ class TestLoss:
         probs = softmax(forward_embedded(model, np.zeros((5, 1))))
         mapped = map_output(LabelMap((0, 1)), probs)
         expected = -(math.log(mapped[0]) + math.log(mapped[1])) / 2
-        batch = [((0, 1, 2), 0), ((3,), 1)]
+        batch = as_batch([((0, 1, 2), 0), ((3,), 1)])
         loss, _ = loss_and_grad(np.zeros((12, 4)), model, LabelMap((0, 1)), batch)
         assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -158,17 +166,32 @@ class TestLoss:
         rng = np.random.default_rng(8)
         model = small_model(rng)
         with pytest.raises(ConfigError):
-            loss_and_grad(np.zeros((12, 4)), model, LabelMap((0, 1)), [])
+            loss_and_grad(np.zeros((12, 4)), model, LabelMap((0, 1)), as_batch([]))
 
     def test_token_out_of_range(self):
-        # theta has 4 columns, so target token 4 has no embedding
+        # theta has one column per target token: a dataset over 5 tokens has
+        # one with no embedding, and over 3 tokens its ids mean other tokens
         rng = np.random.default_rng(3)
         model = small_model(rng)
-        with pytest.raises(IndexError):
-            loss_and_grad(np.zeros((12, 4)), model, LabelMap((0, 1)), [((0, 4), 1)])
-        dataset = SequenceDataset(((0, 4),), (1,), Vocab.from_tokens("ABCDE"), ("neg", "pos"))
-        with pytest.raises(IndexError):
-            evaluate(np.zeros((12, 4)), model, LabelMap((0, 1)), dataset)
+        for vocab_size in (5, 3):
+            dataset = as_batch([((0, vocab_size - 1), 1)], vocab_size)
+            with pytest.raises(ShapeError):
+                loss_and_grad(np.zeros((12, 4)), model, LabelMap((0, 1)), dataset)
+            with pytest.raises(ShapeError):
+                evaluate(np.zeros((12, 4)), model, LabelMap((0, 1)), dataset)
+
+    def test_built_datasets_are_not_padded_again(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        model = small_model(rng)
+        batch, dataset = target_dataset(rng, n=8), target_dataset(rng, n=40)
+
+        def pad(sequences):
+            raise AssertionError("a built dataset was padded again")
+
+        monkeypatch.setattr(data, "pad", pad)
+        theta = initial_theta(12, 4, 0)
+        loss_and_grad(theta, model, LabelMap((0, 1)), batch)
+        evaluate(theta, model, LabelMap((0, 1)), dataset)
 
 
 class TestGradTheta:
@@ -176,7 +199,7 @@ class TestGradTheta:
         rng = np.random.default_rng(9)
         model = small_model(rng)
         theta = rng.normal(size=(12, 4)) * 0.1
-        batch = [((0, 1), 0), ((1, 0, 0), 1)]  # token 2 and 3 never used
+        batch = as_batch([((0, 1), 0), ((1, 0, 0), 1)])  # token 2 and 3 never used
         _, grad = loss_and_grad(theta, model, LabelMap((0, 1)), batch)
         assert np.array_equal(grad[:, 2], np.zeros(12))
         assert np.array_equal(grad[:, 3], np.zeros(12))
@@ -187,11 +210,11 @@ class TestGradTheta:
         model = small_model(rng, architecture=architecture)
         h = LabelMap((1, 0))
         theta = rng.normal(size=(12, 4)) * 0.1
-        batch = [
+        batch = as_batch(
             (tuple(int(t) for t in rng.integers(0, 4, size=rng.integers(1, 5))),
              int(rng.integers(2)))
             for _ in range(6)
-        ]
+        )
         _, grad = loss_and_grad(theta, model, h, batch)
         step = 1e-6
         picks = [(int(rng.integers(12)), int(rng.integers(4))) for _ in range(20)]
@@ -213,9 +236,9 @@ class TestGradTheta:
         model = small_model(rng)
         h = LabelMap((0, 1))
         theta = rng.normal(size=(12, 4)) * 0.1
-        batch = [((0, 1), 0), ((2, 3), 1)]
-        _, g1 = loss_and_grad(theta, model, h, batch)
-        _, g2 = loss_and_grad(theta, model, h, batch + batch)
+        pairs = [((0, 1), 0), ((2, 3), 1)]
+        _, g1 = loss_and_grad(theta, model, h, as_batch(pairs))
+        _, g2 = loss_and_grad(theta, model, h, as_batch(pairs + pairs))
         assert np.allclose(g1, g2, atol=1e-15)
 
 
