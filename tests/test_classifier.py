@@ -99,6 +99,12 @@ class TestForward:
             assert np.array_equal(token_logits(model, seq),
                                   forward_embedded(model, gathered))
 
+    def test_token_out_of_range(self):
+        rng = np.random.default_rng(3)
+        model = make_model(rng)
+        with pytest.raises(IndexError):
+            token_logits(model, [0, 99])
+
     def test_evaluate_source_rejects_empty_or_foreign_dataset(self):
         rng = np.random.default_rng(3)
         model = make_model(rng)

@@ -149,9 +149,14 @@ class TestVocab:
         assert v.encode("b") == 1
         assert v.index_to_token[2] == "c"
 
+    def test_dataset_rejects_out_of_range_tokens(self):
+        v = Vocab.from_tokens(["a", "b"])
+        with pytest.raises(DataFormatError):
+            SequenceDataset(((0, 5),), (0,), v, ("x",))
+
     @pytest.mark.parametrize("sequence", [(0, 2), (0, -1), ()],
                              ids=["token_equals_vocab_size", "negative_token", "empty_sequence"])
-    def test_dataset_rejects_out_of_range_tokens(self, sequence):
+    def test_dataset_rejects_boundary_tokens_and_empty_sequences(self, sequence):
         v = Vocab.from_tokens(["a", "b"])
         with pytest.raises(DataFormatError):
             SequenceDataset(((1,), sequence), (0, 0), v, ("x",))
