@@ -10,12 +10,14 @@ Two architectures:
   birnn   - single bidirectional tanh recurrence, concatenated final states
             -> linear head
 
-One path serves training, reprogramming and evaluation: `forward` embeds the
-right-padded token ids of a dataset (padded once, in `data`) through a
+Gradients take one path, for training and reprogramming: `forward` embeds
+the right-padded token ids of a dataset (padded once, in `data`) through a
 vocabulary embedding E and returns the logits with its cache; `backward`
 consumes the cache and returns dE, plus weight gradients only for source
 training. `forward_embedded` and `input_gradient`, the frozen model's
-interface on one embedded sequence, are batches of one.
+interface on one embedded sequence, are batches of one. Scoring takes
+`predict`, which computes the same logits in one pass over a whole split:
+it folds the first layer into a per-token table and keeps no cache.
 """
 
 import json
@@ -28,7 +30,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .numerics import as_matrix, softmax
 
 FORMAT_VERSION = 1
-# Sequences per model call; it bounds the peak memory of one call.
+# Sequences per `forward`/`backward` call in `gradient`; it bounds their cache's memory.
 MAX_BATCH = 32
 
 
@@ -203,14 +205,40 @@ def backward(params: ClassifierParams, cache, dlogits, weight_grads=False):
     return dvocab.reshape(vocab_size, d).T, grads
 
 
-def _slices(n):
-    return (slice(start, start + MAX_BATCH) for start in range(0, n, MAX_BATCH))
+def _predict_bag_mlp(w, vocab_embedding, ids, mask):
+    table = vocab_embedding.T @ w["w1"].T  # row v: w1 @ E[:, v]
+    total = np.zeros((len(ids), table.shape[1]))
+    for t in range(mask.shape[1]):
+        total += np.where(mask[:, t, None], table[ids[:, t]], 0.0)
+    h = np.tanh(total / mask.sum(axis=1)[:, None] + w["b1"])
+    return h @ w["w2"].T + w["b2"]
+
+
+def _predict_birnn(w, vocab_embedding, ids, mask):
+    steps, final = range(mask.shape[1]), []
+    for side, order in (("f", steps), ("b", reversed(steps))):
+        table = vocab_embedding.T @ w[f"wx_{side}"].T + w[f"b_{side}"]  # input terms
+        wh = w[f"wh_{side}"]
+        h = np.zeros((len(ids), table.shape[1]))
+        for t in order:  # a state holds still on padded steps, as in `_recur`
+            h = np.where(mask[:, t, None], np.tanh(table[ids[:, t]] + h @ wh.T), h)
+        final.append(h)
+    return np.concatenate(final, axis=1) @ w["w_out"].T + w["b_out"]
+
+
+_PREDICT = {"bag_mlp": _predict_bag_mlp, "birnn": _predict_birnn}
 
 
 def predict(params: ClassifierParams, vocab_embedding, ids, lengths) -> np.ndarray:
-    """`forward` logits of a padded batch of any size, MAX_BATCH sequences per call."""
-    return np.concatenate([forward(params, vocab_embedding, ids[rows], lengths[rows])[0]
-                           for rows in _slices(lengths.size)])
+    """`forward`'s logits of a padded batch of any size, in one pass that keeps no cache.
+
+    A token reaches the model only through its first layer, so that layer is
+    folded into a V x h table once and gathered step by step; memory stays a
+    few N x h arrays, never N x L x d.
+    """
+    width = int(lengths.max())
+    mask = np.arange(width) < lengths[:, None]
+    return _PREDICT[params.architecture](params.weights, vocab_embedding, ids[:, :width], mask)
 
 
 def gradient(params: ClassifierParams, vocab_embedding, ids, lengths, labels, loss_grad,
@@ -221,7 +249,8 @@ def gradient(params: ClassifierParams, vocab_embedding, ids, lengths, labels, lo
     MAX_BATCH sequences and its gradient with respect to their logits.
     """
     loss, dvocab, grads = 0.0, np.zeros(vocab_embedding.shape), None
-    for rows in _slices(lengths.size):
+    for start in range(0, lengths.size, MAX_BATCH):
+        rows = slice(start, start + MAX_BATCH)
         logits, cache = forward(params, vocab_embedding, ids[rows], lengths[rows])
         part_loss, dlogits = loss_grad(logits, labels[rows])
         part_dvocab, part = backward(params, cache, dlogits, weight_grads)

@@ -103,6 +103,12 @@ def _split_spec(cfg):
                           seed=s["seed"])
 
 
+def _target_splits(cfg):
+    """The target's (train, valid, test) splits; the full dataset is not kept."""
+    _, target = _datasets(cfg)
+    return data.split(target, _split_spec(cfg))
+
+
 def _train_config(cfg):
     return classifier.TrainConfig(**cfg["train"])
 
@@ -114,11 +120,17 @@ def _reprogram_config(cfg, seed):
     return program.ReprogramConfig(ksvd=ksvd, seed=seed, **r)
 
 
-def _label_map(cfg):
+def _label_map(cfg, target):
+    """The configured label map; it must map onto every class of the target data."""
     value = cfg["reprogram"]["label_map"]
     if not isinstance(value, list):
         raise ConfigError("config key 'reprogram.label_map' must be a list")
-    return program.LabelMap(source_to_target=tuple(value))
+    label_map = program.LabelMap(source_to_target=tuple(value))
+    if len(target.class_names) > label_map.num_target_classes:
+        raise ConfigError(f"config key 'reprogram.label_map' maps onto "
+                          f"{label_map.num_target_classes} target classes, but the target "
+                          f"data has {len(target.class_names)}")
+    return label_map
 
 
 def _write_json(doc, path):
@@ -148,20 +160,19 @@ def cmd_train_source(cfg, out_dir) -> int:
     return 0
 
 
-def _run_reprogram(cfg, model, target, seed):
-    train, valid, test = data.split(target, _split_spec(cfg))
-    label_map = _label_map(cfg)
-    rcfg = _reprogram_config(cfg, seed)
+def _run_reprogram(cfg, model, label_map, splits):
+    train, valid, test = splits
+    rcfg = _reprogram_config(cfg, cfg["seed"])
     prog, trace = program.reprogram_train(model, label_map, train, valid, rcfg)
     test_acc, confusion = program.evaluate_program(prog, model, label_map, test)
-    return prog, trace, test_acc, confusion, (train, valid, test), rcfg
+    return prog, trace, test_acc, confusion, rcfg
 
 
 def cmd_reprogram(cfg, source_checkpoint, out_dir) -> int:
     model = classifier.load_checkpoint(source_checkpoint)
-    _, target = _datasets(cfg)
-    prog, trace, test_acc, confusion, _, rcfg = _run_reprogram(
-        cfg, model, target, cfg["seed"]
+    splits = _target_splits(cfg)
+    prog, trace, test_acc, confusion, rcfg = _run_reprogram(
+        cfg, model, _label_map(cfg, splits[0]), splits
     )
     program.save_program(prog, os.path.join(out_dir, "program.json"))
     program.trace_to_csv(trace, os.path.join(out_dir, "trace.csv"))
@@ -186,11 +197,10 @@ def cmd_eval(cfg, program_path, source_checkpoint, out_dir) -> int:
     basis = prog.source_basis
     if basis is not None and basis.shape != model.embeddings.table.shape:
         raise ConfigError("program source_basis does not match the source model's d x vocab")
-    _, target = _datasets(cfg)
-    _, _, test = data.split(target, _split_spec(cfg))
+    _, _, test = _target_splits(cfg)
     if prog.theta.shape[1] != len(test.vocab):
         raise ConfigError("program does not match the target vocabulary size")
-    label_map = _label_map(cfg)
+    label_map = _label_map(cfg, test)
     accuracy, confusion = program.evaluate_program(prog, model, label_map, test)
     summary = {"accuracy": accuracy, "confusion": confusion.tolist(),
                "num_samples": len(test)}
@@ -204,11 +214,10 @@ def cmd_sweep_data(cfg, grid, source_checkpoint, out_dir) -> int:
     if sorted(grid) != list(grid):
         raise ConfigError("sweep grid must be ascending")
     model = classifier.load_checkpoint(source_checkpoint)
-    _, target = _datasets(cfg)
-    train, valid, test = data.split(target, _split_spec(cfg))
+    train, valid, test = _target_splits(cfg)
     if max(grid) > len(train):
         raise ConfigError(f"grid entry {max(grid)} exceeds training size {len(train)}")
-    label_map = _label_map(cfg)
+    label_map = _label_map(cfg, train)
     rows = []
     for n in grid:
         subset = data.subsample(train, n, cfg["seed"])
@@ -235,8 +244,8 @@ def cmd_sweep_ksvd(cfg, grid, source_checkpoint, out_dir) -> int:
     if sorted(grid) != list(grid) or min(grid) < 1:
         raise ConfigError("sweep grid must be positive and ascending")
     model = classifier.load_checkpoint(source_checkpoint)
-    _, target = _datasets(cfg)
-    label_map = _label_map(cfg)
+    splits = _target_splits(cfg)
+    label_map = _label_map(cfg, splits[0])
     fixed = not cfg["reprogram"]["ksvd"]["update_dictionary"]
     if fixed:
         print("sweep-ksvd: update_dictionary is false, so every sweep count codes "
@@ -247,9 +256,7 @@ def cmd_sweep_ksvd(cfg, grid, source_checkpoint, out_dir) -> int:
         if not (fixed and rows):  # a fixed dictionary's run is trained once
             run_cfg = json.loads(json.dumps(cfg))
             run_cfg["reprogram"]["ksvd"]["sweeps"] = sweeps
-            prog, trace, test_acc, _, splits, _ = _run_reprogram(
-                run_cfg, model, target, cfg["seed"]
-            )
+            prog, trace, test_acc, _, _ = _run_reprogram(run_cfg, model, label_map, splits)
             train_acc, _ = program.evaluate_program(prog, model, label_map, splits[0])
             coding_errors = [e["coding_error"] for e in trace if "coding_error" in e]
             final_error = coding_errors[-1] if coding_errors else float("nan")

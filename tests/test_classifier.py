@@ -1,7 +1,9 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reprogram.classifier import (
     ClassifierParams,
@@ -14,6 +16,7 @@ from reprogram.classifier import (
     gradient,
     input_gradient,
     load_checkpoint,
+    predict,
     save_checkpoint,
     train_source,
 )
@@ -243,6 +246,52 @@ class TestPaddedBatch:
                 fd[idx] = (up - down) / (2 * h)
             rel = np.linalg.norm(grads[name] - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel <= 1e-5, name
+
+
+@st.composite
+def padded_batches(draw):
+    """More than MAX_BATCH sequences of mixed lengths over V tokens, right-padded."""
+    n = draw(st.integers(33, 80))
+    lengths = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+    vocab = draw(st.integers(1, 8))
+    width = int(lengths.max())
+    tokens = st.lists(st.integers(0, vocab - 1), min_size=width, max_size=width)
+    ids = np.array(draw(st.lists(tokens, min_size=n, max_size=n)))
+    return vocab, ids, lengths
+
+
+class TestPredict:
+    @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
+    @settings(derandomize=True, deadline=None)
+    @given(batch=padded_batches())
+    def test_matches_training_forward(self, architecture, batch):
+        vocab, ids, lengths = batch
+        rng = np.random.default_rng(13)
+        model = make_model(rng, vocab=vocab, architecture=architecture)
+        # padded slots select extra columns of large values, which no live slot uses
+        vocab_embedding = np.hstack([model.embeddings.table,
+                                     rng.normal(scale=1e3, size=(model.embeddings.dim, 4))])
+        pads = np.arange(ids.shape[1]) >= lengths[:, None]
+        ids = np.where(pads, vocab + np.arange(ids.size).reshape(ids.shape) % 4, ids)
+        logits, _ = forward(model.params, vocab_embedding, ids, lengths)
+        assert np.max(np.abs(predict(model.params, vocab_embedding, ids, lengths)
+                             - logits)) <= 1e-12
+
+    @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
+    def test_memory_never_n_by_length_by_hidden(self, architecture):
+        rng = np.random.default_rng(14)
+        n, width, d = 2048, 32, 32
+        model = make_model(rng, d=d, vocab=7, hidden=32, architecture=architecture)
+        ids = rng.integers(0, 7, size=(n, width))
+        lengths = rng.integers(1, width + 1, size=n)
+        lengths[0] = width
+        tracemalloc.start()
+        try:
+            predict(model.params, model.embeddings.table, ids, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * width * d * 8  # one N x L x h float64 array: 16.8 MB
 
 
 @pytest.fixture(scope="module")

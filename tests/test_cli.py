@@ -305,3 +305,21 @@ class TestMalformedInputs:
         path.write_text(json.dumps(cfg))
         _exits_2_with_one_error_line(capsys, _reprogram_argv(path, source_checkpoint, tmp_path),
                                      message)
+
+    def test_target_classes_beyond_label_map_exit_2(self, tmp_path, source_checkpoint,
+                                                     program_path, capsys):
+        # every third row gets a third class, which the default 2-class label map misses
+        _, target = synth_tasks(TINY["seed"], 10, TINY["data"]["target_size"])
+        save_csv(target, tmp_path / "target.csv")
+        header, *rows = (tmp_path / "target.csv").read_text().splitlines()
+        rows = [row.split(",")[0] + ",third" if i % 3 == 2 else row for i, row in enumerate(rows)]
+        three = tmp_path / "three_classes.csv"
+        three.write_text("\n".join([header, *rows]) + "\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "data": {"mode": "csv", "target_path": str(three)}}))
+        common = ["--config", str(path), "--source-checkpoint", source_checkpoint,
+                  "--out", str(tmp_path / "o")]
+        for argv in (["reprogram", *common], ["eval", *common, "--program", program_path],
+                     ["sweep-data", *common, "--grid", "50"],
+                     ["sweep-ksvd", *common, "--grid", "1"]):
+            _exits_2_with_one_error_line(capsys, argv, "reprogram.label_map")
