@@ -1,7 +1,8 @@
 """Dataset ingestion, splits, subsampling, and synthetic task generation.
 
 Target-task files are tokenized at the character level. A dataset is checked
-and padded once, when built; every consumer reads its read-only `ids` and `lengths`.
+and padded once, when built; every consumer reads its read-only `ids` and `lengths`,
+and a subset made by `take` slices them.
 """
 
 import csv
@@ -83,12 +84,22 @@ class SequenceDataset:
         return float(np.max(counts)) / len(self.labels)
 
     def take(self, indices) -> "SequenceDataset":
-        return SequenceDataset(
-            sequences=tuple(self.sequences[i] for i in indices),
-            labels=tuple(self.labels[i] for i in indices),
-            vocab=self.vocab,
-            class_names=self.class_names,
-        )
+        """The rows at `indices`, their ids and lengths sliced from this dataset's.
+
+        Those are checked already, so the subset is neither padded nor
+        checked again; its ids are trimmed to its own longest row.
+        """
+        sequences = tuple(self.sequences[i] for i in indices)
+        rows = np.asarray(indices, dtype=np.intp)
+        lengths = self.lengths[rows]
+        ids = self.ids[rows, : lengths.max(initial=0)]
+        ids.flags.writeable = lengths.flags.writeable = False
+        subset = object.__new__(type(self))
+        vars(subset).update(sequences=sequences,
+                            labels=tuple(self.labels[i] for i in indices),
+                            vocab=self.vocab, class_names=self.class_names,
+                            ids=ids, lengths=lengths)
+        return subset
 
 
 @dataclass(frozen=True)
@@ -125,7 +136,8 @@ def _build_dataset(rows):
         if label not in class_names:
             class_names.append(label)
         labels.append(class_names.index(label))
-    sequences = tuple(tuple(vocab.encode(c) for c in seq) for seq, _ in rows)
+    index = vocab.token_to_index.__getitem__  # every character is in the vocabulary
+    sequences = tuple(tuple(map(index, seq)) for seq, _ in rows)
     return SequenceDataset(
         sequences=sequences,
         labels=tuple(labels),

@@ -119,6 +119,13 @@ def _embedding(theta, model: FrozenClassifier, dataset, basis=None):
     return basis, basis @ theta
 
 
+def _check_classes(label_map: LabelMap, dataset) -> None:
+    """Reject a dataset with more classes than the label map maps onto."""
+    if len(dataset.class_names) > label_map.num_target_classes:
+        raise ConfigError(f"label map maps onto {label_map.num_target_classes} target "
+                          f"classes, but the data has {len(dataset.class_names)}")
+
+
 def map_output(label_map: LabelMap, source_probs) -> np.ndarray:
     """Sum source-class probabilities (last axis) into their mapped target classes."""
     p = np.asarray(source_probs, dtype=np.float64)
@@ -145,6 +152,7 @@ def loss_and_grad(theta, model, label_map: LabelMap, batch, basis=None):
     """
     if len(batch) == 0:
         raise ConfigError("batch must be non-empty")
+    _check_classes(label_map, batch)
     basis, embedding = _embedding(theta, model, batch, basis)
     loss_grad = lambda logits, y: _mapped_loss_dlogits(logits, label_map, y)
     loss, dembedding, _ = gradient(model.params, embedding, batch.ids, batch.lengths,
@@ -156,6 +164,7 @@ def evaluate(theta, model, label_map: LabelMap, dataset, basis=None):
     """Argmax accuracy and target-class confusion counts (rows = true class)."""
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
+    _check_classes(label_map, dataset)
     _, embedding = _embedding(theta, model, dataset, basis)
     logits = predict(model.params, embedding, dataset.ids, dataset.lengths)
     predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
@@ -192,6 +201,8 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
         raise ConfigError("train and valid datasets must be non-empty")
     if model.params.num_classes != label_map.num_source_classes:
         raise ConfigError("label map does not cover the source classes")
+    _check_classes(label_map, train)
+    _check_classes(label_map, valid)
 
     table = model.embeddings.table
     dictionary = Dictionary.from_matrix(table)

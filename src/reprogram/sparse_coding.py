@@ -9,7 +9,7 @@ Coding is Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008) run in lockstep:
 all signals of a call advance together, one atom per step, with one product
 for every live signal's correlations and one stacked solve that refits each
 over its support's block of the Gram matrix G = atoms^T atoms, formed once
-per call. A single signal is a batch of one column.
+per dictionary (`Dictionary.gram`). A single signal is a batch of one column.
 
 Update mode (`KsvdConfig.update_dictionary`) decides whether the dictionary
 itself is learned: off, the signals are coded once against the fixed
@@ -25,6 +25,7 @@ codes every signal within epsilon is a fixed point of the update.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,8 @@ class Dictionary:
     """Unit-norm atom columns (d x K) plus the pre-normalization column norms.
 
     Codes produced against the normalized atoms can be mapped back to
-    coefficients over the original columns with `fold_codes`.
+    coefficients over the original columns with `fold_codes`. The atoms are
+    read-only, so `gram` is formed once, on first use, and stays valid.
     """
 
     atoms: np.ndarray
@@ -63,6 +65,13 @@ class Dictionary:
     @property
     def num_atoms(self) -> int:
         return self.atoms.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Read-only Gram matrix atoms^T atoms, formed on first use."""
+        gram = self.atoms.T @ self.atoms
+        gram.flags.writeable = False
+        return gram
 
     def fold_codes(self, codes: np.ndarray) -> np.ndarray:
         """Rescale codes over unit atoms into codes over the original columns."""
@@ -101,10 +110,14 @@ class KsvdConfig:
 
 
 def _residual_norm(residual: np.ndarray, kind: str, axis: int):
-    """l1 or l2 norm of each residual along `axis` (columns: 0, rows: 1)."""
+    """l1 or l2 norm of each residual along `axis` (columns: 0, rows: 1).
+
+    The same reductions as `np.sum` and `np.linalg.norm`, bitwise, without
+    their per-call Python overhead, which the coding loop pays every step.
+    """
     if kind == "l1":
-        return np.sum(np.abs(residual), axis=axis)
-    return np.linalg.norm(residual, axis=axis)
+        return np.add.reduce(np.abs(residual), axis=axis)
+    return np.sqrt(np.add.reduce(residual * residual, axis=axis))
 
 
 # A trial atom whose Schur complement s (its squared sine to the support's
@@ -139,15 +152,15 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
     the atom maximizing |<atom, residual>| (ties to the lowest index), from
     one product atoms^T R over every live residual, and is refit over its
     trial support by one stacked solve with the support's Gram sub-matrix
-    and right-hand side alpha = atoms^T x; G and alpha are formed once per
-    call. A column stops for good when its residual norm (cfg.residual_norm)
-    is within cfg.epsilon, when cfg.max_atoms atoms are active, when its best
-    correlation is not positive, or when the trial atom brings no gain: the
-    atom is numerically in the span of the support (Schur complement at most
-    sqrt(eps), or a singular Gram sub-matrix), or the refit fails to shrink
-    the l2 residual. The trial atom is then rejected and the previous code
-    kept. Every product and solve is taken per column, so a column's code is
-    bitwise the same whatever else shares its batch.
+    and right-hand side alpha = atoms^T x; G is the dictionary's own, alpha
+    is formed once per call. A column stops for good when its residual norm
+    (cfg.residual_norm) is within cfg.epsilon, when cfg.max_atoms atoms are
+    active, when its best correlation is not positive, or when the trial atom
+    brings no gain: the atom is numerically in the span of the support (Schur
+    complement at most sqrt(eps), or a singular Gram sub-matrix), or the
+    refit fails to shrink the l2 residual. The trial atom is then rejected
+    and the previous code kept. Every product and solve is taken per column,
+    so a column's code is bitwise the same whatever else shares its batch.
     """
     atoms = dictionary.atoms
     signals = as_matrix(signals)
@@ -165,7 +178,8 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
     support = np.zeros((m, cfg.max_atoms), dtype=np.intp)
     residual = signals.copy()
     stop_norm = _residual_norm(residual, cfg.residual_norm, axis=1)
-    gram = atoms.T @ atoms
+    l2 = _residual_norm(residual, "l2", axis=1)  # each column's, carried forward
+    gram = dictionary.gram
     # (M, 1, d) @ (d, K) is one matrix-vector product per signal, so no
     # signal's arithmetic depends on the others in the batch.
     alpha = np.matmul(signals[:, None, :], atoms)[:, 0, :]
@@ -176,12 +190,15 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
         if live.size == 0:
             break
         correlations = np.abs(np.matmul(residual[live, None, :], atoms)[:, 0, :])
-        chosen = support[live, :t]
-        np.put_along_axis(correlations, chosen, -1.0, axis=1)
+        rows = np.arange(live.size)
+        correlations[rows[:, None], support[live, :t]] = -1.0
         pick = np.argmax(correlations, axis=1)
-        positive = correlations.max(axis=1) > 0.0
+        positive = correlations[rows, pick] > 0.0
         live = live[positive]
-        trial = np.column_stack([chosen[positive], pick[positive]])
+        # a column that rejects its trial atom stops for good, so the support
+        # row can hold the trial support before the atom is accepted
+        support[live, t] = pick[positive]
+        trial = support[live, : t + 1]
 
         rhs = np.zeros((live.size, t + 1, 2))
         rhs[:, :, 0] = alpha[live[:, None], trial]
@@ -195,16 +212,17 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
 
         fitted = np.matmul(trial_coefs[:, None, :], atoms.T[trial])[:, 0, :]
         trial_residual = signals[live] - fitted
-        trial_l2 = np.linalg.norm(trial_residual, axis=1)
+        trial_l2 = _residual_norm(trial_residual, "l2", axis=1)
         # a least-squares refit cannot increase the l2 residual; failing to
         # shrink it means the remaining atoms add nothing
-        gain = trial_l2 < np.linalg.norm(residual[live], axis=1)
-        live, trial = live[gain], trial[gain]
-        support[live, : t + 1] = trial
+        gain = trial_l2 < l2[live]
+        live = live[gain]
         # the trial support holds the old one, so this overwrites the whole code
-        codes[trial, live[:, None]] = trial_coefs[gain]
-        residual[live] = trial_residual[gain]
-        stop_norm[live] = _residual_norm(residual[live], cfg.residual_norm, axis=1)
+        codes[trial[gain], live[:, None]] = trial_coefs[gain]
+        accepted = trial_residual[gain]
+        residual[live] = accepted
+        l2[live] = trial_l2[gain]
+        stop_norm[live] = _residual_norm(accepted, cfg.residual_norm, axis=1)
 
     return codes
 

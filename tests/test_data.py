@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reprogram import data
 from reprogram.data import (
     SequenceDataset,
     SplitSpec,
@@ -174,3 +175,45 @@ class TestVocab:
         with pytest.raises(ValueError):
             ds.ids[0, 0] = 1
         assert ds == SequenceDataset(((2, 1, 0), (1,)), (0, 1), v, ("x", "y"))
+
+
+class TestTake:
+    @staticmethod
+    def dataset():
+        v = Vocab.from_tokens(["a", "b", "c"])
+        sequences = ((2, 1, 0, 1), (1,), (0, 2), (1, 1, 1), (2,))
+        return SequenceDataset(sequences, (0, 1, 0, 1, 1), v, ("x", "y"))
+
+    @pytest.mark.parametrize("rows", [[1, 4], [3, 0, 3], [2], [4, 2, 1, 0, 3], [-1, 1]])
+    def test_slices_equal_pad_of_the_rows_and_are_read_only(self, rows):
+        ds = self.dataset()
+        subset = ds.take(rows)
+        ids, lengths = data.pad([ds.sequences[i] for i in rows])
+        assert subset.ids.dtype == ids.dtype and subset.lengths.dtype == lengths.dtype
+        assert np.array_equal(subset.ids, ids) and np.array_equal(subset.lengths, lengths)
+        assert subset.labels == tuple(ds.labels[i] for i in rows)
+        for array in (subset.ids, subset.lengths):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert subset == SequenceDataset(subset.sequences, subset.labels, ds.vocab, ds.class_names)
+
+    def test_taken_rows_are_not_padded_again(self, monkeypatch):
+        ds = self.dataset()
+
+        def pad(sequences):
+            raise AssertionError("a subset was padded again")
+
+        monkeypatch.setattr(data, "pad", pad)
+        subset = ds.take(np.array([3, 1]))
+        assert subset.ids.tolist() == [[1, 1, 1], [1, 0, 0]]
+        split(ds, SplitSpec(0.6, 0.2, 0.2, seed=1))
+        subsample(ds, 3, seed=2)
+
+    def test_empty_indices_give_an_empty_dataset(self):
+        subset = self.dataset().take([])
+        assert len(subset) == 0 and subset.labels == ()
+        assert subset.ids.shape == (0, 0) and subset.lengths.shape == (0,)
+
+    def test_out_of_range_index_raises(self):
+        with pytest.raises(IndexError):
+            self.dataset().take([0, 5])

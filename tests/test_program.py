@@ -180,6 +180,24 @@ class TestLoss:
             with pytest.raises(ShapeError):
                 evaluate(np.zeros((12, 4)), model, LabelMap((0, 1)), dataset)
 
+    def test_dataset_classes_beyond_label_map_rejected(self):
+        # 3 classes in the data, a 2-class map: without the check numpy
+        # raised "index 2 is out of bounds" from the loss and the confusion count
+        rng = np.random.default_rng(11)
+        model = small_model(rng)
+        vocab = Vocab.from_tokens(["A", "B", "C", "D"])
+        sequences = tuple((i % 4, (i + 1) % 4) for i in range(9))
+        dataset = SequenceDataset(sequences, tuple(i % 3 for i in range(9)), vocab,
+                                  ("neg", "pos", "third"))
+        theta, label_map = initial_theta(12, 4, 0), LabelMap((0, 1))
+        cfg = ReprogramConfig(outer_iterations=2, batch_size=4,
+                              ksvd=KsvdConfig(epsilon=0.1, max_atoms=2, update_dictionary=False))
+        for call in (lambda: loss_and_grad(theta, model, label_map, dataset),
+                     lambda: evaluate(theta, model, label_map, dataset),
+                     lambda: reprogram_train(model, label_map, dataset, dataset, cfg)):
+            with pytest.raises(ConfigError, match="maps onto 2 target classes, but the data has 3"):
+                call()
+
     def test_built_datasets_are_not_padded_again(self, monkeypatch):
         rng = np.random.default_rng(3)
         model = small_model(rng)

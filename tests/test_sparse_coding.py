@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,65 @@ class TestDictionary:
         dic = Dictionary.from_matrix(raw)
         codes = rng.normal(size=(9, 4))
         assert np.allclose(raw @ dic.fold_codes(codes), dic.atoms @ codes)
+
+
+class TestGram:
+    @staticmethod
+    def count_gram(monkeypatch):
+        """Count how often any Dictionary forms its Gram matrix."""
+        formed = []
+        real = Dictionary.__dict__["gram"].func
+
+        def counted(self):
+            formed.append(self)
+            return real(self)
+
+        spy = cached_property(counted)
+        spy.__set_name__(Dictionary, "gram")
+        monkeypatch.setattr(Dictionary, "gram", spy)
+        return formed
+
+    def test_equals_atoms_product_and_is_read_only(self):
+        dic = random_dictionary(np.random.default_rng(40), 8, 12)
+        assert dic.gram.tobytes() == (dic.atoms.T @ dic.atoms).tobytes()
+        with pytest.raises(ValueError):
+            dic.gram[0, 0] = 2.0
+
+    def test_formed_once_per_dictionary(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        dic = random_dictionary(rng, 8, 10)
+        signals = rng.normal(size=(8, 6))
+        formed = self.count_gram(monkeypatch)
+        cfg = KsvdConfig(epsilon=0.05, max_atoms=4, sweeps=3, update_dictionary=False)
+        for _ in range(3):
+            batch_encode(dic, signals, cfg)
+            ksvd_run(signals, dic, cfg)
+        assert len(formed) == 1 and formed[0] is dic
+
+    def test_updated_dictionary_forms_its_own(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        dic = random_dictionary(rng, 8, 10)
+        signals = rng.normal(size=(8, 6))
+        formed = self.count_gram(monkeypatch)
+        cfg = KsvdConfig(epsilon=0.05, max_atoms=4, sweeps=3)
+        updated, _, _ = ksvd_run(signals, dic, cfg)
+        # each sweep codes against a new dictionary; the last update's is never coded against
+        assert len(formed) == 3 and formed[0] is dic
+        assert len({id(d) for d in formed + [updated]}) == 4
+        new, _ = ksvd_dictionary_update(dic, signals, batch_encode(dic, signals, cfg))
+        assert new.gram.tobytes() == (new.atoms.T @ new.atoms).tobytes()
+        assert not np.array_equal(new.gram, dic.gram)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_residual_norm_is_bitwise_numpys(axis):
+    # the coding loop's stop and gain tests must see the values of np.sum
+    # and np.linalg.norm, which the per-column reference below uses
+    residual = np.random.default_rng(43).normal(size=(33, 17)) * 10.0 ** np.arange(-8, 9)
+    l1 = sparse_coding._residual_norm(residual, "l1", axis)
+    l2 = sparse_coding._residual_norm(residual, "l2", axis)
+    assert l1.tobytes() == np.sum(np.abs(residual), axis=axis).tobytes()
+    assert l2.tobytes() == np.linalg.norm(residual, axis=axis).tobytes()
 
 
 def encode_one(dic, signal, cfg):
