@@ -17,7 +17,8 @@ consumes the cache and returns dE, plus weight gradients only for source
 training. `forward_embedded` and `input_gradient`, the frozen model's
 interface on one embedded sequence, are batches of one. Scoring takes
 `predict`, which computes the same logits in one pass over a whole split:
-it folds the first layer into a per-token table and keeps no cache.
+it folds the first layer into a per-token table, keeps no cache and needs
+no padding mask.
 """
 
 import json
@@ -205,25 +206,43 @@ def backward(params: ClassifierParams, cache, dlogits, weight_grads=False):
     return dvocab.reshape(vocab_size, d).T, grads
 
 
-def _predict_bag_mlp(w, vocab_embedding, ids, mask):
+def _predict_bag_mlp(w, vocab_embedding, ids, lengths):
     table = vocab_embedding.T @ w["w1"].T  # row v: w1 @ E[:, v]
-    total = np.zeros((len(ids), table.shape[1]))
-    for t in range(mask.shape[1]):
-        total += np.where(mask[:, t, None], table[ids[:, t]], 0.0)
-    h = np.tanh(total / mask.sum(axis=1)[:, None] + w["b1"])
-    return h @ w["w2"].T + w["b2"]
+    (n, width), vocab = ids.shape, len(table)
+    logits = np.empty((n, len(w["b2"])))
+    rows = max(1, n * table.shape[1] // vocab)  # a block's rows x V counts fit in N x h
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        count = len(lengths[block])
+        slots = ids[block] + vocab * np.arange(count)[:, None]  # (row, token) -> one bin
+        freq = np.bincount(slots[np.arange(width) < lengths[block, None]],
+                           minlength=count * vocab).reshape(count, vocab)
+        h = freq @ table
+        h /= lengths[block, None]
+        h += w["b1"]
+        logits[block] = np.tanh(h, out=h) @ w["w2"].T + w["b2"]
+    return logits
 
 
-def _predict_birnn(w, vocab_embedding, ids, mask):
-    steps, final = range(mask.shape[1]), []
-    for side, order in (("f", steps), ("b", reversed(steps))):
+def _predict_birnn(w, vocab_embedding, ids, lengths):
+    # rows sorted longest first, so the rows live at step k are the first live[k];
+    # the backward direction reads each row's ids from its last one
+    order = np.argsort(-lengths, kind="stable")
+    live = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
+    flat, first = ids.ravel(), order * ids.shape[1]
+    final = []
+    for side, start, step in (("f", first, 1), ("b", first + lengths[order] - 1, -1)):
         table = vocab_embedding.T @ w[f"wx_{side}"].T + w[f"b_{side}"]  # input terms
         wh = w[f"wh_{side}"]
-        h = np.zeros((len(ids), table.shape[1]))
-        for t in order:  # a state holds still on padded steps, as in `_recur`
-            h = np.where(mask[:, t, None], np.tanh(table[ids[:, t]] + h @ wh.T), h)
+        h = np.zeros((len(ids), len(wh)))
+        for k, n in enumerate(live):
+            state = h[:n] @ wh.T
+            state += table.take(flat[start[:n] + step * k], axis=0)
+            np.tanh(state, out=h[:n])
         final.append(h)
-    return np.concatenate(final, axis=1) @ w["w_out"].T + w["b_out"]
+    logits = np.empty((len(ids), len(w["b_out"])))
+    logits[order] = np.concatenate(final, axis=1) @ w["w_out"].T + w["b_out"]
+    return logits
 
 
 _PREDICT = {"bag_mlp": _predict_bag_mlp, "birnn": _predict_birnn}
@@ -233,12 +252,12 @@ def predict(params: ClassifierParams, vocab_embedding, ids, lengths) -> np.ndarr
     """`forward`'s logits of a padded batch of any size, in one pass that keeps no cache.
 
     A token reaches the model only through its first layer, so that layer is
-    folded into a V x h table once and gathered step by step; memory stays a
-    few N x h arrays, never N x L x d.
+    folded into a V x h table once. `bag_mlp` pools it through per-row token
+    counts, in blocks of rows whose counts fit in N x h; `birnn` steps the
+    rows longest first, so each step updates only the leading rows still
+    live. Memory stays a few N x h arrays, never N x L x d.
     """
-    width = int(lengths.max())
-    mask = np.arange(width) < lengths[:, None]
-    return _PREDICT[params.architecture](params.weights, vocab_embedding, ids[:, :width], mask)
+    return _PREDICT[params.architecture](params.weights, vocab_embedding, ids, lengths)
 
 
 def gradient(params: ClassifierParams, vocab_embedding, ids, lengths, labels, loss_grad,

@@ -34,12 +34,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.index_to_token)
 
-    def encode(self, token: str) -> int:
-        idx = self.token_to_index.get(token)
-        if idx is None:
-            raise KeyError(f"token {token!r} not in vocabulary")
-        return idx
-
 
 def pad(sequences):
     """Right-pad token sequences with 0s: ids (N x L_max) and lengths (N)."""

@@ -119,8 +119,11 @@ def _embedding(theta, model: FrozenClassifier, dataset, basis=None):
     return basis, basis @ theta
 
 
-def _check_classes(label_map: LabelMap, dataset) -> None:
-    """Reject a dataset with more classes than the label map maps onto."""
+def _check_classes(label_map: LabelMap, model: FrozenClassifier, dataset) -> None:
+    """Reject a label map that misses a source class, or a dataset with more
+    classes than the map maps onto."""
+    if model.params.num_classes != label_map.num_source_classes:
+        raise ConfigError("label map does not cover the source classes")
     if len(dataset.class_names) > label_map.num_target_classes:
         raise ConfigError(f"label map maps onto {label_map.num_target_classes} target "
                           f"classes, but the data has {len(dataset.class_names)}")
@@ -132,7 +135,8 @@ def map_output(label_map: LabelMap, source_probs) -> np.ndarray:
     if p.ndim == 0 or p.shape[-1] != label_map.num_source_classes:
         raise ShapeError("probability vector size does not match label map")
     out = np.zeros(p.shape[:-1] + (label_map.num_target_classes,))
-    np.add.at(out, (..., np.array(label_map.source_to_target)), p)
+    for source, target in enumerate(label_map.source_to_target):
+        out[..., target] += p[..., source]
     return out
 
 
@@ -152,7 +156,7 @@ def loss_and_grad(theta, model, label_map: LabelMap, batch, basis=None):
     """
     if len(batch) == 0:
         raise ConfigError("batch must be non-empty")
-    _check_classes(label_map, batch)
+    _check_classes(label_map, model, batch)
     basis, embedding = _embedding(theta, model, batch, basis)
     loss_grad = lambda logits, y: _mapped_loss_dlogits(logits, label_map, y)
     loss, dembedding, _ = gradient(model.params, embedding, batch.ids, batch.lengths,
@@ -164,15 +168,14 @@ def evaluate(theta, model, label_map: LabelMap, dataset, basis=None):
     """Argmax accuracy and target-class confusion counts (rows = true class)."""
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
-    _check_classes(label_map, dataset)
+    _check_classes(label_map, model, dataset)
     _, embedding = _embedding(theta, model, dataset, basis)
     logits = predict(model.params, embedding, dataset.ids, dataset.lengths)
     predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
-    n_classes = label_map.num_target_classes
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(confusion, (np.asarray(dataset.labels), predicted), 1)
-    accuracy = float(np.trace(confusion)) / len(dataset)
-    return accuracy, confusion
+    n = label_map.num_target_classes
+    confusion = np.bincount(np.asarray(dataset.labels) * n + predicted,
+                            minlength=n * n).reshape(n, n)
+    return float(np.trace(confusion)) / len(dataset), confusion
 
 
 def evaluate_program(program: AdversarialProgram, model, label_map, dataset):
@@ -199,10 +202,8 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
         raise ConfigError("source model must be frozen")
     if len(train) == 0 or len(valid) == 0:
         raise ConfigError("train and valid datasets must be non-empty")
-    if model.params.num_classes != label_map.num_source_classes:
-        raise ConfigError("label map does not cover the source classes")
-    _check_classes(label_map, train)
-    _check_classes(label_map, valid)
+    _check_classes(label_map, model, train)
+    _check_classes(label_map, model, valid)
 
     table = model.embeddings.table
     dictionary = Dictionary.from_matrix(table)

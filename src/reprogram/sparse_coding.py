@@ -85,7 +85,9 @@ class KsvdConfig:
     `epsilon` and `residual_norm` set the OMP stopping rule and also which
     signals count as unrepresented when an unused atom is replaced.
     `update_dictionary` turns the k-SVD update on (learned atoms) or off (the
-    initial atoms stay fixed). `unused_atom_policy` is "keep" or
+    initial atoms stay fixed). `sweeps` counts k-SVD sweeps, so it means
+    nothing over a fixed dictionary: `ksvd_run` codes once and repeats that
+    coding error for each sweep. `unused_atom_policy` is "keep" or
     "replace_with_worst_residual"; see the module docstring for the rule.
     """
 

@@ -306,6 +306,17 @@ class TestMalformedInputs:
         _exits_2_with_one_error_line(capsys, _reprogram_argv(path, source_checkpoint, tmp_path),
                                      message)
 
+    def test_label_map_missing_source_classes_exit_2(self, tmp_path, source_checkpoint,
+                                                       program_path, capsys):
+        # three entries for a 2-class checkpoint; eval exited 3 from map_output
+        cfg = json.loads(json.dumps(TINY))
+        cfg["reprogram"]["label_map"] = [0, 1, 0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for argv in (_reprogram_argv(path, source_checkpoint, tmp_path),
+                     _eval_argv(str(path), source_checkpoint, program_path, tmp_path)):
+            _exits_2_with_one_error_line(capsys, argv, "label map does not cover")
+
     def test_target_classes_beyond_label_map_exit_2(self, tmp_path, source_checkpoint,
                                                      program_path, capsys):
         # every third row gets a third class, which the default 2-class label map misses

@@ -147,8 +147,8 @@ class TestVocab:
     def test_bijection(self):
         v = Vocab.from_tokens(["a", "b", "c"])
         assert len(v) == 3
-        assert v.encode("b") == 1
-        assert v.index_to_token[2] == "c"
+        assert v.token_to_index == {"a": 0, "b": 1, "c": 2}
+        assert all(v.index_to_token[i] == tok for tok, i in v.token_to_index.items())
 
     def test_dataset_rejects_out_of_range_tokens(self):
         v = Vocab.from_tokens(["a", "b"])

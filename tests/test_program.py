@@ -11,6 +11,7 @@ from reprogram.classifier import (
     FrozenClassifier,
     _freeze,
     _init_weights,
+    forward,
     forward_embedded,
 )
 from reprogram import data
@@ -394,6 +395,30 @@ class TestEvaluate:
         )
         acc_flipped, _ = evaluate(theta, model, LabelMap((1, 0)), flipped)
         assert acc == acc_flipped
+
+    @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
+    def test_matches_reference_from_forward_logits(self, architecture):
+        # 3 source classes onto 2 targets, so mapping sums two probabilities
+        rng = np.random.default_rng(17)
+        model = small_model(rng, classes=3, architecture=architecture)
+        label_map = LabelMap((1, 0, 1))
+        dataset = target_dataset(rng, n=120, max_len=9)
+        theta = rng.normal(size=(12, 4))
+        embedding = model.embeddings.table @ theta
+        logits, _ = forward(model.params, embedding, dataset.ids, dataset.lengths)
+        predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
+        expected = np.zeros((2, 2), dtype=np.int64)
+        np.add.at(expected, (np.asarray(dataset.labels), predicted), 1)
+        acc, confusion = evaluate(theta, model, label_map, dataset)
+        assert np.array_equal(confusion, expected)
+        assert acc == np.trace(expected) / len(dataset)
+        assert expected.sum(axis=0).min() > 0  # both target classes are predicted
+
+    def test_label_map_missing_source_classes_rejected(self):
+        rng = np.random.default_rng(18)
+        model = small_model(rng)
+        with pytest.raises(ConfigError, match="does not cover the source classes"):
+            evaluate(np.zeros((12, 4)), model, LabelMap((0, 1, 0)), target_dataset(rng))
 
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(15)
