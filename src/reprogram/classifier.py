@@ -348,7 +348,7 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
     params = ClassifierParams(
         architecture=config.architecture, weights=weights, num_classes=num_classes
     )
-    ids, lengths, labels = train.ids, train.lengths, np.asarray(train.labels)
+    ids, lengths, labels = train.ids, train.lengths, train.label_array
 
     n = len(train.sequences)
     lr = config.learning_rate
@@ -384,7 +384,7 @@ def evaluate_source(model: FrozenClassifier, dataset) -> float:
         raise ShapeError("dataset vocabulary size does not match the model's")
     logits = predict(model.params, model.embeddings.table, dataset.ids, dataset.lengths)
     predicted = logits.argmax(axis=1)
-    return int(np.count_nonzero(predicted == np.asarray(dataset.labels))) / len(dataset)
+    return int(np.count_nonzero(predicted == dataset.label_array)) / len(dataset)
 
 
 def save_checkpoint(model: FrozenClassifier, path) -> None:

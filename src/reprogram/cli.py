@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import classifier, data, program
-from .errors import ConfigError, DataFormatError, NumericError, ShapeError
+from .errors import ConfigError, DataFormatError, NumericError, ShapeError, WorkerError
 from .sparse_coding import KsvdConfig
 
 _DEFAULTS = {
@@ -211,8 +211,6 @@ def cmd_eval(cfg, program_path, source_checkpoint, out_dir) -> int:
 
 
 def cmd_sweep_data(cfg, grid, source_checkpoint, out_dir) -> int:
-    if sorted(grid) != list(grid):
-        raise ConfigError("sweep grid must be ascending")
     model = classifier.load_checkpoint(source_checkpoint)
     train, valid, test = _target_splits(cfg)
     if max(grid) > len(train):
@@ -241,8 +239,6 @@ def cmd_sweep_data(cfg, grid, source_checkpoint, out_dir) -> int:
 
 
 def cmd_sweep_ksvd(cfg, grid, source_checkpoint, out_dir) -> int:
-    if sorted(grid) != list(grid) or min(grid) < 1:
-        raise ConfigError("sweep grid must be positive and ascending")
     model = classifier.load_checkpoint(source_checkpoint)
     splits = _target_splits(cfg)
     label_map = _label_map(cfg, splits[0])
@@ -275,10 +271,14 @@ def cmd_sweep_ksvd(cfg, grid, source_checkpoint, out_dir) -> int:
 
 
 def _parse_grid(text):
+    """A sweep grid: one or more comma-separated integers of at least 1, ascending."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        grid = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"invalid grid {text!r}") from exc
+    if not grid or min(grid) < 1 or sorted(grid) != grid:
+        raise ConfigError(f"invalid grid {text!r}: give ascending integers of at least 1")
+    return grid
 
 
 def build_parser():
@@ -338,7 +338,8 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, ShapeError, IndexError, np.linalg.LinAlgError) as exc:
+    except (NumericError, ShapeError, IndexError, np.linalg.LinAlgError,
+            WorkerError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,8 +1,8 @@
 """Dataset ingestion, splits, subsampling, and synthetic task generation.
 
 Target-task files are tokenized at the character level. A dataset is checked
-and padded once, when built; every consumer reads its read-only `ids` and `lengths`,
-and a subset made by `take` slices them.
+and padded once, when built; every consumer reads its read-only `ids`,
+`lengths` and `label_array`, and a subset made by `take` slices them.
 """
 
 import csv
@@ -53,20 +53,22 @@ class SequenceDataset:
     class_names: tuple
     ids: np.ndarray = field(init=False, compare=False, repr=False)
     lengths: np.ndarray = field(init=False, compare=False, repr=False)
+    label_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.sequences) != len(self.labels):
             raise DataFormatError("sequences and labels differ in length")
         ids, lengths = pad(self.sequences)
+        labels = np.asarray(self.labels, dtype=np.int32)
         for name, values, lo, hi in (("sequence length", lengths, 1, np.inf),
                                      ("token index", ids, 0, len(self.vocab)),
-                                     ("label", np.asarray(self.labels), 0, len(self.class_names))):
+                                     ("label", labels, 0, len(self.class_names))):
             bad = values[(values < lo) | (values >= hi)]
             if bad.size:
                 raise DataFormatError(f"{name} {bad[0]} out of range")
-        ids.flags.writeable = lengths.flags.writeable = False
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "lengths", lengths)
+        for name, array in (("ids", ids), ("lengths", lengths), ("label_array", labels)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -78,7 +80,7 @@ class SequenceDataset:
         return float(np.max(counts)) / len(self.labels)
 
     def take(self, indices) -> "SequenceDataset":
-        """The rows at `indices`, their ids and lengths sliced from this dataset's.
+        """The rows at `indices`, their ids, lengths and labels sliced from this dataset's.
 
         Those are checked already, so the subset is neither padded nor
         checked again; its ids are trimmed to its own longest row.
@@ -87,12 +89,13 @@ class SequenceDataset:
         rows = np.asarray(indices, dtype=np.intp)
         lengths = self.lengths[rows]
         ids = self.ids[rows, : lengths.max(initial=0)]
-        ids.flags.writeable = lengths.flags.writeable = False
+        labels = self.label_array[rows]
+        ids.flags.writeable = lengths.flags.writeable = labels.flags.writeable = False
         subset = object.__new__(type(self))
         vars(subset).update(sequences=sequences,
                             labels=tuple(self.labels[i] for i in indices),
                             vocab=self.vocab, class_names=self.class_names,
-                            ids=ids, lengths=lengths)
+                            ids=ids, lengths=lengths, label_array=labels)
         return subset
 
 
@@ -214,6 +217,8 @@ def split(dataset: SequenceDataset, spec: SplitSpec):
 
 def subsample(dataset: SequenceDataset, n: int, seed: int) -> SequenceDataset:
     """Uniform subsample without replacement; nested across n for a fixed seed."""
+    if n < 1:
+        raise ConfigError(f"cannot subsample {n} rows; n must be at least 1")
     if n > len(dataset):
         raise ConfigError(f"cannot subsample {n} from {len(dataset)} rows")
     rng = np.random.default_rng(seed)

@@ -15,3 +15,7 @@ class ConfigError(ValueError):
 
 class DataFormatError(ValueError):
     """Malformed input file or dataset."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process ended before it had answered."""

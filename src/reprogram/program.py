@@ -11,17 +11,30 @@ vocabulary embedding E = basis @ theta (d x |V_T|) and a target dataset's
 `ids` and `lengths`, padded once when the dataset was built; the gradient
 with respect to theta is basis^T @ dE. `loss_and_grad` is the training
 step's loss and gradient on a batch, `evaluate` scores a whole split.
+
+No step of the loop reads a validation score, so each iteration's scoring
+overlaps the next iteration's coding and gradient step: it runs in one
+worker forked per `reprogram_train` call where the platform has the fork
+start method and at least two usable CPUs, and in-process elsewhere, in
+the same order. The worker keeps off the CPU the caller runs on. Both run
+the same scoring code as `evaluate`, and every output is the same either
+way.
 """
 
 import csv
 import json
+import multiprocessing
+import os
+import signal
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .classifier import FrozenClassifier, gradient, predict
 from .data import read_document
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, WorkerError
 from .numerics import as_matrix, softmax
 from .sparse_coding import Dictionary, KsvdConfig, ksvd_run
 
@@ -160,8 +173,18 @@ def loss_and_grad(theta, model, label_map: LabelMap, batch, basis=None):
     basis, embedding = _embedding(theta, model, batch, basis)
     loss_grad = lambda logits, y: _mapped_loss_dlogits(logits, label_map, y)
     loss, dembedding, _ = gradient(model.params, embedding, batch.ids, batch.lengths,
-                                   np.asarray(batch.labels), loss_grad)
+                                   batch.label_array, loss_grad)
     return loss / len(batch), (basis.T @ dembedding) / len(batch)
+
+
+def _score(model, label_map: LabelMap, dataset, embedding):
+    """`evaluate` of a checked split under the vocabulary embedding E."""
+    logits = predict(model.params, embedding, dataset.ids, dataset.lengths)
+    predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
+    n = label_map.num_target_classes
+    confusion = np.bincount(dataset.label_array * n + predicted,
+                            minlength=n * n).reshape(n, n)
+    return float(np.trace(confusion)) / len(dataset), confusion
 
 
 def evaluate(theta, model, label_map: LabelMap, dataset, basis=None):
@@ -170,12 +193,7 @@ def evaluate(theta, model, label_map: LabelMap, dataset, basis=None):
         raise ConfigError("cannot evaluate on an empty dataset")
     _check_classes(label_map, model, dataset)
     _, embedding = _embedding(theta, model, dataset, basis)
-    logits = predict(model.params, embedding, dataset.ids, dataset.lengths)
-    predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
-    n = label_map.num_target_classes
-    confusion = np.bincount(np.asarray(dataset.labels) * n + predicted,
-                            minlength=n * n).reshape(n, n)
-    return float(np.trace(confusion)) / len(dataset), confusion
+    return _score(model, label_map, dataset, embedding)
 
 
 def evaluate_program(program: AdversarialProgram, model, label_map, dataset):
@@ -185,6 +203,99 @@ def evaluate_program(program: AdversarialProgram, model, label_map, dataset):
     )
 
 
+def _worker_available() -> bool:
+    """Whether this platform can fork a worker and has two CPUs to run it beside the caller."""
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _other_cpus() -> set:
+    """The usable CPUs but the one this process last ran on; all of them if
+    that is unknown or is the only one."""
+    cpus = os.sched_getaffinity(0)
+    try:
+        with open("/proc/self/stat") as fh:  # field 39, "processor"
+            return cpus - {int(fh.read().rsplit(")", 1)[1].split()[36])} or cpus
+    except OSError:
+        return cpus
+
+
+def _serve(conn, caller_end, score, cpus):
+    """Worker loop, on `cpus`: send back score(x) for each x received until None;
+    an error is sent back in its place and ends the loop."""
+    caller_end.close()  # so that the caller's end closes when the caller dies
+    # A pipe write wakes its reader on the writer's CPU, where it would preempt
+    # the caller while another CPU idles; the worker keeps off the caller's CPU.
+    os.sched_setaffinity(0, cpus)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    try:
+        while (x := conn.recv()) is not None:
+            conn.send(score(x))
+    except EOFError:
+        pass  # the caller is gone
+    except Exception as exc:
+        conn.send(exc)
+
+
+@contextmanager
+def _overlapped(score):
+    """Yield (submit, collect): submit(x, tag) queues score(x); collect(wait)
+    returns the (tag, score) pairs ready so far, or all outstanding ones if
+    wait, in submission order.
+
+    Where `_worker_available`, a worker forked here computes them while the
+    caller goes on; it is stopped when the block ends, or killed if it
+    raises. An error raised by score is raised again by collect; a worker
+    that dies is a WorkerError. Elsewhere submit calls score in-process.
+    Fork, not spawn: the worker inherits score's arguments, where a spawned
+    one would pay an interpreter start and a numpy import per call.
+    """
+    pending = deque()  # tags of outstanding work; in-process, (tag, score) pairs
+    if not _worker_available():
+        yield (lambda x, tag: pending.append((tag, score(x)))), \
+            (lambda wait: [pending.popleft() for _ in range(len(pending))])
+        return
+    context = multiprocessing.get_context("fork")
+    conn, child = context.Pipe()
+    worker = context.Process(target=_serve, args=(child, conn, score, _other_cpus()),
+                             daemon=True)
+    worker.start()
+    child.close()
+
+    def receive():
+        try:
+            result = conn.recv()
+        except (EOFError, OSError):
+            worker.join()
+            raise WorkerError(f"validation worker exited with code {worker.exitcode}") from None
+        if isinstance(result, Exception):
+            raise result
+        return pending.popleft(), result
+
+    def submit(x, tag):
+        try:
+            conn.send(x)
+            pending.append(tag)
+            return
+        except OSError:  # the worker has ended: below, raise its error or that it died
+            pass  # outside this block, so that the failed send's buffer is freed now
+        while True:
+            receive()
+
+    def collect(wait):
+        return [receive() for _ in range(len(pending)) if wait or conn.poll()]
+
+    try:
+        yield submit, collect
+        conn.send(None)
+    except BaseException:
+        worker.kill()
+        raise
+    finally:
+        worker.join()
+        conn.close()
+
+
 def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
                     cfg: ReprogramConfig):
     """Alternating sparse-coding projection and gradient descent on theta.
@@ -192,8 +303,10 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
     Per outer iteration: project theta onto sparse codes over the source
     embedding dictionary (every iteration, or once up front in encode_once
     mode), then take one mini-batch gradient step through the frozen model.
-    Returns the program with the best validation accuracy (ties: earliest
-    iteration) and the full metrics trace. Under dictionary update the
+    Each step's validation overlaps the next iteration (see the module
+    docstring); the scores are read back in iteration order. Returns the
+    program with the best validation accuracy (ties: earliest iteration)
+    and the full metrics trace. Under dictionary update the
     program's `source_basis` is the basis that the returned theta was
     validated with, so `evaluate_program` on the validation split reproduces
     the best `valid_accuracy` of the trace.
@@ -215,36 +328,41 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
     order: list[int] = []
     trace = []
     best_acc = -1.0
+    last = cfg.outer_iterations - 1
+    validation = _overlapped(lambda embedding: _score(model, label_map, valid, embedding)[0])
 
-    for it in range(cfg.outer_iterations):
-        if it == 0 or every_iteration:
-            signals = (table if basis is None else basis) @ theta
-            dictionary, codes, ksvd_trace = ksvd_run(signals, dictionary, cfg.ksvd)
-            theta = dictionary.fold_codes(codes)
-            if cfg.ksvd.update_dictionary:
-                basis = dictionary.atoms
+    with validation as (submit, collect):
+        for it in range(cfg.outer_iterations):
+            if it == 0 or every_iteration:
+                signals = (table if basis is None else basis) @ theta
+                dictionary, codes, ksvd_trace = ksvd_run(signals, dictionary, cfg.ksvd)
+                theta = dictionary.fold_codes(codes)
+                if cfg.ksvd.update_dictionary:
+                    basis = dictionary.atoms
 
-        if not order:
-            order = list(rng.permutation(len(train)))
-        batch = train.take(order[: cfg.batch_size])
-        order = order[cfg.batch_size :]
+            if not order:
+                order = list(rng.permutation(len(train)))
+            batch = train.take(order[: cfg.batch_size])
+            order = order[cfg.batch_size :]
 
-        loss, grad = loss_and_grad(theta, model, label_map, batch, basis=basis)
-        theta = theta - cfg.step_at(it) * grad
+            loss, grad = loss_and_grad(theta, model, label_map, batch, basis=basis)
+            theta = theta - cfg.step_at(it) * grad
 
-        valid_acc, _ = evaluate(theta, model, label_map, valid, basis=basis)
-        entry = {
-            "iteration": it,
-            "loss": loss,
-            "valid_accuracy": valid_acc,
-            "mean_support": float(np.mean(np.count_nonzero(theta, axis=0))),
-        }
-        if every_iteration:
-            entry["coding_error"] = ksvd_trace[-1]
-        trace.append(entry)
-        if valid_acc > best_acc:
-            best_acc = valid_acc
-            best_theta, best_basis = theta.copy(), basis
+            entry = {
+                "iteration": it,
+                "loss": loss,
+                "valid_accuracy": None,  # filled in when its score is read back
+                "mean_support": float(np.mean(np.count_nonzero(theta, axis=0))),
+            }
+            if every_iteration:
+                entry["coding_error"] = ksvd_trace[-1]
+            trace.append(entry)
+            submit(_embedding(theta, model, valid, basis)[1], (entry, theta, basis))
+            for (scored_entry, scored_theta, scored_basis), valid_acc in collect(it == last):
+                scored_entry["valid_accuracy"] = valid_acc
+                if valid_acc > best_acc:
+                    best_acc = valid_acc
+                    best_theta, best_basis = scored_theta.copy(), scored_basis
 
     program = AdversarialProgram(
         theta=best_theta,

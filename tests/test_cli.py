@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from reprogram import program
 from reprogram.cli import load_config, main
 from reprogram.data import save_csv, synth_tasks
-from reprogram.errors import ConfigError
+from reprogram.errors import ConfigError, NumericError
 
 TINY = {
     "seed": 0,
@@ -191,6 +192,56 @@ class TestSweeps:
                      "--source-checkpoint", source_checkpoint,
                      "--grid", "3,1", "--out", str(tmp_path / "sk")])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["sweep-data", "sweep-ksvd"])
+    @pytest.mark.parametrize("grid", ["", ",", "-5", "0", "50,0"])
+    def test_empty_or_non_positive_grid_exit_2(self, tmp_path, config_path, source_checkpoint,
+                                               capsys, command, grid):
+        _exits_2_with_one_error_line(
+            capsys, [command, "--config", config_path, "--source-checkpoint", source_checkpoint,
+                     f"--grid={grid}", "--out", str(tmp_path / "sw")], "invalid grid")
+        assert not (tmp_path / "sw").exists() or not any((tmp_path / "sw").iterdir())
+
+
+class TestValidationWorker:
+    """`reprogram` when scoring fails in the validation worker, or the worker dies."""
+
+    @pytest.fixture(autouse=True)
+    def worker_on(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the validation worker needs the fork start method")
+        monkeypatch.setattr(program, "_worker_available", lambda: True)
+
+    @staticmethod
+    def exits_3_with_one_line(capsys, argv, message):
+        capsys.readouterr()
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"runtime error: {message}"]
+        assert captured.out == ""
+
+    def test_scoring_error_exit_3(self, tmp_path, config_path, source_checkpoint, capsys,
+                                  monkeypatch):
+        def predict(*args):
+            raise NumericError("logits are not finite")
+
+        monkeypatch.setattr(program, "predict", predict)
+        self.exits_3_with_one_line(capsys, _reprogram_argv(config_path, source_checkpoint,
+                                                           tmp_path), "logits are not finite")
+
+    def test_worker_that_dies_exit_3(self, tmp_path, config_path, source_checkpoint, capsys,
+                                     monkeypatch):
+        caller, real = os.getpid(), program.predict
+
+        def predict(*args):
+            if os.getpid() != caller:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(program, "predict", predict)
+        self.exits_3_with_one_line(capsys, _reprogram_argv(config_path, source_checkpoint,
+                                                           tmp_path),
+                                   "validation worker exited with code 1")
 
 
 def count_calls(monkeypatch, module, name):

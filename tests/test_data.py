@@ -108,6 +108,12 @@ class TestSubsample:
         with pytest.raises(ConfigError):
             subsample(dataset, 41, seed=1)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_below_one_rejected(self, dataset, n):
+        # a negative n would otherwise slice off the last rows and keep the rest
+        with pytest.raises(ConfigError, match="at least 1"):
+            subsample(dataset, n, seed=1)
+
     def test_nested_for_fixed_seed(self, dataset):
         for n1, n2 in [(5, 10), (10, 20), (20, 40)]:
             small = subsample(dataset, n1, seed=3)
@@ -176,6 +182,13 @@ class TestVocab:
             ds.ids[0, 0] = 1
         assert ds == SequenceDataset(((2, 1, 0), (1,)), (0, 1), v, ("x", "y"))
 
+    def test_label_array_is_built_once_and_read_only(self):
+        v = Vocab.from_tokens(["a"])
+        ds = SequenceDataset(((0,), (0,), (0,)), (1, 0, 1), v, ("x", "y"))
+        assert ds.label_array.dtype == np.int32 and ds.label_array.tolist() == [1, 0, 1]
+        with pytest.raises(ValueError):
+            ds.label_array[0] = 0
+
 
 class TestTake:
     @staticmethod
@@ -192,7 +205,9 @@ class TestTake:
         assert subset.ids.dtype == ids.dtype and subset.lengths.dtype == lengths.dtype
         assert np.array_equal(subset.ids, ids) and np.array_equal(subset.lengths, lengths)
         assert subset.labels == tuple(ds.labels[i] for i in rows)
-        for array in (subset.ids, subset.lengths):
+        assert subset.label_array.dtype == np.int32
+        assert subset.label_array.tolist() == list(subset.labels)
+        for array in (subset.ids, subset.lengths, subset.label_array):
             with pytest.raises(ValueError):
                 array[0] = 1
         assert subset == SequenceDataset(subset.sequences, subset.labels, ds.vocab, ds.class_names)
@@ -211,7 +226,7 @@ class TestTake:
 
     def test_empty_indices_give_an_empty_dataset(self):
         subset = self.dataset().take([])
-        assert len(subset) == 0 and subset.labels == ()
+        assert len(subset) == 0 and subset.labels == () and subset.label_array.shape == (0,)
         assert subset.ids.shape == (0, 0) and subset.lengths.shape == (0,)
 
     def test_out_of_range_index_raises(self):

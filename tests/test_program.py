@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -14,9 +17,9 @@ from reprogram.classifier import (
     forward,
     forward_embedded,
 )
-from reprogram import data
+from reprogram import data, program
 from reprogram.data import SequenceDataset, Vocab
-from reprogram.errors import ConfigError, ShapeError
+from reprogram.errors import ConfigError, NumericError, ShapeError, WorkerError
 from reprogram.numerics import softmax
 from reprogram.program import (
     AdversarialProgram,
@@ -365,6 +368,134 @@ class TestReprogramTrain:
             assert entry["loss"] >= 0.0
             assert 0.0 <= entry["valid_accuracy"] <= 1.0
             assert entry["mean_support"] >= 0.0
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the validation worker needs the fork start method")
+
+
+def use_worker(monkeypatch, on):
+    """Force reprogram_train's validation into a forked worker (on) or in-process."""
+    monkeypatch.setattr(program, "_worker_available", lambda: on)
+
+
+class TestValidationWorker:
+    # seeds under which validation accuracy moves and peaks after iteration 0
+    @pytest.fixture(scope="class", params=[("bag_mlp", 39), ("birnn", 32)],
+                    ids=["bag_mlp", "birnn"])
+    def setup(self, request):
+        architecture, seed = request.param
+        rng = np.random.default_rng(seed)
+        model = small_model(rng, d=6, vocab=20, hidden=5, architecture=architecture)
+        return model, target_dataset(rng, n=60), target_dataset(rng, n=40)
+
+    @needs_fork
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"ksvd": KsvdConfig(epsilon=1e-4, max_atoms=3, sweeps=2, update_dictionary=True)},
+        {"projection_mode": "encode_once"},
+    ], ids=["fixed_dictionary", "update_dictionary", "encode_once"])
+    def test_worker_equals_in_process_bitwise(self, setup, overrides, monkeypatch):
+        model, train, valid = setup
+        cfg = base_config(outer_iterations=25, step_size=0.5, **overrides)
+        caller, real, scored_here = os.getpid(), program._score, []
+
+        def score(*args):
+            if os.getpid() == caller:
+                scored_here.append(args)
+            else:
+                time.sleep(0.002)  # the worker lags, so scores come back iterations late
+            return real(*args)
+
+        monkeypatch.setattr(program, "_score", score)
+        runs = {}
+        for on in (True, False):
+            use_worker(monkeypatch, on)
+            runs[on] = reprogram_train(model, LabelMap((0, 1)), train, valid, cfg)
+        assert len(scored_here) == cfg.outer_iterations  # none while the worker scored
+        (worker, worker_trace), (local, local_trace) = runs[True], runs[False]
+        assert worker.theta.tobytes() == local.theta.tobytes()
+        basis = worker.source_basis
+        assert (basis is None) == (local.source_basis is None) == ("ksvd" not in overrides)
+        assert basis is None or basis.tobytes() == local.source_basis.tobytes()
+        assert repr(worker_trace) == repr(local_trace)
+        accuracies = [entry["valid_accuracy"] for entry in local_trace]
+        assert len(set(accuracies)) > 1 and np.argmax(accuracies) > 0
+
+    @pytest.mark.parametrize("on", [pytest.param(True, marks=needs_fork), False],
+                             ids=["worker", "in_process"])
+    def test_scoring_error_raised_in_caller(self, training_setup, monkeypatch, on):
+        model, train, valid = training_setup
+        use_worker(monkeypatch, on)
+
+        def predict(*args):
+            raise NumericError("logits are not finite")
+
+        monkeypatch.setattr(program, "predict", predict)
+        with pytest.raises(NumericError, match="^logits are not finite$"):
+            reprogram_train(model, LabelMap((0, 1)), train, valid, base_config())
+
+    @needs_fork
+    def test_worker_that_dies_is_a_worker_error(self, training_setup, monkeypatch):
+        model, train, valid = training_setup
+        use_worker(monkeypatch, True)
+        exit_in_worker(monkeypatch)
+        with pytest.raises(WorkerError, match="validation worker exited with code 1"):
+            reprogram_train(model, LabelMap((0, 1)), train, valid, base_config())
+
+    @needs_fork
+    def test_worker_keeps_off_the_callers_cpu(self, monkeypatch):
+        usable = os.sched_getaffinity(0)
+        if len(usable) < 2 or not os.path.exists("/proc/self/stat"):
+            pytest.skip("needs two usable CPUs and /proc")
+        use_worker(monkeypatch, True)
+        with program._overlapped(lambda x: os.sched_getaffinity(0)) as (submit, collect):
+            for tag in range(3):
+                submit(0, tag)
+            results = collect(wait=True)
+        assert [tag for tag, _ in results] == [0, 1, 2]
+        assert all(cpus < usable and len(cpus) == len(usable) - 1 for _, cpus in results)
+
+    @needs_fork
+    def test_worker_ends_when_the_caller_is_gone(self):
+        context = multiprocessing.get_context("fork")
+        conn, child = context.Pipe()
+        worker = context.Process(target=program._serve,
+                                 args=(child, conn, float, program._other_cpus()))
+        worker.start()
+        child.close()
+        conn.send(1)
+        assert conn.recv() == 1.0
+        conn.close()  # as a caller that was killed would
+        worker.join(timeout=10)
+        assert worker.exitcode == 0
+
+    def test_other_cpus_never_empty(self, monkeypatch):
+        monkeypatch.setattr(program.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert program._other_cpus() == {0}
+
+    def test_worker_only_with_fork_and_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(program.multiprocessing, "get_all_start_methods", lambda: ["fork"])
+        monkeypatch.setattr(program.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert program._worker_available()
+        monkeypatch.setattr(program.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not program._worker_available()
+        monkeypatch.setattr(program.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(program.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert not program._worker_available()
+
+
+def exit_in_worker(monkeypatch):
+    """Make `predict` end any process but this one with exit code 1."""
+    caller, real = os.getpid(), program.predict
+
+    def predict(*args):
+        if os.getpid() != caller:
+            os._exit(1)
+        return real(*args)
+
+    monkeypatch.setattr(program, "predict", predict)
 
 
 class TestEvaluate:
