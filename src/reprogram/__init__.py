@@ -2,18 +2,15 @@
 
 from .classifier import (
     ClassifierParams,
-    EmbeddingTable,
     FrozenClassifier,
     TrainConfig,
-    forward_embedded,
-    input_gradient,
     load_checkpoint,
     save_checkpoint,
     train_source,
 )
 from .data import SequenceDataset, SplitSpec, Vocab, load_csv, split, subsample, synth_tasks
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
-from .numerics import cross_entropy, softmax
+from .numerics import softmax
 from .program import (
     AdversarialProgram,
     LabelMap,

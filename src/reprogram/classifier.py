@@ -14,11 +14,10 @@ Gradients take one path, for training and reprogramming: `forward` embeds
 the right-padded token ids of a dataset (padded once, in `data`) through a
 vocabulary embedding E and returns the logits with its cache; `backward`
 consumes the cache and returns dE, plus weight gradients only for source
-training. `forward_embedded` and `input_gradient`, the frozen model's
-interface on one embedded sequence, are batches of one. Scoring takes
+training. `gradient` runs the two over a batch of any size. Scoring takes
 `predict`, which computes the same logits in one pass over a whole split:
 it folds the first layer into a per-token table, keeps no cache and needs
-no padding mask.
+no padding mask. These three are the frozen model's whole interface.
 """
 
 import json
@@ -28,26 +27,11 @@ import numpy as np
 
 from .data import read_document
 from .errors import ConfigError, NumericError, ShapeError
-from .numerics import as_matrix, softmax
+from .numerics import softmax
 
 FORMAT_VERSION = 1
 # Sequences per `forward`/`backward` call in `gradient`; it bounds their cache's memory.
 MAX_BATCH = 32
-
-
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Column i is the embedding of source token i (d x vocab_size)."""
-
-    table: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.table.shape[1]
 
 
 @dataclass(frozen=True)
@@ -59,9 +43,8 @@ class ClassifierParams:
 
 @dataclass(frozen=True)
 class FrozenClassifier:
-    embeddings: EmbeddingTable
+    embeddings: np.ndarray  # read-only d x V; column i embeds source token i
     params: ClassifierParams
-    frozen: bool
     seed: int
 
 
@@ -287,45 +270,16 @@ def _cross_entropy_grad(logits, labels):
     return loss, p
 
 
-def _one_sequence(model: FrozenClassifier, embedded_seq):
-    """An embedded sequence (d x L) as a padded batch of one: E is the sequence itself."""
-    embedded = as_matrix(embedded_seq)
-    if embedded.shape[1] == 0:
-        raise ShapeError("empty sequence")
-    if embedded.shape[0] != model.embeddings.dim:
-        raise ShapeError("embedded sequence dimension mismatch")
-    return embedded, np.arange(embedded.shape[1])[None, :], np.array([embedded.shape[1]])
-
-
-def forward_embedded(model: FrozenClassifier, embedded_seq) -> np.ndarray:
-    """Logits for an already-embedded sequence (d x L)."""
-    return forward(model.params, *_one_sequence(model, embedded_seq))[0][0]
-
-
-def input_gradient(model: FrozenClassifier, embedded_seq, target_class: int) -> np.ndarray:
-    """Gradient of cross-entropy at target_class with respect to the input."""
-    if not model.frozen:
-        raise ConfigError("input_gradient requires a frozen model")
-    batch = _one_sequence(model, embedded_seq)
-    if not 0 <= target_class < model.params.num_classes:
-        raise IndexError(f"class {target_class} out of range")
-    return gradient(model.params, *batch, np.array([target_class]), _cross_entropy_grad)[1]
+def _read_only(arr) -> np.ndarray:
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def _freeze(embeddings, params, seed) -> FrozenClassifier:
-    table = embeddings.copy()
-    table.flags.writeable = False
-    weights = {}
-    for name, arr in params.weights.items():
-        arr = arr.copy()
-        arr.flags.writeable = False
-        weights[name] = arr
-    return FrozenClassifier(
-        embeddings=EmbeddingTable(table=table),
-        params=replace(params, weights=weights),
-        frozen=True,
-        seed=seed,
-    )
+    """The model over read-only copies of the embeddings and weights."""
+    weights = {name: _read_only(arr) for name, arr in params.weights.items()}
+    return FrozenClassifier(_read_only(embeddings), replace(params, weights=weights), seed)
 
 
 def train_source(train, config: TrainConfig, seed: int, valid=None):
@@ -380,23 +334,24 @@ def evaluate_source(model: FrozenClassifier, dataset) -> float:
     """Plain accuracy of the frozen model on a source-task dataset."""
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
-    if len(dataset.vocab) != model.embeddings.vocab_size:
+    if len(dataset.vocab) != model.embeddings.shape[1]:
         raise ShapeError("dataset vocabulary size does not match the model's")
-    logits = predict(model.params, model.embeddings.table, dataset.ids, dataset.lengths)
+    logits = predict(model.params, model.embeddings, dataset.ids, dataset.lengths)
     predicted = logits.argmax(axis=1)
     return int(np.count_nonzero(predicted == dataset.label_array)) / len(dataset)
 
 
 def save_checkpoint(model: FrozenClassifier, path) -> None:
     """Serialize a frozen model to JSON with bit-exact float round-trip."""
+    d, vocab_size = model.embeddings.shape
     doc = {
         "format_version": FORMAT_VERSION,
         "architecture": model.params.architecture,
-        "d": model.embeddings.dim,
-        "vocab_size": model.embeddings.vocab_size,
+        "d": d,
+        "vocab_size": vocab_size,
         "num_classes": model.params.num_classes,
         "seed": model.seed,
-        "embeddings": model.embeddings.table.ravel().tolist(),
+        "embeddings": model.embeddings.ravel().tolist(),
         "weights": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in sorted(model.params.weights.items())

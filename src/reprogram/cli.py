@@ -41,15 +41,27 @@ _DEFAULTS = {
 }
 
 
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+          list: "a list", dict: "an object"}
+
+
+def _accepts(default, value) -> bool:
+    """Whether a config value has its default's JSON type: an int passes for a
+    float, a bool never for a number, and anything where the default is null."""
+    if default is None or type(value) is type(default):
+        return True
+    return type(default) is float and type(value) is int
+
+
 def _check_keys(doc, defaults, prefix=""):
-    """Reject unknown keys and non-object sections by walking the defaults tree."""
+    """Reject unknown keys and values of the wrong type by walking the defaults tree."""
     for key, value in doc.items():
         name = prefix + key
         if key not in defaults:
             raise ConfigError(f"unknown config key {name!r}")
+        if not _accepts(defaults[key], value):
+            raise ConfigError(f"config key {name!r} must be {_KINDS[type(defaults[key])]}")
         if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {name!r} must be an object")
             _check_keys(value, defaults[key], prefix=f"{name}.")
 
 
@@ -122,10 +134,7 @@ def _reprogram_config(cfg, seed):
 
 def _label_map(cfg, target):
     """The configured label map; it must map onto every class of the target data."""
-    value = cfg["reprogram"]["label_map"]
-    if not isinstance(value, list):
-        raise ConfigError("config key 'reprogram.label_map' must be a list")
-    label_map = program.LabelMap(source_to_target=tuple(value))
+    label_map = program.LabelMap(source_to_target=tuple(cfg["reprogram"]["label_map"]))
     if len(target.class_names) > label_map.num_target_classes:
         raise ConfigError(f"config key 'reprogram.label_map' maps onto "
                           f"{label_map.num_target_classes} target classes, but the target "
@@ -192,10 +201,10 @@ def cmd_reprogram(cfg, source_checkpoint, out_dir) -> int:
 def cmd_eval(cfg, program_path, source_checkpoint, out_dir) -> int:
     model = classifier.load_checkpoint(source_checkpoint)
     prog = program.load_program(program_path)
-    if prog.theta.shape[0] != model.embeddings.vocab_size:
+    if prog.theta.shape[0] != model.embeddings.shape[1]:
         raise ConfigError("program does not match the source model vocabulary")
     basis = prog.source_basis
-    if basis is not None and basis.shape != model.embeddings.table.shape:
+    if basis is not None and basis.shape != model.embeddings.shape:
         raise ConfigError("program source_basis does not match the source model's d x vocab")
     _, _, test = _target_splits(cfg)
     if prog.theta.shape[1] != len(test.vocab):
@@ -321,6 +330,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        for name, seed in (("seed", cfg["seed"]), ("split.seed", cfg["split"]["seed"])):
+            if seed < 0:
+                raise ConfigError(f"{name} must be non-negative, got {seed}")
         os.makedirs(args.out, exist_ok=True)
         if args.command == "train-source":
             return cmd_train_source(cfg, args.out)

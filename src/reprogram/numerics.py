@@ -1,8 +1,7 @@
-"""Float64 input checks and differentiable-loss primitives.
+"""Float64 matrix checks and the row-wise softmax.
 
-All public operations work on 64-bit float numpy arrays, validate their
-inputs, and are deterministic (sequential numpy reductions, no threading
-assumptions beyond BLAS determinism for fixed shapes).
+Both work on 64-bit float numpy matrices, validate their inputs, and are
+deterministic (sequential numpy reductions, no threading assumptions).
 """
 
 import numpy as np
@@ -20,30 +19,11 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_vector(v) -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting non-finite entries."""
-    x = np.asarray(v, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got ndim={x.ndim}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("vector contains NaN or Inf")
-    return x
-
-
 def softmax(logits) -> np.ndarray:
-    """Shift-invariant softmax over a logit vector, or over each row of a matrix."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = as_vector(z) if z.ndim < 2 else as_matrix(z)
-    if z.shape[-1] == 0:
-        raise ShapeError("softmax of an empty vector")
-    z = z - np.max(z, axis=-1, keepdims=True)
+    """Shift-invariant softmax over each row of a logit matrix."""
+    z = as_matrix(logits)
+    if z.shape[1] == 0:
+        raise ShapeError("softmax of an empty row")
+    z = z - np.max(z, axis=1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def cross_entropy(probs, label: int) -> float:
-    """Negative log-probability of the given class index."""
-    p = as_vector(probs)
-    if not 0 <= label < p.size:
-        raise IndexError(f"label {label} out of range for {p.size} classes")
-    return float(-np.log(p[label]))
+    return e / np.sum(e, axis=1, keepdims=True)

@@ -110,10 +110,6 @@ class AdversarialProgram:
     config: dict
     source_basis: np.ndarray | None = None
 
-    @property
-    def support_sizes(self) -> np.ndarray:
-        return np.count_nonzero(self.theta, axis=0)
-
 
 def initial_theta(source_vocab_size: int, target_vocab_size: int, seed: int) -> np.ndarray:
     """Random program initialization, uniform in [-0.01, 0.01]."""
@@ -124,7 +120,7 @@ def initial_theta(source_vocab_size: int, target_vocab_size: int, seed: int) -> 
 def _embedding(theta, model: FrozenClassifier, dataset, basis=None):
     """Check theta against the source and target vocabularies: basis, E = basis @ theta."""
     theta = as_matrix(theta)
-    basis = model.embeddings.table if basis is None else basis
+    basis = model.embeddings if basis is None else basis
     if theta.shape[0] != basis.shape[1]:
         raise ShapeError("theta rows must match source vocabulary size")
     if theta.shape[1] != len(dataset.vocab):
@@ -311,14 +307,12 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
     validated with, so `evaluate_program` on the validation split reproduces
     the best `valid_accuracy` of the trace.
     """
-    if not model.frozen:
-        raise ConfigError("source model must be frozen")
     if len(train) == 0 or len(valid) == 0:
         raise ConfigError("train and valid datasets must be non-empty")
     _check_classes(label_map, model, train)
     _check_classes(label_map, model, valid)
 
-    table = model.embeddings.table
+    table = model.embeddings
     dictionary = Dictionary.from_matrix(table)
     basis = None  # the model's own table until the dictionary is learned
     theta = initial_theta(table.shape[1], len(train.vocab), cfg.seed)

@@ -11,10 +11,19 @@ import time
 import numpy as np
 import pytest
 
-from reprogram.classifier import ClassifierParams, TrainConfig, _freeze, _init_weights, input_gradient, train_source
+from reprogram.classifier import (
+    ClassifierParams,
+    TrainConfig,
+    _cross_entropy_grad,
+    _freeze,
+    _init_weights,
+    forward,
+    gradient,
+    train_source,
+)
 from reprogram.cli import main as cli_main
 from reprogram.data import SequenceDataset, SplitSpec, Vocab, split, subsample, synth_tasks
-from reprogram.numerics import cross_entropy, softmax
+from reprogram.numerics import softmax
 from reprogram.program import (
     LabelMap,
     ReprogramConfig,
@@ -31,7 +40,6 @@ from reprogram.sparse_coding import (
     ksvd_dictionary_update,
     ksvd_run,
 )
-from reprogram.classifier import forward_embedded
 
 
 def report(number, name, passed):
@@ -49,6 +57,12 @@ def random_bag_model(rng, d=5, vocab=12, hidden=4, classes=2):
     table = rng.uniform(-0.5, 0.5, size=(d, vocab))
     weights = _init_weights("bag_mlp", d, hidden, classes, rng)
     return _freeze(table, ClassifierParams("bag_mlp", weights, classes), seed=0)
+
+
+def one_sequence(embedded):
+    """An embedded sequence (d x L) as a padded batch of one whose vocabulary
+    embedding E is the sequence itself, so that dE is the input gradient."""
+    return embedded, np.arange(embedded.shape[1])[None, :], np.array([embedded.shape[1]])
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +136,8 @@ def test_criterion_3_gradient_fidelity():
         model = random_bag_model(rng)
         embedded = rng.normal(size=(5, int(rng.integers(1, 6))))
         target = int(rng.integers(2))
-        analytic = input_gradient(model, embedded, target)
+        batch = one_sequence(embedded)
+        analytic = gradient(model.params, *batch, np.array([target]), _cross_entropy_grad)[1]
         h = 1e-6
         fd = np.zeros_like(embedded)
         for i in range(embedded.shape[0]):
@@ -130,8 +145,8 @@ def test_criterion_3_gradient_fidelity():
                 up, down = embedded.copy(), embedded.copy()
                 up[i, j] += h
                 down[i, j] -= h
-                lu = cross_entropy(softmax(forward_embedded(model, up)), target)
-                ld = cross_entropy(softmax(forward_embedded(model, down)), target)
+                lu, ld = (-np.log(softmax(forward(model.params, *one_sequence(e))[0])[0, target])
+                          for e in (up, down))
                 fd[i, j] = (lu - ld) / (2 * h)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         ok &= rel <= 1e-5
@@ -168,7 +183,7 @@ def test_criterion_3_gradient_fidelity():
 def test_criterion_4_end_to_end(pipeline):
     start = time.monotonic()
     model, label_map, t_train, t_valid, t_test = pipeline
-    theta0 = initial_theta(model.embeddings.vocab_size, len(t_train.vocab), seed=3)
+    theta0 = initial_theta(model.embeddings.shape[1], len(t_train.vocab), seed=3)
     random_acc, _ = evaluate(theta0, model, label_map, t_test)
     cfg = ReprogramConfig(
         outer_iterations=200,
@@ -306,7 +321,7 @@ def test_criterion_8_reduction_consistency(pipeline):
         seed=5,
     )
     program, _ = reprogram_train(model, label_map, t_train, t_valid, cfg)
-    table = model.embeddings.table
+    table = model.embeddings
     theta0 = initial_theta(table.shape[1], len(t_train.vocab), cfg.seed)
     dictionary = Dictionary.from_matrix(table)
     _, codes, _ = ksvd_run(table @ theta0, dictionary, ksvd_cfg)

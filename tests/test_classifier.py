@@ -7,21 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from reprogram.classifier import (
     ClassifierParams,
-    EmbeddingTable,
-    FrozenClassifier,
     TrainConfig,
+    _cross_entropy_grad,
     evaluate_source,
     forward,
-    forward_embedded,
     gradient,
-    input_gradient,
     load_checkpoint,
     predict,
     save_checkpoint,
     train_source,
 )
 from reprogram.errors import ConfigError, ShapeError
-from reprogram.numerics import cross_entropy, softmax
+from reprogram.numerics import softmax
 from reprogram.data import SequenceDataset, SplitSpec, Vocab, split, synth_tasks
 
 
@@ -41,12 +38,28 @@ def make_model(rng, d=6, vocab=10, hidden=5, classes=2, architecture="bag_mlp"):
 def token_logits(model, tokens):
     """Logits of one source-token sequence, a batch of one over the model's table."""
     ids, lengths = np.array([tokens]), np.array([len(tokens)])
-    return forward(model.params, model.embeddings.table, ids, lengths)[0][0]
+    return forward(model.params, model.embeddings, ids, lengths)[0][0]
+
+
+def one_sequence(embedded):
+    """An embedded sequence (d x L) as a padded batch of one whose vocabulary
+    embedding E is the sequence itself, so that dE is the input gradient."""
+    return embedded, np.arange(embedded.shape[1])[None, :], np.array([embedded.shape[1]])
+
+
+def sequence_logits(params, embedded):
+    return forward(params, *one_sequence(embedded))[0][0]
+
+
+def input_gradient(model, embedded, target):
+    """`gradient` of the cross-entropy at `target` with respect to the embedded sequence."""
+    return gradient(model.params, *one_sequence(embedded), np.array([target]),
+                    _cross_entropy_grad)[1]
 
 
 def model_digest(model):
     h = hashlib.sha256()
-    h.update(model.embeddings.table.tobytes())
+    h.update(model.embeddings.tobytes())
     for name in sorted(model.params.weights):
         h.update(model.params.weights[name].tobytes())
     return h.hexdigest()
@@ -60,9 +73,8 @@ class TestForward:
                      "w2": np.zeros((2, 4)), "b2": np.zeros(2)},
             num_classes=2,
         )
-        model = FrozenClassifier(EmbeddingTable(np.zeros((3, 5))), params, True, 0)
-        logits = forward_embedded(model, np.zeros((3, 4)))
-        assert np.allclose(softmax(logits), [0.5, 0.5])
+        logits = sequence_logits(params, np.zeros((3, 4)))
+        assert np.allclose(softmax(logits[None, :]), [[0.5, 0.5]])
 
     def test_hand_computed_two_layer(self):
         w1 = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -73,34 +85,27 @@ class TestForward:
                      "w2": w2, "b2": np.array([0.0, 0.2])},
             num_classes=2,
         )
-        model = FrozenClassifier(EmbeddingTable(np.zeros((2, 3))), params, True, 0)
         x = np.array([[0.3], [0.7]])
         h = np.tanh([0.4, 0.6])
         expected = [h[0] - h[1], 0.5 * h[0] + 0.5 * h[1] + 0.2]
-        assert np.allclose(forward_embedded(model, x), expected)
+        assert np.allclose(sequence_logits(params, x), expected)
 
     def test_bag_mlp_permutation_invariant(self):
         rng = np.random.default_rng(0)
         model = make_model(rng)
         seq = rng.normal(size=(6, 7))
-        logits = forward_embedded(model, seq)
+        logits = sequence_logits(model.params, seq)
         perm = rng.permutation(7)
-        assert np.allclose(forward_embedded(model, seq[:, perm]), logits)
-
-    def test_empty_sequence_rejected(self):
-        rng = np.random.default_rng(1)
-        model = make_model(rng)
-        with pytest.raises(ShapeError):
-            forward_embedded(model, np.zeros((6, 0)))
+        assert np.allclose(sequence_logits(model.params, seq[:, perm]), logits)
 
     def test_tokens_equals_gathered_embeddings(self):
         rng = np.random.default_rng(2)
         model = make_model(rng)
         for _ in range(10):
             seq = list(rng.integers(0, 10, size=rng.integers(1, 8)))
-            gathered = model.embeddings.table[:, seq]
+            gathered = model.embeddings[:, seq]
             assert np.array_equal(token_logits(model, seq),
-                                  forward_embedded(model, gathered))
+                                  sequence_logits(model.params, gathered))
 
     def test_token_out_of_range(self):
         rng = np.random.default_rng(3)
@@ -122,8 +127,8 @@ class TestForward:
         model = make_model(rng, architecture="birnn")
         seq = rng.normal(size=(6, 5))
         flipped = seq[:, ::-1].copy()
-        assert not np.allclose(forward_embedded(model, seq),
-                               forward_embedded(model, flipped))
+        assert not np.allclose(sequence_logits(model.params, seq),
+                               sequence_logits(model.params, flipped))
 
 
 def finite_difference(model, embedded, target, h=1e-6):
@@ -134,8 +139,8 @@ def finite_difference(model, embedded, target, h=1e-6):
             up[i, j] += h
             down = embedded.copy()
             down[i, j] -= h
-            lu = cross_entropy(softmax(forward_embedded(model, up)), target)
-            ld = cross_entropy(softmax(forward_embedded(model, down)), target)
+            lu, ld = (-np.log(softmax(sequence_logits(model.params, e)[None, :])[0, target])
+                      for e in (up, down))
             grad[i, j] = (lu - ld) / (2 * h)
     return grad
 
@@ -165,7 +170,7 @@ class TestInputGradient:
         weights["w2"], weights["b2"] = w2, b2
         from reprogram.classifier import _freeze
 
-        sat = _freeze(model.embeddings.table.copy(),
+        sat = _freeze(model.embeddings.copy(),
                       ClassifierParams("bag_mlp", weights, 2), 0)
         grad = input_gradient(sat, rng.normal(size=(6, 3)), 0)
         assert np.max(np.abs(grad)) <= 1e-12
@@ -191,9 +196,9 @@ class TestInputGradient:
 def mixed_length_batch(rng, model, lengths=(3, 1, 5, 2, 4), pads=4):
     """Padded ids over E = [table | pads columns of large values]; padded slots
     select only the extra columns, which no live slot uses."""
-    vocab = model.embeddings.vocab_size
-    extra = rng.normal(scale=1e3, size=(model.embeddings.dim, pads))
-    vocab_embedding = np.hstack([model.embeddings.table, extra])
+    d, vocab = model.embeddings.shape
+    extra = rng.normal(scale=1e3, size=(d, pads))
+    vocab_embedding = np.hstack([model.embeddings, extra])
     lengths = np.array(lengths)
     ids = rng.integers(vocab, vocab + pads, size=(len(lengths), lengths.max()))
     for n, length in enumerate(lengths):
@@ -209,7 +214,7 @@ class TestPaddedBatch:
         vocab_embedding, ids, lengths = mixed_length_batch(rng, model)
         logits, _ = forward(model.params, vocab_embedding, ids, lengths)
         for n, length in enumerate(lengths):
-            single = forward_embedded(model, vocab_embedding[:, ids[n, :length]])
+            single = sequence_logits(model.params, vocab_embedding[:, ids[n, :length]])
             assert np.max(np.abs(logits[n] - single)) <= 1e-12
 
     @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
@@ -231,7 +236,7 @@ class TestPaddedBatch:
 
         _, dvocab, grads = gradient(params, vocab_embedding, ids, lengths, rows, linear,
                                     weight_grads=True)
-        vocab = model.embeddings.vocab_size
+        vocab = model.embeddings.shape[1]
         assert np.array_equal(dvocab[:, vocab:], np.zeros_like(dvocab[:, vocab:]))
         h = 1e-6
         for name, arr in weights.items():
@@ -269,8 +274,8 @@ class TestPredict:
         rng = np.random.default_rng(13)
         model = make_model(rng, vocab=vocab, architecture=architecture)
         # padded slots select extra columns of large values, which no live slot uses
-        vocab_embedding = np.hstack([model.embeddings.table,
-                                     rng.normal(scale=1e3, size=(model.embeddings.dim, 4))])
+        vocab_embedding = np.hstack([model.embeddings,
+                                     rng.normal(scale=1e3, size=(model.embeddings.shape[0], 4))])
         pads = np.arange(ids.shape[1]) >= lengths[:, None]
         ids = np.where(pads, vocab + np.arange(ids.size).reshape(ids.shape) % 4, ids)
         logits, _ = forward(model.params, vocab_embedding, ids, lengths)
@@ -287,7 +292,7 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         model = make_model(rng, vocab=vocab, architecture=architecture)
         perm = rng.permutation(len(lengths))
-        args = model.params, model.embeddings.table
+        args = model.params, model.embeddings
         logits = predict(*args, ids, lengths)
         permuted = predict(*args, ids[perm], lengths[perm])
         assert np.max(np.abs(permuted - logits[perm])) <= 1e-12
@@ -306,7 +311,7 @@ class TestPredict:
         lengths[0] = width
         tracemalloc.start()
         try:
-            predict(model.params, model.embeddings.table, ids, lengths)
+            predict(model.params, model.embeddings, ids, lengths)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -325,7 +330,6 @@ class TestTrainSource:
     def test_learns_separable_task(self, source_task):
         train, valid, _ = source_task
         model, report = train_source(train, TrainConfig(epochs=25), seed=2, valid=valid)
-        assert model.frozen
         assert report["valid_accuracy"] >= 0.95
         assert "majority_class_accuracy" in report
 
@@ -347,7 +351,7 @@ class TestTrainSource:
         train, valid, _ = source_task
         model, _ = train_source(train, TrainConfig(epochs=2), seed=3, valid=valid)
         with pytest.raises(ValueError):
-            model.embeddings.table[0, 0] = 1.0
+            model.embeddings[0, 0] = 1.0
         with pytest.raises(ValueError):
             model.params.weights["w1"][0, 0] = 1.0
 

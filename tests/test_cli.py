@@ -80,6 +80,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(str(path))
 
+    @pytest.mark.parametrize("doc, accepted", [
+        ({"reprogram": {"step_size": 1}}, True),  # an int where the default is a float
+        ({"reprogram": {"outer_iterations": True}}, False),  # a bool is never a number
+        ({"reprogram": {"step_size": False}}, False),
+        ({"reprogram": {"decay": None}}, True),  # null only where the default is null
+        ({"data": {"source_path": None}}, True),
+        ({"reprogram": {"ksvd": {"epsilon": None}}}, False),
+        ({"reprogram": {"ksvd": {"max_atoms": None}}}, False),
+        ({"reprogram": {"ksvd": {"update_dictionary": None}}}, False),
+    ])
+    def test_value_type_rule(self, tmp_path, doc, accepted):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        if accepted:
+            load_config(str(path))
+        else:
+            with pytest.raises(ConfigError, match="must be"):
+                load_config(str(path))
+
     def test_list_valued_label_map_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"reprogram": {"label_map": [1, 0]}}))
@@ -89,6 +108,39 @@ class TestConfig:
         cfg = load_config(config_path)
         assert cfg["reprogram"]["ksvd"]["epsilon"] == 0.045
         assert cfg["split"]["train"] == 0.8
+
+
+def _with(doc, dotted, value):
+    """A deep copy of a config with the value at a dotted key replaced."""
+    doc = json.loads(json.dumps(doc))
+    *sections, key = dotted.split(".")
+    inner = doc
+    for section in sections:
+        inner = inner.setdefault(section, {})
+    inner[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("key, value, flags", [
+    ("reprogram.outer_iterations", 2.5, ()),
+    ("reprogram.batch_size", "64", ()),
+    ("reprogram.ksvd.epsilon", None, ()),
+    ("reprogram.ksvd.max_atoms", 2.5, ()),
+    ("reprogram.step_size", "0.01", ()),
+    ("seed", "abc", ()),
+    ("reprogram.ksvd.update_dictionary", "no", ()),
+    ("seed", -1, ()),
+    ("split.seed", -1, ()),
+    ("seed", 0, ("--seed", "-1")),
+])
+def test_bad_config_value_exit_2(tmp_path, capsys, key, value, flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_with(TINY, key, value)))
+    argv = ["train-source", "--config", str(path), *flags, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err
 
 
 class TestTrainSource:

@@ -8,15 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from reprogram.classifier import (
-    ClassifierParams,
-    EmbeddingTable,
-    FrozenClassifier,
-    _freeze,
-    _init_weights,
-    forward,
-    forward_embedded,
-)
+from reprogram.classifier import ClassifierParams, _freeze, _init_weights, forward
 from reprogram import data, program
 from reprogram.data import SequenceDataset, Vocab
 from reprogram.errors import ConfigError, NumericError, ShapeError, WorkerError
@@ -82,9 +74,16 @@ def as_batch(pairs, vocab_size=4):
                            vocab, ("neg", "pos"))
 
 
+def sequence_logits(model, embedded):
+    """The 1 x C logits of an embedded sequence (d x L), a batch of one whose
+    vocabulary embedding E is the sequence itself."""
+    ids, lengths = np.arange(embedded.shape[1])[None, :], np.array([embedded.shape[1]])
+    return forward(model.params, embedded, ids, lengths)[0]
+
+
 def model_digest(model):
     h = hashlib.sha256()
-    h.update(model.embeddings.table.tobytes())
+    h.update(model.embeddings.tobytes())
     for name in sorted(model.params.weights):
         h.update(model.params.weights[name].tobytes())
     return h.hexdigest()
@@ -150,17 +149,17 @@ class TestLoss:
         model = small_model(rng)
         theta = rng.normal(size=(12, 4)) * 0.1
         tokens = (1, 3)
-        embedded = (model.embeddings.table @ theta)[:, tokens]
-        mapped = map_output(LabelMap((1, 0)), softmax(forward_embedded(model, embedded)))
-        expected = -math.log(mapped[1])
+        embedded = (model.embeddings @ theta)[:, tokens]
+        mapped = map_output(LabelMap((1, 0)), softmax(sequence_logits(model, embedded)))
+        expected = -math.log(mapped[0, 1])
         loss, _ = loss_and_grad(theta, model, LabelMap((1, 0)), as_batch([(tokens, 1)]))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_zero_theta_embeds_every_token_as_zero(self):
         rng = np.random.default_rng(1)
         model = small_model(rng)
-        probs = softmax(forward_embedded(model, np.zeros((5, 1))))
-        mapped = map_output(LabelMap((0, 1)), probs)
+        probs = softmax(sequence_logits(model, np.zeros((5, 1))))
+        mapped = map_output(LabelMap((0, 1)), probs)[0]
         expected = -(math.log(mapped[0]) + math.log(mapped[1])) / 2
         batch = as_batch([((0, 1, 2), 0), ((3,), 1)])
         loss, _ = loss_and_grad(np.zeros((12, 4)), model, LabelMap((0, 1)), batch)
@@ -309,7 +308,7 @@ class TestReprogramTrain:
         model, train, valid = training_setup
         cfg = base_config(step_size=0.0)
         prog, _ = reprogram_train(model, LabelMap((0, 1)), train, valid, cfg)
-        assert np.all(prog.support_sizes <= cfg.ksvd.max_atoms)
+        assert np.all(np.count_nonzero(prog.theta, axis=0) <= cfg.ksvd.max_atoms)
 
     def test_reduces_to_sparse_coding(self, training_setup):
         # encode_once + zero step: theta equals the k-SVD codes of the
@@ -317,7 +316,7 @@ class TestReprogramTrain:
         model, train, valid = training_setup
         cfg = base_config(step_size=0.0, projection_mode="encode_once")
         prog, _ = reprogram_train(model, LabelMap((0, 1)), train, valid, cfg)
-        table = model.embeddings.table
+        table = model.embeddings
         theta0 = initial_theta(table.shape[1], len(train.vocab), cfg.seed)
         dictionary = Dictionary.from_matrix(table)
         _, codes, _ = ksvd_run(table @ theta0, dictionary, cfg.ksvd)
@@ -350,14 +349,6 @@ class TestReprogramTrain:
         path = tmp_path / "program.json"
         save_program(prog, path)
         assert "source_basis" not in json.loads(path.read_text())
-
-    def test_unfrozen_model_rejected(self, training_setup):
-        model, train, valid = training_setup
-        from dataclasses import replace
-
-        thawed = replace(model, frozen=False)
-        with pytest.raises(ConfigError):
-            reprogram_train(thawed, LabelMap((0, 1)), train, valid, base_config())
 
     def test_trace_fields(self, training_setup):
         model, train, valid = training_setup
@@ -535,7 +526,7 @@ class TestEvaluate:
         label_map = LabelMap((1, 0, 1))
         dataset = target_dataset(rng, n=120, max_len=9)
         theta = rng.normal(size=(12, 4))
-        embedding = model.embeddings.table @ theta
+        embedding = model.embeddings @ theta
         logits, _ = forward(model.params, embedding, dataset.ids, dataset.lengths)
         predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
         expected = np.zeros((2, 2), dtype=np.int64)
