@@ -288,10 +288,10 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
     Returns the frozen model and a report with train/valid accuracy plus the
     majority-class baseline of the training split.
     """
-    if len(train.sequences) == 0:
+    if len(train) == 0:
         raise ConfigError("empty training set")
     num_classes = len(train.class_names)
-    if len(set(train.labels)) < 2:
+    if np.count_nonzero(np.bincount(train.labels)) < 2:
         raise ConfigError("training data has fewer than 2 classes")
 
     rng = np.random.default_rng(seed)
@@ -302,9 +302,9 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
     params = ClassifierParams(
         architecture=config.architecture, weights=weights, num_classes=num_classes
     )
-    ids, lengths, labels = train.ids, train.lengths, train.label_array
+    ids, lengths, labels = train.ids, train.lengths, train.labels
 
-    n = len(train.sequences)
+    n = len(train)
     lr = config.learning_rate
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -338,7 +338,7 @@ def evaluate_source(model: FrozenClassifier, dataset) -> float:
         raise ShapeError("dataset vocabulary size does not match the model's")
     logits = predict(model.params, model.embeddings, dataset.ids, dataset.lengths)
     predicted = logits.argmax(axis=1)
-    return int(np.count_nonzero(predicted == dataset.label_array)) / len(dataset)
+    return int(np.count_nonzero(predicted == dataset.labels)) / len(dataset)
 
 
 def save_checkpoint(model: FrozenClassifier, path) -> None:

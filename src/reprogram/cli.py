@@ -43,14 +43,14 @@ _DEFAULTS = {
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
           list: "a list", dict: "an object"}
+# The type of a key whose default is null, besides null itself.
+_NULLABLE = {"data.source_path": str, "data.target_path": str, "reprogram.decay": float}
 
 
-def _accepts(default, value) -> bool:
-    """Whether a config value has its default's JSON type: an int passes for a
-    float, a bool never for a number, and anything where the default is null."""
-    if default is None or type(value) is type(default):
-        return True
-    return type(default) is float and type(value) is int
+def _accepts(kind, value) -> bool:
+    """Whether a config value is of JSON type `kind`: an int passes for a
+    float, a bool never for a number."""
+    return type(value) is kind or (kind is float and type(value) is int)
 
 
 def _check_keys(doc, defaults, prefix=""):
@@ -59,10 +59,12 @@ def _check_keys(doc, defaults, prefix=""):
         name = prefix + key
         if key not in defaults:
             raise ConfigError(f"unknown config key {name!r}")
-        if not _accepts(defaults[key], value):
-            raise ConfigError(f"config key {name!r} must be {_KINDS[type(defaults[key])]}")
-        if isinstance(defaults[key], dict):
-            _check_keys(value, defaults[key], prefix=f"{name}.")
+        default = defaults[key]
+        kind, null = (_NULLABLE[name], " or null") if default is None else (type(default), "")
+        if not (null and value is None) and not _accepts(kind, value):
+            raise ConfigError(f"config key {name!r} must be {_KINDS[kind]}{null}")
+        if isinstance(default, dict):
+            _check_keys(value, default, prefix=f"{name}.")
 
 
 def _merge(defaults, doc):

@@ -1,8 +1,10 @@
 """Dataset ingestion, splits, subsampling, and synthetic task generation.
 
-Target-task files are tokenized at the character level. A dataset is checked
-and padded once, when built; every consumer reads its read-only `ids`,
-`lengths` and `label_array`, and a subset made by `take` slices them.
+Target-task files are tokenized at the character level. A dataset is its
+three read-only arrays, padded token `ids`, `lengths` and `labels`, with the
+vocabulary and class names they index. `SequenceDataset.from_sequences`
+checks and pads token sequences once, when a dataset is built; every consumer
+reads the arrays, and a subset made by `take` slices them.
 """
 
 import csv
@@ -35,68 +37,57 @@ class Vocab:
         return len(self.index_to_token)
 
 
-def pad(sequences):
-    """Right-pad token sequences with 0s: ids (N x L_max) and lengths (N)."""
-    lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
-    # every dataset keeps its ids, and int32 halves the memory they hold
-    ids = np.zeros((lengths.size, lengths.max(initial=0)), dtype=np.int32)
-    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(sequences), dtype=np.int32, count=lengths.sum())
-    return ids, lengths
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceDataset:
-    sequences: tuple
-    labels: tuple
+    """Read-only padded `ids` (N x L_max, int32), `lengths` (N) and `labels`
+    (N, int32); `from_sequences` checks and pads, and `take` slices."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    labels: np.ndarray
     vocab: Vocab
     class_names: tuple
-    ids: np.ndarray = field(init=False, compare=False, repr=False)
-    lengths: np.ndarray = field(init=False, compare=False, repr=False)
-    label_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.sequences) != len(self.labels):
+        for array in (self.ids, self.lengths, self.labels):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_sequences(cls, sequences, labels, vocab, class_names) -> "SequenceDataset":
+        """Right-pad the token sequences with 0s after checking every token,
+        length and label against the vocabulary and class names."""
+        if len(sequences) != len(labels):
             raise DataFormatError("sequences and labels differ in length")
-        ids, lengths = pad(self.sequences)
-        labels = np.asarray(self.labels, dtype=np.int32)
+        lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
+        # every dataset keeps its ids, and int32 halves the memory they hold
+        ids = np.zeros((lengths.size, lengths.max(initial=0)), dtype=np.int32)
+        ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
+            chain.from_iterable(sequences), dtype=np.int32, count=lengths.sum())
+        labels = np.asarray(labels, dtype=np.int32)
         for name, values, lo, hi in (("sequence length", lengths, 1, np.inf),
-                                     ("token index", ids, 0, len(self.vocab)),
-                                     ("label", labels, 0, len(self.class_names))):
+                                     ("token index", ids, 0, len(vocab)),
+                                     ("label", labels, 0, len(class_names))):
             bad = values[(values < lo) | (values >= hi)]
             if bad.size:
                 raise DataFormatError(f"{name} {bad[0]} out of range")
-        for name, array in (("ids", ids), ("lengths", lengths), ("label_array", labels)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        return cls(ids, lengths, labels, vocab, class_names)
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.labels)
 
     def majority_class_accuracy(self) -> float:
-        if not self.labels:
+        if not len(self):
             return 0.0
         counts = np.bincount(self.labels, minlength=len(self.class_names))
-        return float(np.max(counts)) / len(self.labels)
+        return float(np.max(counts)) / len(self)
 
     def take(self, indices) -> "SequenceDataset":
-        """The rows at `indices`, their ids, lengths and labels sliced from this dataset's.
-
-        Those are checked already, so the subset is neither padded nor
-        checked again; its ids are trimmed to its own longest row.
-        """
-        sequences = tuple(self.sequences[i] for i in indices)
+        """The rows at `indices`, sliced from this dataset's checked arrays;
+        their ids are trimmed to the subset's own longest row."""
         rows = np.asarray(indices, dtype=np.intp)
         lengths = self.lengths[rows]
-        ids = self.ids[rows, : lengths.max(initial=0)]
-        labels = self.label_array[rows]
-        ids.flags.writeable = lengths.flags.writeable = labels.flags.writeable = False
-        subset = object.__new__(type(self))
-        vars(subset).update(sequences=sequences,
-                            labels=tuple(self.labels[i] for i in indices),
-                            vocab=self.vocab, class_names=self.class_names,
-                            ids=ids, lengths=lengths, label_array=labels)
-        return subset
+        return type(self)(self.ids[rows, : lengths.max(initial=0)], lengths,
+                          self.labels[rows], self.vocab, self.class_names)
 
 
 @dataclass(frozen=True)
@@ -110,6 +101,8 @@ class SplitSpec:
 
     def counts(self, size: int):
         parts = (self.train, self.valid, self.test)
+        if min(parts) < 0:
+            raise ConfigError(f"split parts must be non-negative, got {parts}")
         if all(isinstance(p, int) for p in parts):
             if sum(parts) > size:
                 raise ConfigError(f"split counts {parts} exceed dataset size {size}")
@@ -134,13 +127,8 @@ def _build_dataset(rows):
             class_names.append(label)
         labels.append(class_names.index(label))
     index = vocab.token_to_index.__getitem__  # every character is in the vocabulary
-    sequences = tuple(tuple(map(index, seq)) for seq, _ in rows)
-    return SequenceDataset(
-        sequences=sequences,
-        labels=tuple(labels),
-        vocab=vocab,
-        class_names=tuple(class_names),
-    )
+    sequences = [list(map(index, seq)) for seq, _ in rows]
+    return SequenceDataset.from_sequences(sequences, labels, vocab, tuple(class_names))
 
 
 def read_json(path):
@@ -196,12 +184,17 @@ def load_csv(path, sequence_column="sequence", label_column="label") -> Sequence
 
 
 def save_csv(dataset: SequenceDataset, path, sequence_column="sequence", label_column="label"):
+    tokens = np.array(dataset.vocab.index_to_token, dtype=object)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([sequence_column, label_column])
-        for seq, label in zip(dataset.sequences, dataset.labels):
-            text = "".join(dataset.vocab.index_to_token[t] for t in seq)
-            writer.writerow([text, dataset.class_names[label]])
+        # 1024 rows at a time: gathering every row's strings at once raises peak memory
+        for start in range(0, len(dataset), 1024):
+            rows = slice(start, start + 1024)
+            writer.writerows(["".join(text[:length]), dataset.class_names[label]]
+                             for text, length, label in zip(tokens[dataset.ids[rows]].tolist(),
+                                                            dataset.lengths[rows].tolist(),
+                                                            dataset.labels[rows].tolist()))
 
 
 def split(dataset: SequenceDataset, spec: SplitSpec):
@@ -253,14 +246,10 @@ def _synth_source(rng, size):
             ]
         )
         rng.shuffle(tokens)
-        sequences.append(tuple(int(t) for t in tokens))
+        sequences.append(tokens)
         labels.append(label)
-    return SequenceDataset(
-        sequences=tuple(sequences),
-        labels=tuple(labels),
-        vocab=vocab,
-        class_names=("minority_first_half", "majority_first_half"),
-    )
+    return SequenceDataset.from_sequences(sequences, labels, vocab,
+                                          ("minority_first_half", "majority_first_half"))
 
 
 def _synth_target(rng, size):
@@ -279,14 +268,9 @@ def _synth_target(rng, size):
                 break
             if not _contains_motif(seq):
                 break
-        sequences.append(tuple(seq))
+        sequences.append(seq)
         labels.append(label)
-    return SequenceDataset(
-        sequences=tuple(sequences),
-        labels=tuple(labels),
-        vocab=vocab,
-        class_names=("no_motif", "has_motif"),
-    )
+    return SequenceDataset.from_sequences(sequences, labels, vocab, ("no_motif", "has_motif"))
 
 
 def synth_tasks(seed: int, source_size: int, target_size: int):

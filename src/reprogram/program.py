@@ -169,7 +169,7 @@ def loss_and_grad(theta, model, label_map: LabelMap, batch, basis=None):
     basis, embedding = _embedding(theta, model, batch, basis)
     loss_grad = lambda logits, y: _mapped_loss_dlogits(logits, label_map, y)
     loss, dembedding, _ = gradient(model.params, embedding, batch.ids, batch.lengths,
-                                   batch.label_array, loss_grad)
+                                   batch.labels, loss_grad)
     return loss / len(batch), (basis.T @ dembedding) / len(batch)
 
 
@@ -178,7 +178,7 @@ def _score(model, label_map: LabelMap, dataset, embedding):
     logits = predict(model.params, embedding, dataset.ids, dataset.lengths)
     predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
     n = label_map.num_target_classes
-    confusion = np.bincount(dataset.label_array * n + predicted,
+    confusion = np.bincount(dataset.labels * n + predicted,
                             minlength=n * n).reshape(n, n)
     return float(np.trace(confusion)) / len(dataset), confusion
 
@@ -319,7 +319,7 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
     rng = np.random.default_rng(cfg.seed)
     every_iteration = cfg.projection_mode == "every_outer_iteration"
 
-    order: list[int] = []
+    order = np.empty(0, dtype=np.intp)
     trace = []
     best_acc = -1.0
     last = cfg.outer_iterations - 1
@@ -334,8 +334,8 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
                 if cfg.ksvd.update_dictionary:
                     basis = dictionary.atoms
 
-            if not order:
-                order = list(rng.permutation(len(train)))
+            if not order.size:
+                order = rng.permutation(len(train))
             batch = train.take(order[: cfg.batch_size])
             order = order[cfg.batch_size :]
 

@@ -268,25 +268,33 @@ def ksvd_dictionary_update(
     codes = codes.copy()
 
     # Kept current as atoms change; replacing an unused atom leaves it as is
-    # because that atom's coefficient row is zero.
+    # because its row of codes is zero. Only atom k's update writes row k.
     residual = signals - atoms @ codes
+    supports = codes != 0
+    in_use = supports.any(axis=1)
     taken = np.zeros(signals.shape[1], dtype=bool)
+    # The residual norms (taken signals at -inf), and whether none of them
+    # qualifies, hold until a used atom's update moves the residual.
+    errors, exhausted = None, False
     for k in range(atoms.shape[1]):
-        used = np.nonzero(codes[k, :])[0]
-        if used.size == 0:
-            if policy == "keep":
+        if not in_use[k]:
+            if policy == "keep" or exhausted:
                 continue
-            errors = _residual_norm(residual, residual_norm, axis=0)
-            errors[taken] = -np.inf
+            if errors is None:
+                errors = _residual_norm(residual, residual_norm, axis=0)
+                errors[taken] = -np.inf
             worst = int(np.argmax(errors))
             if not errors[worst] > epsilon:
+                exhausted = True
                 continue
             taken[worst] = True
+            errors[worst] = -np.inf
             column = signals[:, worst]
             norm = np.linalg.norm(column)
             if norm > 0:
                 atoms[:, k] = column / norm
             continue
+        used = np.flatnonzero(supports[k])
         # Residual with atom k removed, restricted to the signals that use it.
         restricted = residual[:, used] + np.outer(atoms[:, k], codes[k, used])
         u, s, vt = np.linalg.svd(restricted, full_matrices=False)
@@ -294,6 +302,7 @@ def ksvd_dictionary_update(
         atoms[:, k] = atom
         codes[k, used] = row
         residual[:, used] = restricted - np.outer(atom, row)
+        errors, exhausted = None, False
 
     # Every column is unit-norm already; normalising again would move kept
     # atoms in their last bits.

@@ -160,9 +160,9 @@ def test_criterion_3_gradient_fidelity():
              int(rng.integers(2)))
             for _ in range(4)
         ]
-        batch = SequenceDataset(tuple(seq for seq, _ in pairs),
-                                tuple(label for _, label in pairs),
-                                Vocab.from_tokens("ABCD"), ("neg", "pos"))
+        batch = SequenceDataset.from_sequences([seq for seq, _ in pairs],
+                                               [label for _, label in pairs],
+                                               Vocab.from_tokens("ABCD"), ("neg", "pos"))
         _, grad = loss_and_grad(theta, model, label_map, batch)
         h = 1e-6
         an, fd = [], []

@@ -117,8 +117,10 @@ class TestForward:
         rng = np.random.default_rng(3)
         model = make_model(rng)
         with pytest.raises(ConfigError):
-            evaluate_source(model, SequenceDataset((), (), Vocab.from_tokens(range(10)), ("x",)))
-        dataset = SequenceDataset(((0, 4),), (1,), Vocab.from_tokens("ABCDE"), ("x", "y"))
+            evaluate_source(model, SequenceDataset.from_sequences(
+                (), (), Vocab.from_tokens(range(10)), ("x",)))
+        dataset = SequenceDataset.from_sequences(((0, 4),), (1,), Vocab.from_tokens("ABCDE"),
+                                                 ("x", "y"))
         with pytest.raises(ShapeError):
             evaluate_source(model, dataset)
 
@@ -342,8 +344,7 @@ class TestTrainSource:
 
     def test_single_class_rejected(self, source_task):
         train, _, _ = source_task
-        keep = [i for i, l in enumerate(train.labels) if l == 0]
-        degenerate = train.take(keep)
+        degenerate = train.take(np.flatnonzero(train.labels == 0))
         with pytest.raises(ConfigError):
             train_source(degenerate, TrainConfig(epochs=1), seed=0)
 

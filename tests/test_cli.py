@@ -89,6 +89,10 @@ class TestConfig:
         ({"reprogram": {"ksvd": {"epsilon": None}}}, False),
         ({"reprogram": {"ksvd": {"max_atoms": None}}}, False),
         ({"reprogram": {"ksvd": {"update_dictionary": None}}}, False),
+        ({"reprogram": {"decay": 0.99}}, True),  # a null default names the type it takes
+        ({"reprogram": {"decay": 1}}, True),
+        ({"reprogram": {"decay": "0.99"}}, False),
+        ({"data": {"target_path": 1}}, False),
     ])
     def test_value_type_rule(self, tmp_path, doc, accepted):
         path = tmp_path / "cfg.json"
@@ -132,6 +136,10 @@ def _with(doc, dotted, value):
     ("seed", -1, ()),
     ("split.seed", -1, ()),
     ("seed", 0, ("--seed", "-1")),
+    ("reprogram.decay", "abc", ()),
+    ("reprogram.decay", True, ()),
+    ("data.target_path", 1, ()),
+    ("data.source_path", ["a.csv"], ()),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, key, value, flags):
     path = tmp_path / "cfg.json"
@@ -141,6 +149,21 @@ def test_bad_config_value_exit_2(tmp_path, capsys, key, value, flags):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("parts", [(0.9, 0.2, -0.1), (200, -5, 50)])
+@pytest.mark.parametrize("command", ["train-source", "reprogram"])
+def test_negative_split_part_exit_2_before_training(tmp_path, capsys, request, parts, command):
+    argv = [command]
+    if command == "reprogram":
+        argv += ["--source-checkpoint", request.getfixturevalue("source_checkpoint")]
+        capsys.readouterr()
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(json.dumps(dict(TINY, split=dict(zip(("train", "valid", "test"), parts)))))
+    assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and list(out.iterdir()) == []
+    assert err.splitlines() == [f"error: split parts must be non-negative, got {parts}"]
 
 
 class TestTrainSource:

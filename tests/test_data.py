@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from reprogram import data
 from reprogram.data import (
     SequenceDataset,
     SplitSpec,
@@ -20,14 +19,27 @@ def write(path, text):
     return str(path)
 
 
+def sequences(ds):
+    """The token rows of a dataset, unpadded, as tuples."""
+    return [tuple(row[:n]) for row, n in zip(ds.ids.tolist(), ds.lengths.tolist())]
+
+
+def assert_same(a, b):
+    """Two datasets hold equal arrays of equal dtypes, vocabulary and class names."""
+    for name in ("ids", "lengths", "labels"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert a.vocab == b.vocab and a.class_names == b.class_names
+
+
 class TestLoadCsv:
     def test_small_file(self, tmp_path):
         path = write(tmp_path / "d.csv", "sequence,label\nACDK,toxic\nGG,nontoxic\n")
         ds = load_csv(path)
         assert ds.vocab.index_to_token == ("A", "C", "D", "G", "K")
         assert ds.class_names == ("toxic", "nontoxic")
-        assert ds.labels == (0, 1)
-        assert ds.sequences[0] == (0, 1, 2, 4)
+        assert ds.labels.tolist() == [0, 1]
+        assert sequences(ds)[0] == (0, 1, 2, 4)
 
     def test_duplicates_preserved(self, tmp_path):
         path = write(tmp_path / "d.csv", "sequence,label\nAA,x\nAA,x\n")
@@ -39,8 +51,7 @@ class TestLoadCsv:
         ds = load_csv(path)
         out = tmp_path / "out.csv"
         save_csv(ds, out)
-        again = load_csv(str(out))
-        assert again == ds
+        assert_same(load_csv(str(out)), ds)
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path / "d.csv", "seq,label\nAA,x\n")
@@ -54,7 +65,7 @@ class TestLoadCsv:
 
     def test_loader_deterministic(self, tmp_path):
         path = write(tmp_path / "d.csv", "sequence,label\nABBA,x\nBAB,y\n")
-        assert load_csv(path) == load_csv(path)
+        assert_same(load_csv(path), load_csv(path))
 
 
 @pytest.fixture
@@ -63,7 +74,7 @@ def dataset():
                  for i in range(40))
     labels = tuple(i % 2 for i in range(40))
     vocab = Vocab.from_tokens(["A", "B", "C", "D"])
-    return SequenceDataset(seqs, labels, vocab, ("neg", "pos"))
+    return SequenceDataset.from_sequences(seqs, labels, vocab, ("neg", "pos"))
 
 
 class TestSplit:
@@ -83,26 +94,33 @@ class TestSplit:
         a = split(dataset, SplitSpec(0.6, 0.2, 0.2, seed=5))
         b = split(dataset, SplitSpec(0.6, 0.2, 0.2, seed=5))
         for x, y in zip(a, b):
-            assert x == y
+            assert_same(x, y)
 
     def test_disjoint_and_covering_random_specs(self, dataset):
         rng = np.random.default_rng(0)
         for _ in range(100):
             seed = int(rng.integers(1 << 31))
             train, valid, test = split(dataset, SplitSpec(0.5, 0.25, 0.25, seed=seed))
-            combined = sorted(train.sequences + valid.sequences + test.sequences)
-            assert combined == sorted(dataset.sequences)
+            combined = sorted(sequences(train) + sequences(valid) + sequences(test))
+            assert combined == sorted(sequences(dataset))
             assert len(train) + len(valid) + len(test) == len(dataset)
 
     def test_fraction_sum_validated(self, dataset):
         with pytest.raises(ConfigError):
             split(dataset, SplitSpec(0.5, 0.2, 0.2, seed=0))
 
+    @pytest.mark.parametrize("parts", [(0.9, 0.2, -0.1), (1.1, -0.1, 0.0), (20, -5, 10),
+                                       (-1, 0, 0)])
+    def test_negative_parts_rejected(self, dataset, parts):
+        # fractions summing to 1, or counts within the size, are no excuse
+        with pytest.raises(ConfigError, match="must be non-negative"):
+            SplitSpec(*parts).counts(len(dataset))
+
 
 class TestSubsample:
     def test_full_size_is_same_multiset(self, dataset):
         sub = subsample(dataset, 40, seed=1)
-        assert sorted(sub.sequences) == sorted(dataset.sequences)
+        assert sorted(sequences(sub)) == sorted(sequences(dataset))
 
     def test_too_large_rejected(self, dataset):
         with pytest.raises(ConfigError):
@@ -118,8 +136,8 @@ class TestSubsample:
         for n1, n2 in [(5, 10), (10, 20), (20, 40)]:
             small = subsample(dataset, n1, seed=3)
             large = subsample(dataset, n2, seed=3)
-            pairs_small = list(zip(small.sequences, small.labels))
-            pairs_large = list(zip(large.sequences, large.labels))
+            pairs_small = list(zip(sequences(small), small.labels.tolist()))
+            pairs_large = list(zip(sequences(large), large.labels.tolist()))
             assert pairs_large[:n1] == pairs_small
 
 
@@ -135,13 +153,14 @@ class TestSynthTasks:
     def test_deterministic(self):
         a = synth_tasks(7, 50, 50)
         b = synth_tasks(7, 50, 50)
-        assert a[0] == b[0] and a[1] == b[1]
+        assert_same(a[0], b[0])
+        assert_same(a[1], b[1])
 
     def test_target_labels_match_motif_presence(self):
         from reprogram.data import TARGET_MOTIF, _contains_motif
 
         _, target = synth_tasks(1, 200, 200)
-        for seq, label in zip(target.sequences, target.labels):
+        for seq, label in zip(sequences(target), target.labels.tolist()):
             assert _contains_motif(seq) == bool(label)
 
     def test_invalid_sizes(self):
@@ -159,66 +178,67 @@ class TestVocab:
     def test_dataset_rejects_out_of_range_tokens(self):
         v = Vocab.from_tokens(["a", "b"])
         with pytest.raises(DataFormatError):
-            SequenceDataset(((0, 5),), (0,), v, ("x",))
+            SequenceDataset.from_sequences(((0, 5),), (0,), v, ("x",))
 
     @pytest.mark.parametrize("sequence", [(0, 2), (0, -1), ()],
                              ids=["token_equals_vocab_size", "negative_token", "empty_sequence"])
     def test_dataset_rejects_boundary_tokens_and_empty_sequences(self, sequence):
         v = Vocab.from_tokens(["a", "b"])
         with pytest.raises(DataFormatError):
-            SequenceDataset(((1,), sequence), (0, 0), v, ("x",))
+            SequenceDataset.from_sequences(((1,), sequence), (0, 0), v, ("x",))
 
     def test_dataset_rejects_out_of_range_labels(self):
         v = Vocab.from_tokens(["a", "b"])
         with pytest.raises(DataFormatError, match="label 1"):
-            SequenceDataset(((0,), (1,)), (0, 1), v, ("x",))
+            SequenceDataset.from_sequences(((0,), (1,)), (0, 1), v, ("x",))
 
     def test_padded_ids_are_built_once_and_read_only(self):
         v = Vocab.from_tokens(["a", "b", "c"])
-        ds = SequenceDataset(((2, 1, 0), (1,)), (0, 1), v, ("x", "y"))
+        ds = SequenceDataset.from_sequences(((2, 1, 0), (1,)), (0, 1), v, ("x", "y"))
+        assert ds.ids.dtype == np.int32
         assert ds.ids.tolist() == [[2, 1, 0], [1, 0, 0]]
         assert ds.lengths.tolist() == [3, 1]
         with pytest.raises(ValueError):
             ds.ids[0, 0] = 1
-        assert ds == SequenceDataset(((2, 1, 0), (1,)), (0, 1), v, ("x", "y"))
+        assert_same(ds, SequenceDataset.from_sequences(((2, 1, 0), (1,)), (0, 1), v, ("x", "y")))
 
-    def test_label_array_is_built_once_and_read_only(self):
+    def test_labels_are_built_once_and_read_only(self):
         v = Vocab.from_tokens(["a"])
-        ds = SequenceDataset(((0,), (0,), (0,)), (1, 0, 1), v, ("x", "y"))
-        assert ds.label_array.dtype == np.int32 and ds.label_array.tolist() == [1, 0, 1]
+        ds = SequenceDataset.from_sequences(((0,), (0,), (0,)), (1, 0, 1), v, ("x", "y"))
+        assert ds.labels.dtype == np.int32 and ds.labels.tolist() == [1, 0, 1]
         with pytest.raises(ValueError):
-            ds.label_array[0] = 0
+            ds.labels[0] = 0
 
 
 class TestTake:
-    @staticmethod
-    def dataset():
+    SEQUENCES = ((2, 1, 0, 1), (1,), (0, 2), (1, 1, 1), (2,))
+    LABELS = (0, 1, 0, 1, 1)
+
+    def dataset(self):
         v = Vocab.from_tokens(["a", "b", "c"])
-        sequences = ((2, 1, 0, 1), (1,), (0, 2), (1, 1, 1), (2,))
-        return SequenceDataset(sequences, (0, 1, 0, 1, 1), v, ("x", "y"))
+        return SequenceDataset.from_sequences(self.SEQUENCES, self.LABELS, v, ("x", "y"))
 
     @pytest.mark.parametrize("rows", [[1, 4], [3, 0, 3], [2], [4, 2, 1, 0, 3], [-1, 1]])
     def test_slices_equal_pad_of_the_rows_and_are_read_only(self, rows):
         ds = self.dataset()
         subset = ds.take(rows)
-        ids, lengths = data.pad([ds.sequences[i] for i in rows])
-        assert subset.ids.dtype == ids.dtype and subset.lengths.dtype == lengths.dtype
-        assert np.array_equal(subset.ids, ids) and np.array_equal(subset.lengths, lengths)
-        assert subset.labels == tuple(ds.labels[i] for i in rows)
-        assert subset.label_array.dtype == np.int32
-        assert subset.label_array.tolist() == list(subset.labels)
-        for array in (subset.ids, subset.lengths, subset.label_array):
+        # built from the raw rows, so its ids are as wide as their longest one
+        padded = SequenceDataset.from_sequences([self.SEQUENCES[i] for i in rows],
+                                                [self.LABELS[i] for i in rows],
+                                                ds.vocab, ds.class_names)
+        assert_same(subset, padded)
+        assert subset.labels.dtype == np.int32
+        for array in (subset.ids, subset.lengths, subset.labels):
             with pytest.raises(ValueError):
                 array[0] = 1
-        assert subset == SequenceDataset(subset.sequences, subset.labels, ds.vocab, ds.class_names)
 
     def test_taken_rows_are_not_padded_again(self, monkeypatch):
         ds = self.dataset()
 
-        def pad(sequences):
+        def from_sequences(cls, *args):
             raise AssertionError("a subset was padded again")
 
-        monkeypatch.setattr(data, "pad", pad)
+        monkeypatch.setattr(SequenceDataset, "from_sequences", classmethod(from_sequences))
         subset = ds.take(np.array([3, 1]))
         assert subset.ids.tolist() == [[1, 1, 1], [1, 0, 0]]
         split(ds, SplitSpec(0.6, 0.2, 0.2, seed=1))
@@ -226,7 +246,8 @@ class TestTake:
 
     def test_empty_indices_give_an_empty_dataset(self):
         subset = self.dataset().take([])
-        assert len(subset) == 0 and subset.labels == () and subset.label_array.shape == (0,)
+        assert len(subset) == 0 and subset.labels.shape == (0,)
+        assert subset.labels.dtype == np.int32
         assert subset.ids.shape == (0, 0) and subset.lengths.shape == (0,)
 
     def test_out_of_range_index_raises(self):

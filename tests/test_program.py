@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from reprogram.classifier import ClassifierParams, _freeze, _init_weights, forward
-from reprogram import data, program
+from reprogram import program
 from reprogram.data import SequenceDataset, Vocab
 from reprogram.errors import ConfigError, NumericError, ShapeError, WorkerError
 from reprogram.numerics import softmax
@@ -70,8 +70,8 @@ def as_batch(pairs, vocab_size=4):
     """A two-class target dataset of (tokens, label) pairs over vocab_size tokens."""
     pairs = list(pairs)
     vocab = Vocab.from_tokens([chr(65 + i) for i in range(vocab_size)])
-    return SequenceDataset(tuple(seq for seq, _ in pairs), tuple(label for _, label in pairs),
-                           vocab, ("neg", "pos"))
+    return SequenceDataset.from_sequences([seq for seq, _ in pairs],
+                                          [label for _, label in pairs], vocab, ("neg", "pos"))
 
 
 def sequence_logits(model, embedded):
@@ -190,8 +190,8 @@ class TestLoss:
         model = small_model(rng)
         vocab = Vocab.from_tokens(["A", "B", "C", "D"])
         sequences = tuple((i % 4, (i + 1) % 4) for i in range(9))
-        dataset = SequenceDataset(sequences, tuple(i % 3 for i in range(9)), vocab,
-                                  ("neg", "pos", "third"))
+        dataset = SequenceDataset.from_sequences(sequences, tuple(i % 3 for i in range(9)), vocab,
+                                                 ("neg", "pos", "third"))
         theta, label_map = initial_theta(12, 4, 0), LabelMap((0, 1))
         cfg = ReprogramConfig(outer_iterations=2, batch_size=4,
                               ksvd=KsvdConfig(epsilon=0.1, max_atoms=2, update_dictionary=False))
@@ -206,10 +206,10 @@ class TestLoss:
         model = small_model(rng)
         batch, dataset = target_dataset(rng, n=8), target_dataset(rng, n=40)
 
-        def pad(sequences):
+        def from_sequences(cls, *args):
             raise AssertionError("a built dataset was padded again")
 
-        monkeypatch.setattr(data, "pad", pad)
+        monkeypatch.setattr(SequenceDataset, "from_sequences", classmethod(from_sequences))
         theta = initial_theta(12, 4, 0)
         loss_and_grad(theta, model, LabelMap((0, 1)), batch)
         evaluate(theta, model, LabelMap((0, 1)), dataset)
@@ -494,7 +494,7 @@ class TestEvaluate:
         rng = np.random.default_rng(14)
         model = constant_class_model(rng, winner=0)
         vocab = Vocab.from_tokens(["A", "B"])
-        ds = SequenceDataset(((0, 1),), (0,), vocab, ("neg", "pos"))
+        ds = SequenceDataset.from_sequences(((0, 1),), (0,), vocab, ("neg", "pos"))
         acc, confusion = evaluate(np.zeros((12, 2)), model, LabelMap((0, 1)), ds)
         assert acc == 1.0
         assert confusion.tolist() == [[1, 0], [0, 0]]
@@ -509,12 +509,8 @@ class TestEvaluate:
         model, train, _ = training_setup
         theta = initial_theta(20, 4, 2)
         acc, _ = evaluate(theta, model, LabelMap((0, 1)), train)
-        flipped = SequenceDataset(
-            train.sequences,
-            tuple(1 - l for l in train.labels),
-            train.vocab,
-            ("pos", "neg"),
-        )
+        flipped = SequenceDataset(train.ids, train.lengths, 1 - train.labels, train.vocab,
+                                  ("pos", "neg"))
         acc_flipped, _ = evaluate(theta, model, LabelMap((1, 0)), flipped)
         assert acc == acc_flipped
 
@@ -530,7 +526,7 @@ class TestEvaluate:
         logits, _ = forward(model.params, embedding, dataset.ids, dataset.lengths)
         predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
         expected = np.zeros((2, 2), dtype=np.int64)
-        np.add.at(expected, (np.asarray(dataset.labels), predicted), 1)
+        np.add.at(expected, (dataset.labels, predicted), 1)
         acc, confusion = evaluate(theta, model, label_map, dataset)
         assert np.array_equal(confusion, expected)
         assert acc == np.trace(expected) / len(dataset)
@@ -546,7 +542,7 @@ class TestEvaluate:
         rng = np.random.default_rng(15)
         model = small_model(rng)
         vocab = Vocab.from_tokens(["A"])
-        empty = SequenceDataset((), (), vocab, ("neg", "pos"))
+        empty = SequenceDataset.from_sequences((), (), vocab, ("neg", "pos"))
         with pytest.raises(ConfigError):
             evaluate(np.zeros((12, 1)), model, LabelMap((0, 1)), empty)
 

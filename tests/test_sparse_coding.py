@@ -412,7 +412,63 @@ def frob(signals, dic, codes):
     return np.linalg.norm(signals - dic.atoms @ codes)
 
 
+def reference_dictionary_update(dictionary, signals, codes, policy, epsilon, residual_norm):
+    """The k-SVD sweep as a plain per-atom loop: each atom's support found by
+    np.nonzero, every signal's residual norm recomputed for each unused atom."""
+    atoms, codes = dictionary.atoms.copy(), codes.copy()
+    residual = signals - atoms @ codes
+    taken = np.zeros(signals.shape[1], dtype=bool)
+    for k in range(atoms.shape[1]):
+        used = np.nonzero(codes[k, :])[0]
+        if used.size == 0:
+            if policy == "keep":
+                continue
+            errors = sparse_coding._residual_norm(residual, residual_norm, axis=0)
+            errors[taken] = -np.inf
+            worst = int(np.argmax(errors))
+            if not errors[worst] > epsilon:
+                continue
+            taken[worst] = True
+            column = signals[:, worst]
+            norm = np.linalg.norm(column)
+            if norm > 0:
+                atoms[:, k] = column / norm
+            continue
+        restricted = residual[:, used] + np.outer(atoms[:, k], codes[k, used])
+        u, s, vt = np.linalg.svd(restricted, full_matrices=False)
+        atom, row = sparse_coding._fix_sign(u[:, 0], s[0] * vt[0])
+        atoms[:, k] = atom
+        codes[k, used] = row
+        residual[:, used] = restricted - np.outer(atom, row)
+    return atoms, codes
+
+
 class TestKsvdDictionaryUpdate:
+    @pytest.mark.parametrize("residual_norm", ["l1", "l2"])
+    @pytest.mark.parametrize("policy", ["keep", "replace_with_worst_residual"])
+    def test_matches_per_atom_reference_bitwise(self, policy, residual_norm):
+        rng = np.random.default_rng(26)
+        replaced = 0
+        for _ in range(60):
+            k, n = 12, int(rng.integers(3, 10))
+            dic = random_dictionary(rng, 6, k)
+            codes = rng.normal(size=(k, n)) * (rng.random(size=(k, n)) < 0.4)
+            codes[rng.random(k) < 0.4] = 0.0  # unused atoms between used ones
+            signals = rng.normal(size=(6, n))
+            # a tolerance that some, but not all, signals' residuals exceed
+            residual = signals - dic.atoms @ codes
+            norms = sparse_coding._residual_norm(residual, residual_norm, axis=0)
+            epsilon = float(np.quantile(norms, rng.random()))
+            new_dic, new_codes = ksvd_dictionary_update(dic, signals, codes, policy, epsilon,
+                                                        residual_norm)
+            atoms, ref_codes = reference_dictionary_update(dic, signals, codes, policy, epsilon,
+                                                           residual_norm)
+            assert new_dic.atoms.tobytes() == atoms.tobytes()
+            assert new_codes.tobytes() == ref_codes.tobytes()
+            unused = ~codes.any(axis=1)
+            replaced += np.count_nonzero(np.any(atoms[:, unused] != dic.atoms[:, unused], axis=0))
+        assert (replaced > 0) == (policy != "keep")
+
     def test_exact_reconstruction_unchanged(self):
         rng = np.random.default_rng(14)
         dic = random_dictionary(rng, 8, 5)
