@@ -10,14 +10,13 @@ Two architectures:
   birnn   - single bidirectional tanh recurrence, concatenated final states
             -> linear head
 
-Gradients take one path, for training and reprogramming: `forward` embeds
-the right-padded token ids of a dataset (padded once, in `data`) through a
-vocabulary embedding E and returns the logits with its cache; `backward`
-consumes the cache and returns dE, plus weight gradients only for source
-training. `gradient` runs the two over a batch of any size. Scoring takes
-`predict`, which computes the same logits in one pass over a whole split:
-it folds the first layer into a per-token table, keeps no cache and needs
-no padding mask. These three are the frozen model's whole interface.
+Each architecture has one pass. A token reaches the model only through its
+first layer, so `predict` folds that layer into a V x h table over a
+vocabulary embedding E and runs the right-padded token ids of a batch or a
+whole split (padded once, in `data`) through it, with no padding mask and
+nothing kept. `gradient` runs the same pass, keeping what the walk back
+needs, and walks back through the same table to dE, plus weight gradients
+only for source training. These two are the frozen model's whole interface.
 """
 
 import json
@@ -30,8 +29,6 @@ from .errors import ConfigError, NumericError, ShapeError
 from .numerics import softmax
 
 FORMAT_VERSION = 1
-# Sequences per `forward`/`backward` call in `gradient`; it bounds their cache's memory.
-MAX_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -92,172 +89,137 @@ def _init_weights(architecture, d, hidden, num_classes, rng):
     return {name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes.items()}
 
 
-def _forward_bag_mlp(w, embedded, mask):
-    x = np.where(mask[:, :, None], embedded, 0.0).sum(axis=1) / mask.sum(axis=1)[:, None]
-    h = np.tanh(x @ w["w1"].T + w["b1"])
-    logits = h @ w["w2"].T + w["b2"]
-    return logits, (x, h)
-
-
-def _backward_bag_mlp(w, cache, mask, dlogits, weight_grads):
-    x, h = cache
-    da1 = (dlogits @ w["w2"]) * (1.0 - h * h)
-    dx = (da1 @ w["w1"]) / mask.sum(axis=1)[:, None]
-    dembedded = np.broadcast_to(dx[:, None, :], mask.shape + dx.shape[1:])
-    if not weight_grads:
-        return dembedded, None
-    grads = {"w2": dlogits.T @ h, "b2": dlogits.sum(axis=0),
-             "w1": da1.T @ x, "b1": da1.sum(axis=0)}
-    return dembedded, grads
-
-
-def _recur(embedded, wx, wh, b, mask, steps):
-    """tanh recurrence over `steps` for all sequences; a state holds still on padded steps."""
-    states = embedded @ wx.T  # the input terms, overwritten step by step by the states
-    states += b
-    h = np.zeros_like(states[:, 0])
-    for t in steps:
-        h = np.where(mask[:, t, None], np.tanh(states[:, t] + h @ wh.T), h)
-        states[:, t] = h
-    return states
-
-
-def _recur_grad(dh, states, wh, mask, steps):
-    """Gradients of the pre-activations of `_recur`, walking its steps in reverse."""
-    da = np.zeros_like(states)
-    for t in steps:
-        live = mask[:, t, None]
-        da[:, t] = np.where(live, dh * (1.0 - states[:, t] ** 2), 0.0)
-        dh = np.where(live, da[:, t] @ wh, dh)
-    return da
-
-
-def _forward_birnn(w, embedded, mask):
-    # the forward state freezes after step len-1; the backward one is zero until then
-    steps = range(mask.shape[1])
-    hf = _recur(embedded, w["wx_f"], w["wh_f"], w["b_f"], mask, steps)
-    hb = _recur(embedded, w["wx_b"], w["wh_b"], w["b_b"], mask, reversed(steps))
-    final = np.concatenate([hf[:, -1], hb[:, 0]], axis=1)
-    logits = final @ w["w_out"].T + w["b_out"]
-    return logits, (embedded, hf, hb, final)
-
-
-def _backward_birnn(w, cache, mask, dlogits, weight_grads):
-    embedded, hf, hb, final = cache
-    hidden, steps = hf.shape[2], range(mask.shape[1])
-    dfinal = dlogits @ w["w_out"]
-    daf = _recur_grad(dfinal[:, :hidden], hf, w["wh_f"], mask, reversed(steps))
-    dab = _recur_grad(dfinal[:, hidden:], hb, w["wh_b"], mask, steps)
-    dembedded = daf @ w["wx_f"] + dab @ w["wx_b"]
-    if not weight_grads:
-        return dembedded, None
-    grads = {"w_out": dlogits.T @ final, "b_out": dlogits.sum(axis=0)}
-    # the state each step read: the forward one from t-1, the backward one from t+1
-    prev_f = np.pad(hf[:, :-1], ((0, 0), (1, 0), (0, 0)))
-    prev_b = np.pad(hb[:, 1:], ((0, 0), (0, 1), (0, 0)))
-    for side, da, prev in (("f", daf, prev_f), ("b", dab, prev_b)):
-        grads[f"wx_{side}"] = np.tensordot(da, embedded, axes=([0, 1], [0, 1]))
-        grads[f"wh_{side}"] = np.tensordot(da, prev, axes=([0, 1], [0, 1]))
-        grads[f"b_{side}"] = da.sum(axis=(0, 1))
-    return dembedded, grads
-
-
-_FORWARD = {"bag_mlp": _forward_bag_mlp, "birnn": _forward_birnn}
-_BACKWARD = {"bag_mlp": _backward_bag_mlp, "birnn": _backward_birnn}
-
-
-def forward(params: ClassifierParams, vocab_embedding, ids, lengths):
-    """Logits (N x C) of right-padded token ids (N x L) under an embedding E (d x V).
-
-    Token v embeds as E[:, v]. Slots past a sequence's length never reach its
-    logits. Also returns the cache that `backward` consumes.
-    """
-    width = int(lengths.max())
-    ids, mask = ids[:, :width], np.arange(width) < lengths[:, None]
-    logits, cache = _FORWARD[params.architecture](params.weights, vocab_embedding.T[ids], mask)
-    return logits, (vocab_embedding.shape, ids, mask, cache)
-
-
-def backward(params: ClassifierParams, cache, dlogits, weight_grads=False):
-    """dE (d x V) of sum(dlogits * logits), and weight gradients (else None) if asked."""
-    (d, vocab_size), ids, mask, inner = cache
-    dembedded, grads = _BACKWARD[params.architecture](params.weights, inner, mask, dlogits,
-                                                      weight_grads)
-    # scatter-add the live slots into their tokens' columns
-    slots = (ids[mask][:, None] * d + np.arange(d)).ravel()
-    dvocab = np.bincount(slots, weights=dembedded[mask].ravel(), minlength=vocab_size * d)
-    return dvocab.reshape(vocab_size, d).T, grads
-
-
-def _predict_bag_mlp(w, vocab_embedding, ids, lengths):
+def _predict_bag_mlp(w, vocab_embedding, ids, lengths, keep=False):
     table = vocab_embedding.T @ w["w1"].T  # row v: w1 @ E[:, v]
-    (n, width), vocab = ids.shape, len(table)
+    (n, width), (vocab, hidden) = ids.shape, table.shape
     logits = np.empty((n, len(w["b2"])))
-    rows = max(1, n * table.shape[1] // vocab)  # a block's rows x V counts fit in N x h
+    # a block's rows x V counts fit in N x h, or in the V x h table itself, so a
+    # training batch pools in one block; `gradient` blocks as `predict` does
+    rows = max(hidden, n * hidden // vocab)
+    counts, states = [], []
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         count = len(lengths[block])
-        slots = ids[block] + vocab * np.arange(count)[:, None]  # (row, token) -> one bin
-        freq = np.bincount(slots[np.arange(width) < lengths[block, None]],
-                           minlength=count * vocab).reshape(count, vocab)
+        token = ids[block][np.arange(width) < lengths[block, None]]
+        if token.max(initial=0) >= vocab:  # it would count as a token of the next row
+            raise IndexError(f"token id {token.max()} out of range for {vocab} tokens")
+        # one bin for each (row, token) pair
+        slots = token + vocab * np.repeat(np.arange(count), lengths[block])
+        freq = np.bincount(slots, minlength=count * vocab).reshape(count, vocab)
         h = freq @ table
         h /= lengths[block, None]
         h += w["b1"]
         logits[block] = np.tanh(h, out=h) @ w["w2"].T + w["b2"]
-    return logits
+        if keep:
+            counts.append(freq)
+            states.append(h)
+    if not keep:
+        return logits, None
+    return logits, (np.concatenate(counts), lengths, np.concatenate(states))
 
 
-def _predict_birnn(w, vocab_embedding, ids, lengths):
+def _backprop_bag_mlp(w, vocab_embedding, saved, dlogits, weight_grads):
+    counts, lengths, h = saved
+    da1 = (dlogits @ w["w2"]) * (1.0 - h * h)
+    dtable = counts.T @ (da1 / lengths[:, None])  # V x h
+    dvocab = w["w1"].T @ dtable.T
+    if not weight_grads:
+        return dvocab, None
+    return dvocab, {"w2": dlogits.T @ h, "b2": dlogits.sum(axis=0),
+                    "w1": dtable.T @ vocab_embedding.T, "b1": da1.sum(axis=0)}
+
+
+def _predict_birnn(w, vocab_embedding, ids, lengths, keep=False):
     # rows sorted longest first, so the rows live at step k are the first live[k];
     # the backward direction reads each row's ids from its last one
     order = np.argsort(-lengths, kind="stable")
-    live = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
+    live = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0).tolist()
     flat, first = ids.ravel(), order * ids.shape[1]
-    final = []
+    final, sides = [], []
     for side, start, step in (("f", first, 1), ("b", first + lengths[order] - 1, -1)):
         table = vocab_embedding.T @ w[f"wx_{side}"].T + w[f"b_{side}"]  # input terms
         wh = w[f"wh_{side}"]
         h = np.zeros((len(ids), len(wh)))
+        # kept: tokens[k, :n] and states[k + 1, :n] hold the live rows' token
+        # and state at step k; dead rows keep token 0 and state 0
+        tokens = np.zeros((len(live), len(ids)), dtype=ids.dtype) if keep else None
+        states = np.zeros((len(live) + 1, *h.shape)) if keep else None
         for k, n in enumerate(live):
+            token = flat[start[:n] + step * k]
             state = h[:n] @ wh.T
-            state += table.take(flat[start[:n] + step * k], axis=0)
+            state += table.take(token, axis=0)
             np.tanh(state, out=h[:n])
+            if keep:
+                tokens[k, :n] = token
+                states[k + 1, :n] = h[:n]
         final.append(h)
+        sides.append((side, tokens, states))
+    final = np.concatenate(final, axis=1)
     logits = np.empty((len(ids), len(w["b_out"])))
-    logits[order] = np.concatenate(final, axis=1) @ w["w_out"].T + w["b_out"]
-    return logits
+    logits[order] = final @ w["w_out"].T + w["b_out"]
+    return logits, (order, live, final, sides) if keep else None
 
 
-_PREDICT = {"bag_mlp": _predict_bag_mlp, "birnn": _predict_birnn}
+def _backprop_birnn(w, vocab_embedding, saved, dlogits, weight_grads):
+    order, live, final, sides = saved
+    dlogits = dlogits[order]  # rows longest first, as the states
+    alive = (np.arange(len(order)) < np.array(live)[:, None])[:, :, None]  # step x row x 1
+    vocab, dvocab, grads = vocab_embedding.shape[1], 0.0, {}
+    for dh, (side, tokens, states) in zip(np.hsplit(dlogits @ w["w_out"], 2), sides):
+        wh, hidden, dh = w[f"wh_{side}"], states.shape[2], dh.copy()
+        # pre-activation gradients: tanh' at each live step's state, times dh
+        da = np.square(states[1:])
+        np.subtract(1.0, da, out=da)
+        da *= alive
+        for k, n in reversed(list(enumerate(live))):
+            da[k, :n] *= dh[:n]
+            np.matmul(da[k, :n], wh, out=dh[:n])
+        # scatter-add each step into its token's row of the input-term table
+        slots = (tokens[:, :, None] * hidden + np.arange(hidden)).ravel()
+        dtable = np.bincount(slots, weights=da.ravel(),
+                             minlength=vocab * hidden).reshape(vocab, hidden)
+        dvocab = dvocab + w[f"wx_{side}"].T @ dtable.T
+        if weight_grads:
+            grads[f"wx_{side}"] = dtable.T @ vocab_embedding.T
+            grads[f"wh_{side}"] = np.tensordot(da, states[:-1], axes=([0, 1], [0, 1]))
+            grads[f"b_{side}"] = dtable.sum(axis=0)
+    if not weight_grads:
+        return dvocab, None
+    return dvocab, {**grads, "w_out": dlogits.T @ final, "b_out": dlogits.sum(axis=0)}
+
+
+_PASSES = {"bag_mlp": (_predict_bag_mlp, _backprop_bag_mlp),
+           "birnn": (_predict_birnn, _backprop_birnn)}
 
 
 def predict(params: ClassifierParams, vocab_embedding, ids, lengths) -> np.ndarray:
-    """`forward`'s logits of a padded batch of any size, in one pass that keeps no cache.
+    """Logits (N x C) of right-padded token ids (N x L) under an embedding E (d x V).
 
-    A token reaches the model only through its first layer, so that layer is
-    folded into a V x h table once. `bag_mlp` pools it through per-row token
-    counts, in blocks of rows whose counts fit in N x h; `birnn` steps the
-    rows longest first, so each step updates only the leading rows still
-    live. Memory stays a few N x h arrays, never N x L x d.
+    Token v embeds as E[:, v]; slots past a sequence's length never reach its
+    logits. A token reaches the model only through its first layer, so that
+    layer is folded into a V x h table once. `bag_mlp` pools it through
+    per-row token counts, in blocks of rows whose counts fit in N x h or in
+    the V x h table; `birnn` steps the rows longest first, so each step
+    updates only the leading rows still live. Memory stays the table and a
+    few N x h arrays, never N x L x d.
     """
-    return _PREDICT[params.architecture](params.weights, vocab_embedding, ids, lengths)
+    return _PASSES[params.architecture][0](params.weights, vocab_embedding, ids, lengths)[0]
 
 
 def gradient(params: ClassifierParams, vocab_embedding, ids, lengths, labels, loss_grad,
              weight_grads=False):
-    """Summed loss, dE and (if asked) weight gradients of a padded batch of any size.
+    """Summed loss, dE and (if asked) weight gradients of a padded batch.
 
-    `loss_grad(logits, labels)` gives the summed loss of a slice of at most
-    MAX_BATCH sequences and its gradient with respect to their logits.
+    The forward half is `predict`'s pass, bit for bit, keeping what the walk
+    back needs: `bag_mlp` its token counts and hidden states, `birnn` each
+    step's live states (L x N x h per direction). `loss_grad(logits, labels)`
+    gives the batch's summed loss and its gradient with respect to the logits.
+    Both halves go through the folded table, so dE = W^T dtable^T.
     """
-    loss, dvocab, grads = 0.0, np.zeros(vocab_embedding.shape), None
-    for start in range(0, lengths.size, MAX_BATCH):
-        rows = slice(start, start + MAX_BATCH)
-        logits, cache = forward(params, vocab_embedding, ids[rows], lengths[rows])
-        part_loss, dlogits = loss_grad(logits, labels[rows])
-        part_dvocab, part = backward(params, cache, dlogits, weight_grads)
-        loss, dvocab = loss + part_loss, dvocab + part_dvocab
-        grads = part if grads is None else {name: grads[name] + part[name] for name in grads}
+    forward, backprop = _PASSES[params.architecture]
+    logits, saved = forward(params.weights, vocab_embedding, ids, lengths, keep=True)
+    loss, dlogits = loss_grad(logits, labels)
+    dvocab, grads = backprop(params.weights, vocab_embedding, saved, dlogits, weight_grads)
     return loss, dvocab, grads
 
 
@@ -268,6 +230,10 @@ def _cross_entropy_grad(logits, labels):
     loss = float(-np.log(p[rows, labels]).sum())
     p[rows, labels] -= 1.0
     return loss, p
+
+
+def _all_finite(table, weights) -> bool:
+    return all(np.isfinite(arr).all() for arr in (table, *weights.values()))
 
 
 def _read_only(arr) -> np.ndarray:
@@ -306,18 +272,25 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
 
     n = len(train)
     lr = config.learning_rate
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            _, dtable, grads = gradient(params, table, ids[batch], lengths[batch],
-                                        labels[batch], _cross_entropy_grad, weight_grads=True)
-            scale = lr / len(batch)
-            for name in weights:
-                weights[name] -= scale * grads[name]
-            table -= scale * dtable
+    for epoch in range(1, config.epochs + 1):
+        order, loss = rng.permutation(n), 0.0
+        # a step that overflows is caught once, by the check after the epoch
+        with np.errstate(all="ignore"):
+            for start in range(0, n, config.batch_size):
+                batch = order[start : start + config.batch_size]
+                part, dtable, grads = gradient(params, table, ids[batch], lengths[batch],
+                                               labels[batch], _cross_entropy_grad,
+                                               weight_grads=True)
+                loss += part
+                scale = lr / len(batch)
+                for name in weights:
+                    weights[name] -= scale * grads[name]
+                table -= scale * dtable
+        if not (np.isfinite(loss) and _all_finite(table, weights)):
+            raise NumericError(f"source training diverged in epoch {epoch}: non-finite loss, "
+                               f"embedding or weight (learning_rate {lr:g})")
 
-    if np.any(np.linalg.norm(table, axis=0) == 0.0):
+    if not table.any(axis=0).all():
         raise NumericError("training produced a zero embedding column")
 
     model = _freeze(table, params, seed)
@@ -369,7 +342,7 @@ def load_checkpoint(path) -> FrozenClassifier:
     """
     with read_document(path, "checkpoint", FORMAT_VERSION) as doc:
         architecture = doc["architecture"]
-        if architecture not in _FORWARD:
+        if architecture not in _PASSES:
             raise ValueError(f"unknown architecture {architecture!r}")
         table = np.array(doc["embeddings"], dtype=np.float64).reshape(
             doc["d"], doc["vocab_size"]
@@ -384,7 +357,7 @@ def load_checkpoint(path) -> FrozenClassifier:
         shapes = {name: arr.shape for name, arr in weights.items()}
         if shapes != expected:
             raise ValueError(f"weight shapes {shapes}, expected {expected}")
-        if not all(np.isfinite(arr).all() for arr in (table, *weights.values())):
+        if not _all_finite(table, weights):
             raise ValueError("non-finite embedding or weight")
         params = ClassifierParams(
             architecture=architecture,

@@ -1,7 +1,8 @@
 """Float64 matrix checks and the row-wise softmax.
 
-Both work on 64-bit float numpy matrices, validate their inputs, and are
-deterministic (sequential numpy reductions, no threading assumptions).
+Both work on 64-bit float numpy matrices and are deterministic (sequential
+numpy reductions, no threading assumptions). `as_matrix` checks finiteness at
+the boundaries; `softmax` checks only shapes.
 """
 
 import numpy as np
@@ -20,10 +21,13 @@ def as_matrix(a) -> np.ndarray:
 
 
 def softmax(logits) -> np.ndarray:
-    """Shift-invariant softmax over each row of a logit matrix."""
-    z = as_matrix(logits)
-    if z.shape[1] == 0:
-        raise ShapeError("softmax of an empty row")
+    """Shift-invariant softmax over each row of a logit matrix.
+
+    Logits come from checked inputs, so they are not scanned for finiteness.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ShapeError(f"softmax needs a 2-D matrix with non-empty rows, got shape {z.shape}")
     z = z - np.max(z, axis=1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=1, keepdims=True)

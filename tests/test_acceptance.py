@@ -17,8 +17,8 @@ from reprogram.classifier import (
     _cross_entropy_grad,
     _freeze,
     _init_weights,
-    forward,
     gradient,
+    predict,
     train_source,
 )
 from reprogram.cli import main as cli_main
@@ -145,7 +145,7 @@ def test_criterion_3_gradient_fidelity():
                 up, down = embedded.copy(), embedded.copy()
                 up[i, j] += h
                 down[i, j] -= h
-                lu, ld = (-np.log(softmax(forward(model.params, *one_sequence(e))[0])[0, target])
+                lu, ld = (-np.log(softmax(predict(model.params, *one_sequence(e)))[0, target])
                           for e in (up, down))
                 fd[i, j] = (lu - ld) / (2 * h)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)

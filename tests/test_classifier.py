@@ -10,7 +10,6 @@ from reprogram.classifier import (
     TrainConfig,
     _cross_entropy_grad,
     evaluate_source,
-    forward,
     gradient,
     load_checkpoint,
     predict,
@@ -38,7 +37,17 @@ def make_model(rng, d=6, vocab=10, hidden=5, classes=2, architecture="bag_mlp"):
 def token_logits(model, tokens):
     """Logits of one source-token sequence, a batch of one over the model's table."""
     ids, lengths = np.array([tokens]), np.array([len(tokens)])
-    return forward(model.params, model.embeddings, ids, lengths)[0][0]
+    return predict(model.params, model.embeddings, ids, lengths)[0]
+
+
+def pooled_logits(model, tokens):
+    """`bag_mlp` logits of one token sequence, pooled in `predict`'s order: the
+    gathered embedding columns enter through the folded table, once per count."""
+    w, embeddings = model.params.weights, model.embeddings
+    counts = np.bincount(tokens, minlength=embeddings.shape[1])[None, :]
+    h = counts @ (embeddings.T @ w["w1"].T)
+    h = np.tanh(h / len(tokens) + w["b1"])
+    return (h @ w["w2"].T + w["b2"])[0]
 
 
 def one_sequence(embedded):
@@ -48,7 +57,7 @@ def one_sequence(embedded):
 
 
 def sequence_logits(params, embedded):
-    return forward(params, *one_sequence(embedded))[0][0]
+    return predict(params, *one_sequence(embedded))[0]
 
 
 def input_gradient(model, embedded, target):
@@ -103,9 +112,7 @@ class TestForward:
         model = make_model(rng)
         for _ in range(10):
             seq = list(rng.integers(0, 10, size=rng.integers(1, 8)))
-            gathered = model.embeddings[:, seq]
-            assert np.array_equal(token_logits(model, seq),
-                                  sequence_logits(model.params, gathered))
+            assert np.array_equal(token_logits(model, seq), pooled_logits(model, seq))
 
     def test_token_out_of_range(self):
         rng = np.random.default_rng(3)
@@ -133,18 +140,30 @@ class TestForward:
                                sequence_logits(model.params, flipped))
 
 
-def finite_difference(model, embedded, target, h=1e-6):
-    grad = np.zeros_like(embedded)
-    for i in range(embedded.shape[0]):
-        for j in range(embedded.shape[1]):
-            up = embedded.copy()
-            up[i, j] += h
-            down = embedded.copy()
-            down[i, j] -= h
-            lu, ld = (-np.log(softmax(sequence_logits(model.params, e)[None, :])[0, target])
-                      for e in (up, down))
-            grad[i, j] = (lu - ld) / (2 * h)
-    return grad
+def central_difference(loss, arr, h=1e-6):
+    """Central differences of loss() with respect to each entry of arr, perturbed in place."""
+    fd = np.zeros_like(arr)
+    for idx in np.ndindex(arr.shape):
+        saved = arr[idx]
+        arr[idx] = saved + h
+        up = loss()
+        arr[idx] = saved - h
+        down = loss()
+        arr[idx] = saved
+        fd[idx] = (up - down) / (2 * h)
+    return fd
+
+
+def relative_error(analytic, fd):
+    return np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
+
+
+def finite_difference(model, embedded, target):
+    """Central differences of one sequence's cross-entropy at `target`."""
+    embedded = embedded.copy()
+    return central_difference(
+        lambda: -np.log(softmax(sequence_logits(model.params, embedded)[None, :])[0, target]),
+        embedded)
 
 
 class TestInputGradient:
@@ -157,8 +176,23 @@ class TestInputGradient:
             target = int(rng.integers(2))
             analytic = input_gradient(model, embedded, target)
             fd = finite_difference(model, embedded, target)
-            rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
-            assert rel <= 1e-5
+            assert relative_error(analytic, fd) <= 1e-5
+        # dE of a summed cross-entropy over the batches of `batch_cases`
+        model = make_model(rng, architecture=architecture)
+        for vocab_embedding, ids, lengths in batch_cases(rng, model):
+            labels = rng.integers(2, size=len(lengths))
+            rows = np.arange(len(lengths))
+
+            def loss():
+                p = softmax(predict(model.params, vocab_embedding, ids, lengths))
+                return -np.log(p[rows, labels]).sum()
+
+            dvocab = gradient(model.params, vocab_embedding, ids, lengths, labels,
+                              _cross_entropy_grad)[1]
+            assert_absent_tokens_zero(dvocab, ids, lengths)
+            vocab = model.embeddings.shape[1]
+            fd = central_difference(loss, vocab_embedding[:, :vocab])
+            assert relative_error(dvocab[:, :vocab], fd) <= 1e-5
 
     def test_near_one_hot_gradient_vanishes(self):
         rng = np.random.default_rng(6)
@@ -191,21 +225,38 @@ class TestInputGradient:
             target = int(rng.integers(2))
             analytic = input_gradient(model, embedded, target)
             fd = finite_difference(model, embedded, target)
-            rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
-            assert rel <= 1e-5
+            assert relative_error(analytic, fd) <= 1e-5
 
 
-def mixed_length_batch(rng, model, lengths=(3, 1, 5, 2, 4), pads=4):
+def mixed_length_batch(rng, model, lengths=(3, 1, 5, 2, 4), pads=4, used=None):
     """Padded ids over E = [table | pads columns of large values]; padded slots
-    select only the extra columns, which no live slot uses."""
+    select only the extra columns, which no live slot uses. Live slots draw
+    from the first `used` tokens of the table (all of them by default)."""
     d, vocab = model.embeddings.shape
     extra = rng.normal(scale=1e3, size=(d, pads))
     vocab_embedding = np.hstack([model.embeddings, extra])
     lengths = np.array(lengths)
     ids = rng.integers(vocab, vocab + pads, size=(len(lengths), lengths.max()))
     for n, length in enumerate(lengths):
-        ids[n, :length] = rng.integers(0, vocab, size=length)
+        ids[n, :length] = rng.integers(0, used or vocab, size=length)
     return vocab_embedding, ids, lengths
+
+
+def batch_cases(rng, model):
+    """Five rows of distinct lengths; and 70 rows, more than a 64-row batch, with
+    length ties and length-1 rows, whose live slots leave two tokens absent."""
+    lengths = rng.integers(1, 7, size=70)
+    lengths[rng.choice(70, size=5, replace=False)] = 1
+    vocab = model.embeddings.shape[1]
+    return [mixed_length_batch(rng, model),
+            mixed_length_batch(rng, model, lengths, used=vocab - 2)]
+
+
+def assert_absent_tokens_zero(dvocab, ids, lengths):
+    """dE is exactly zero in the column of every token no live slot holds."""
+    live = ids[np.arange(ids.shape[1]) < lengths[:, None]]
+    absent = np.setdiff1d(np.arange(dvocab.shape[1]), live)
+    assert absent.size and not dvocab[:, absent].any()
 
 
 class TestPaddedBatch:
@@ -214,51 +265,54 @@ class TestPaddedBatch:
         rng = np.random.default_rng(11)
         model = make_model(rng, architecture=architecture)
         vocab_embedding, ids, lengths = mixed_length_batch(rng, model)
-        logits, _ = forward(model.params, vocab_embedding, ids, lengths)
+        logits = predict(model.params, vocab_embedding, ids, lengths)
         for n, length in enumerate(lengths):
             single = sequence_logits(model.params, vocab_embedding[:, ids[n, :length]])
             assert np.max(np.abs(logits[n] - single)) <= 1e-12
 
     @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
+    def test_padded_slots_are_never_read(self, architecture):
+        rng = np.random.default_rng(15)
+        model = make_model(rng, architecture=architecture)
+        _, ids, lengths = mixed_length_batch(rng, model)
+        pads = np.arange(ids.shape[1]) >= lengths[:, None]
+        args = model.params, model.embeddings
+        # an id out of range anywhere but a live slot is never looked up
+        assert np.array_equal(predict(*args, np.where(pads, 10**6, ids), lengths),
+                              predict(*args, np.where(pads, 0, ids), lengths))
+
+    @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
     def test_weight_gradients_match_finite_differences(self, architecture):
         rng = np.random.default_rng(12)
         model = make_model(rng, architecture=architecture)
-        vocab_embedding, ids, lengths = mixed_length_batch(rng, model)
-        weights = {name: arr.copy() for name, arr in model.params.weights.items()}
-        params = ClassifierParams(architecture, weights, model.params.num_classes)
-        # loss = sum(cotangent * logits), so backward starts from a known dlogits
-        cotangent = rng.normal(size=(len(lengths), model.params.num_classes))
-        rows = np.arange(len(lengths))
-
-        def linear(logits, picked):
-            return float(np.sum(cotangent[picked] * logits)), cotangent[picked]
-
-        def loss():
-            return gradient(params, vocab_embedding, ids, lengths, rows, linear)[0]
-
-        _, dvocab, grads = gradient(params, vocab_embedding, ids, lengths, rows, linear,
-                                    weight_grads=True)
         vocab = model.embeddings.shape[1]
-        assert np.array_equal(dvocab[:, vocab:], np.zeros_like(dvocab[:, vocab:]))
-        h = 1e-6
-        for name, arr in weights.items():
-            fd = np.zeros_like(arr)
-            for idx in np.ndindex(arr.shape):
-                saved = arr[idx]
-                arr[idx] = saved + h
-                up = loss()
-                arr[idx] = saved - h
-                down = loss()
-                arr[idx] = saved
-                fd[idx] = (up - down) / (2 * h)
-            rel = np.linalg.norm(grads[name] - fd) / max(np.linalg.norm(fd), 1e-12)
-            assert rel <= 1e-5, name
+        for vocab_embedding, ids, lengths in batch_cases(rng, model):
+            weights = {name: arr.copy() for name, arr in model.params.weights.items()}
+            params = ClassifierParams(architecture, weights, model.params.num_classes)
+            # loss = sum(cotangent * logits), so the walk back starts from a known dlogits
+            cotangent = rng.normal(size=(len(lengths), model.params.num_classes))
+            rows = np.arange(len(lengths))
+
+            def linear(logits, picked):
+                return float(np.sum(cotangent[picked] * logits)), cotangent[picked]
+
+            def loss():
+                return gradient(params, vocab_embedding, ids, lengths, rows, linear)[0]
+
+            _, dvocab, grads = gradient(params, vocab_embedding, ids, lengths, rows, linear,
+                                        weight_grads=True)
+            assert_absent_tokens_zero(dvocab, ids, lengths)
+            fd = central_difference(loss, vocab_embedding[:, :vocab])
+            assert relative_error(dvocab[:, :vocab], fd) <= 1e-5
+            for name, arr in weights.items():
+                assert relative_error(grads[name], central_difference(loss, arr)) <= 1e-5, name
 
 
 @st.composite
 def padded_batches(draw):
-    """More than MAX_BATCH sequences of mixed lengths over V tokens, right-padded."""
-    n = draw(st.integers(33, 80))
+    """1-100 sequences of mixed lengths over V tokens, right-padded; lengths tie
+    whenever there are more than 9 rows."""
+    n = draw(st.integers(1, 100))
     lengths = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
     vocab = draw(st.integers(1, 8))
     width = int(lengths.max())
@@ -267,11 +321,32 @@ def padded_batches(draw):
     return vocab, ids, lengths
 
 
+def masked_logits(params, vocab_embedding, ids, lengths):
+    """Logits of a padded batch computed slot by slot: gather every slot's
+    embedding, then mean-pool the live slots (`bag_mlp`) or run each
+    direction's recurrence over all L steps, a state holding still on padded
+    steps (`birnn`)."""
+    w, embedded = params.weights, vocab_embedding.T[ids]  # N x L x d
+    mask = np.arange(ids.shape[1]) < lengths[:, None]
+    if params.architecture == "bag_mlp":
+        x = np.where(mask[:, :, None], embedded, 0.0).sum(axis=1) / lengths[:, None]
+        return np.tanh(x @ w["w1"].T + w["b1"]) @ w["w2"].T + w["b2"]
+    final = []
+    for side, steps in (("f", range(ids.shape[1])), ("b", range(ids.shape[1] - 1, -1, -1))):
+        h = np.zeros((len(ids), len(w[f"wh_{side}"])))
+        for t in steps:
+            step = np.tanh(embedded[:, t] @ w[f"wx_{side}"].T + w[f"b_{side}"]
+                           + h @ w[f"wh_{side}"].T)
+            h = np.where(mask[:, t, None], step, h)
+        final.append(h)
+    return np.concatenate(final, axis=1) @ w["w_out"].T + w["b_out"]
+
+
 class TestPredict:
     @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
     @settings(derandomize=True, deadline=None)
     @given(batch=padded_batches())
-    def test_matches_training_forward(self, architecture, batch):
+    def test_matches_masked_reference(self, architecture, batch):
         vocab, ids, lengths = batch
         rng = np.random.default_rng(13)
         model = make_model(rng, vocab=vocab, architecture=architecture)
@@ -280,9 +355,25 @@ class TestPredict:
                                      rng.normal(scale=1e3, size=(model.embeddings.shape[0], 4))])
         pads = np.arange(ids.shape[1]) >= lengths[:, None]
         ids = np.where(pads, vocab + np.arange(ids.size).reshape(ids.shape) % 4, ids)
-        logits, _ = forward(model.params, vocab_embedding, ids, lengths)
-        assert np.max(np.abs(predict(model.params, vocab_embedding, ids, lengths)
-                             - logits)) <= 1e-12
+        args = model.params, vocab_embedding, ids, lengths
+        assert np.max(np.abs(predict(*args) - masked_logits(*args))) <= 1e-12
+
+    @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
+    @settings(derandomize=True, deadline=None)
+    @given(batch=padded_batches())
+    def test_is_the_forward_half_of_gradient(self, architecture, batch):
+        # the logits that gradient hands to loss_grad are predict's, bit for bit
+        vocab, ids, lengths = batch
+        model = make_model(np.random.default_rng(13), vocab=vocab, architecture=architecture)
+        handed = []
+
+        def loss_grad(logits, labels):
+            handed.append(logits.copy())
+            return 0.0, np.zeros_like(logits)
+
+        args = model.params, model.embeddings, ids, lengths
+        gradient(*args, np.zeros(len(lengths), dtype=np.int64), loss_grad)
+        assert handed[0].tobytes() == predict(*args).tobytes()
 
     @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
     @settings(derandomize=True, deadline=None)

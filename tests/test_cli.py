@@ -175,6 +175,17 @@ class TestTrainSource:
         assert report["train_accuracy"] > 0.5
         assert os.path.exists(out / "source_checkpoint.json")
 
+    @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
+    def test_diverging_training_exit_3(self, tmp_path, capsys, architecture):
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        doc = _with(_with(TINY, "train.learning_rate", 1e300), "train.architecture", architecture)
+        path.write_text(json.dumps(doc))
+        assert main(["train-source", "--config", str(path), "--out", str(out)]) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and list(out.iterdir()) == []
+        assert err.splitlines() == ["runtime error: source training diverged in epoch 1: "
+                                    "non-finite loss, embedding or weight (learning_rate 1e+300)"]
+
 
 class TestReprogram:
     def test_outputs_and_determinism(self, tmp_path, config_path, source_checkpoint):

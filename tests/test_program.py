@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from reprogram.classifier import ClassifierParams, _freeze, _init_weights, forward
+from reprogram.classifier import ClassifierParams, _freeze, _init_weights, predict
 from reprogram import program
 from reprogram.data import SequenceDataset, Vocab
 from reprogram.errors import ConfigError, NumericError, ShapeError, WorkerError
@@ -78,7 +78,7 @@ def sequence_logits(model, embedded):
     """The 1 x C logits of an embedded sequence (d x L), a batch of one whose
     vocabulary embedding E is the sequence itself."""
     ids, lengths = np.arange(embedded.shape[1])[None, :], np.array([embedded.shape[1]])
-    return forward(model.params, embedded, ids, lengths)[0]
+    return predict(model.params, embedded, ids, lengths)
 
 
 def model_digest(model):
@@ -523,7 +523,7 @@ class TestEvaluate:
         dataset = target_dataset(rng, n=120, max_len=9)
         theta = rng.normal(size=(12, 4))
         embedding = model.embeddings @ theta
-        logits, _ = forward(model.params, embedding, dataset.ids, dataset.lengths)
+        logits = predict(model.params, embedding, dataset.ids, dataset.lengths)
         predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
         expected = np.zeros((2, 2), dtype=np.int64)
         np.add.at(expected, (dataset.labels, predicted), 1)
