@@ -10,6 +10,10 @@ all signals of a call advance together, one atom per step, with one product
 for every live signal's correlations and one stacked solve that refits each
 over its support's block of the Gram matrix G = atoms^T atoms, formed once
 per dictionary (`Dictionary.gram`). A single signal is a batch of one column.
+As in Batch-OMP, a step extends what the last one built: state is kept for
+live columns only, Gram blocks grow by one row and column, and a code is
+written once, when its column stops. The refit is still an LU solve per
+step, so the codes are the plain lockstep loop's, bit for bit.
 
 Update mode (`KsvdConfig.update_dictionary`) decides whether the dictionary
 itself is learned: off, the signals are coded once against the fixed
@@ -68,7 +72,11 @@ class Dictionary:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Read-only Gram matrix atoms^T atoms, formed on first use."""
+        """Read-only Gram matrix atoms^T atoms, formed on first use.
+
+        It is exactly symmetric, which `batch_encode` relies on: numpy forms a
+        matrix times its own transpose as one triangle and mirrors it.
+        """
         gram = self.atoms.T @ self.atoms
         gram.flags.writeable = False
         return gram
@@ -147,6 +155,35 @@ def _solve(gram, rhs):
         return out
 
 
+class _LiveColumns:
+    """`batch_encode`'s state, one row per column still coding.
+
+    `column` is the row's signal column, `support` its atoms in pick order,
+    `coefs` its refit over the accepted ones, and `block` and `rhs` the
+    support's Gram block and the refit's two right-hand sides.
+    """
+
+    __slots__ = ("column", "signal", "alpha", "residual", "l2", "stop_norm",
+                 "support", "coefs", "block", "rhs")
+
+    def __init__(self, **arrays):
+        for name, value in arrays.items():
+            setattr(self, name, value)
+
+    def stop(self, keep, codes, atoms):
+        """Write the code of each row outside `keep` into `codes`, then drop the row.
+
+        A stopped column's code is its first `atoms` atoms with their
+        accepted coefficients; the trial atom past them, if any, was
+        rejected. Returns the index of the rows kept.
+        """
+        done = ~keep
+        codes[self.support[done, :atoms], self.column[done, None]] = self.coefs[done]
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name)[keep])
+        return np.arange(self.column.size)
+
+
 def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray:
     """Error-constrained OMP of every signal column; returns dense K x M codes.
 
@@ -155,14 +192,23 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
     one product atoms^T R over every live residual, and is refit over its
     trial support by one stacked solve with the support's Gram sub-matrix
     and right-hand side alpha = atoms^T x; G is the dictionary's own, alpha
-    is formed once per call. A column stops for good when its residual norm
-    (cfg.residual_norm) is within cfg.epsilon, when cfg.max_atoms atoms are
-    active, when its best correlation is not positive, or when the trial atom
-    brings no gain: the atom is numerically in the span of the support (Schur
-    complement at most sqrt(eps), or a singular Gram sub-matrix), or the
-    refit fails to shrink the l2 residual. The trial atom is then rejected
-    and the previous code kept. Every product and solve is taken per column,
-    so a column's code is bitwise the same whatever else shares its batch.
+    is formed once per call and, the first residual being the signal, is
+    also the first step's product. A column stops for good when its residual
+    norm (cfg.residual_norm) is within cfg.epsilon, when cfg.max_atoms atoms
+    are active, when its best correlation is not positive, or when the trial
+    atom brings no gain: the atom is numerically in the span of the support
+    (Schur complement at most sqrt(eps), or a singular Gram sub-matrix), or
+    the refit fails to shrink the l2 residual. The trial atom is then
+    rejected and the previous code kept.
+
+    A step touches only what it changes. The state is held for live columns
+    alone and compacted when one stops, which happens once per column, so a
+    step with no stop gathers nothing. Each column's Gram sub-matrix and
+    right-hand sides grow by one row and column per step, in buffers
+    allocated once per call, and its code is written once, when it stops.
+    Every product and solve is taken per column, on the operands a fresh
+    gather would give, so a column's code is bitwise the same whatever else
+    shares its batch.
     """
     atoms = dictionary.atoms
     signals = as_matrix(signals)
@@ -174,58 +220,79 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
         raise ConfigError("max_atoms exceeds the number of atoms")
 
     signals = np.ascontiguousarray(signals.T)  # one row per signal, a contiguous BLAS vector
-    m = signals.shape[0]
+    m, width = signals.shape[0], cfg.max_atoms
     codes = np.zeros((dictionary.num_atoms, m))
-    # row j: column j's atoms in pick order; a live column has taken one per step
-    support = np.zeros((m, cfg.max_atoms), dtype=np.intp)
-    residual = signals.copy()
-    stop_norm = _residual_norm(residual, cfg.residual_norm, axis=1)
-    l2 = _residual_norm(residual, "l2", axis=1)  # each column's, carried forward
     gram = dictionary.gram
-    # (M, 1, d) @ (d, K) is one matrix-vector product per signal, so no
-    # signal's arithmetic depends on the others in the batch.
-    alpha = np.matmul(signals[:, None, :], atoms)[:, 0, :]
-    live = np.arange(m)
+    live = _LiveColumns(
+        column=np.arange(m),
+        signal=signals,
+        # (M, 1, d) @ (d, K) is one matrix-vector product per signal, so no
+        # signal's arithmetic depends on the others in the batch.
+        alpha=np.matmul(signals[:, None, :], atoms)[:, 0, :],
+        residual=signals,
+        l2=_residual_norm(signals, "l2", axis=1),
+        stop_norm=_residual_norm(signals, cfg.residual_norm, axis=1),
+        support=np.zeros((m, width), dtype=np.intp),
+        coefs=np.zeros((m, 0)),
+        block=np.zeros((m, width, width)),
+        rhs=np.zeros((m, width, 2)),
+    )
+    rows = np.arange(m)
 
-    for t in range(cfg.max_atoms):
-        live = live[stop_norm[live] > cfg.epsilon]
-        if live.size == 0:
-            break
-        correlations = np.abs(np.matmul(residual[live, None, :], atoms)[:, 0, :])
-        rows = np.arange(live.size)
-        correlations[rows[:, None], support[live, :t]] = -1.0
-        pick = np.argmax(correlations, axis=1)
-        positive = correlations[rows, pick] > 0.0
-        live = live[positive]
+    for t in range(width):
+        keep = live.stop_norm > cfg.epsilon
+        if not keep.all():
+            rows = live.stop(keep, codes, t)
+        if not rows.size:
+            return codes
+        if t:
+            correlations = np.abs(np.matmul(live.residual[:, None, :], atoms)[:, 0, :])
+            correlations[rows[:, None], live.support[:, :t]] = -1.0
+        else:
+            correlations = np.abs(live.alpha)
+        pick = correlations.argmax(axis=1)
         # a column that rejects its trial atom stops for good, so the support
         # row can hold the trial support before the atom is accepted
-        support[live, t] = pick[positive]
-        trial = support[live, : t + 1]
+        live.support[:, t] = pick
+        positive = correlations[rows, pick] > 0.0
+        if not positive.all():
+            rows = live.stop(positive, codes, t)
+            pick = pick[positive]
+        trial = live.support[:, : t + 1]
 
-        rhs = np.zeros((live.size, t + 1, 2))
-        rhs[:, :, 0] = alpha[live[:, None], trial]
-        rhs[:, t, 1] = 1.0
-        solution = _solve(gram[trial[:, :, None], trial[:, None, :]], rhs)
+        # the trial atom's row of the Gram block and, G being symmetric, its
+        # column; its entry of each right-hand side: alpha, and e_t for e_(t-1)
+        live.block[:, t, : t + 1] = gram[pick[:, None], trial]
+        live.block[:, :t, t] = live.block[:, t, :t]
+        live.rhs[:, t, 0] = live.alpha[rows, pick]
+        live.rhs[:, t, 1] = 1.0
+        if t:
+            live.rhs[:, t - 1, 1] = 0.0
+        solution = _solve(live.block[:, : t + 1, : t + 1], live.rhs[:, : t + 1])
         # the second right-hand side e_t gives 1 / the trial atom's Schur complement
         inverse_schur = solution[:, t, 1]
         independent = (inverse_schur > 0.0) & (inverse_schur < 1.0 / _SCHUR_FLOOR)
-        live, trial = live[independent], trial[independent]
-        trial_coefs = solution[independent, :, 0]
+        if not independent.all():
+            rows = live.stop(independent, codes, t)
+            solution, trial = solution[independent], live.support[:, : t + 1]
+        # contiguous, as a fresh gather gives it: numpy's matmul takes a strided
+        # vector through its own loop, which rounds differently from BLAS
+        trial_coefs = np.ascontiguousarray(solution[:, :, 0])
 
         fitted = np.matmul(trial_coefs[:, None, :], atoms.T[trial])[:, 0, :]
-        trial_residual = signals[live] - fitted
+        trial_residual = live.signal - fitted
         trial_l2 = _residual_norm(trial_residual, "l2", axis=1)
         # a least-squares refit cannot increase the l2 residual; failing to
         # shrink it means the remaining atoms add nothing
-        gain = trial_l2 < l2[live]
-        live = live[gain]
-        # the trial support holds the old one, so this overwrites the whole code
-        codes[trial[gain], live[:, None]] = trial_coefs[gain]
-        accepted = trial_residual[gain]
-        residual[live] = accepted
-        l2[live] = trial_l2[gain]
-        stop_norm[live] = _residual_norm(accepted, cfg.residual_norm, axis=1)
+        gain = trial_l2 < live.l2
+        if not gain.all():
+            rows = live.stop(gain, codes, t)
+            trial_coefs, trial_residual, trial_l2 = (
+                trial_coefs[gain], trial_residual[gain], trial_l2[gain])
+        live.coefs, live.residual, live.l2 = trial_coefs, trial_residual, trial_l2
+        live.stop_norm = _residual_norm(trial_residual, cfg.residual_norm, axis=1)
 
+    codes[live.support, live.column[:, None]] = live.coefs
     return codes
 
 

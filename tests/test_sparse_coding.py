@@ -2,6 +2,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reprogram import sparse_coding
 from reprogram.errors import ConfigError, NumericError, ShapeError
@@ -64,6 +65,17 @@ class TestGram:
         assert dic.gram.tobytes() == (dic.atoms.T @ dic.atoms).tobytes()
         with pytest.raises(ValueError):
             dic.gram[0, 0] = 2.0
+
+    def test_is_exactly_symmetric(self):
+        # batch_encode fills each Gram block's new column from its new row
+        rng = np.random.default_rng(44)
+        shapes = ((1, 4), (7, 3), (8, 12), (32, 200))
+        dictionaries = [random_dictionary(rng, d, k) for d, k in shapes]
+        signals = rng.normal(size=(8, 6))
+        codes = batch_encode(dictionaries[2], signals, KsvdConfig(epsilon=0.05, max_atoms=4))
+        dictionaries.append(ksvd_dictionary_update(dictionaries[2], signals, codes)[0])
+        for dic in dictionaries:
+            assert dic.gram.tobytes() == np.ascontiguousarray(dic.gram.T).tobytes()
 
     def test_formed_once_per_dictionary(self, monkeypatch):
         rng = np.random.default_rng(41)
@@ -406,6 +418,199 @@ class TestDependentAtoms:
         # column 1 is untouched by column 0's singular system
         assert np.array_equal(codes[:, 1], batch_encode(dic, signals[:, [1]], cfg)[:, 0])
         assert np.abs(signals[:, 1] - dic.atoms @ codes[:, 1]).max() <= 1e-9
+
+
+def lockstep_reference(dic, signals, cfg):
+    """The lockstep loop written with no live-only state: (codes, stops).
+
+    Every step gathers each live column's residual, Gram block and
+    right-hand side afresh and scatters every live code again. The
+    arithmetic is batch_encode's, operand for operand, so the codes must
+    match byte for byte. `stops[j]` is (reason, step) for column j: the step
+    at which it stopped, or max_atoms when it used its whole budget.
+    """
+    atoms = dic.atoms
+    signals = np.ascontiguousarray(np.asarray(signals, dtype=float).T)
+    m = signals.shape[0]
+    codes = np.zeros((dic.num_atoms, m))
+    stops = [("max_atoms", cfg.max_atoms)] * m
+    support = np.zeros((m, cfg.max_atoms), dtype=np.intp)
+    residual = signals.copy()
+    stop_norm = sparse_coding._residual_norm(residual, cfg.residual_norm, axis=1)
+    l2 = sparse_coding._residual_norm(residual, "l2", axis=1)
+    gram = dic.gram
+    alpha = np.matmul(signals[:, None, :], atoms)[:, 0, :]
+    live = np.arange(m)
+
+    def note(stopped, reason, t):
+        for j in stopped:
+            stops[j] = (reason, t)
+
+    for t in range(cfg.max_atoms):
+        note(live[stop_norm[live] <= cfg.epsilon], "epsilon", t)
+        live = live[stop_norm[live] > cfg.epsilon]
+        if live.size == 0:
+            break
+        correlations = np.abs(np.matmul(residual[live, None, :], atoms)[:, 0, :])
+        rows = np.arange(live.size)
+        correlations[rows[:, None], support[live, :t]] = -1.0
+        pick = np.argmax(correlations, axis=1)
+        positive = correlations[rows, pick] > 0.0
+        note(live[~positive], "zero_correlation", t)
+        live = live[positive]
+        support[live, t] = pick[positive]
+        trial = support[live, : t + 1]
+
+        rhs = np.zeros((live.size, t + 1, 2))
+        rhs[:, :, 0] = alpha[live[:, None], trial]
+        rhs[:, t, 1] = 1.0
+        solution = sparse_coding._solve(gram[trial[:, :, None], trial[:, None, :]], rhs)
+        inverse_schur = solution[:, t, 1]
+        independent = (inverse_schur > 0.0) & (inverse_schur < 1.0 / sparse_coding._SCHUR_FLOOR)
+        singular = np.isnan(inverse_schur)
+        note(live[singular], "singular", t)
+        note(live[~independent & ~singular], "schur_floor", t)
+        live, trial = live[independent], trial[independent]
+        trial_coefs = solution[independent, :, 0]
+
+        fitted = np.matmul(trial_coefs[:, None, :], atoms.T[trial])[:, 0, :]
+        trial_residual = signals[live] - fitted
+        trial_l2 = sparse_coding._residual_norm(trial_residual, "l2", axis=1)
+        gain = trial_l2 < l2[live]
+        note(live[~gain], "no_gain", t)
+        live = live[gain]
+        codes[trial[gain], live[:, None]] = trial_coefs[gain]
+        accepted = trial_residual[gain]
+        residual[live] = accepted
+        l2[live] = trial_l2[gain]
+        stop_norm[live] = sparse_coding._residual_norm(accepted, cfg.residual_norm, axis=1)
+
+    return codes, stops
+
+
+def assert_matches_lockstep_reference(dic, signals, cfg):
+    """batch_encode against lockstep_reference, byte for byte; returns the stops."""
+    codes = batch_encode(dic, signals, cfg)
+    expected, stops = lockstep_reference(dic, signals, cfg)
+    assert codes.tobytes() == expected.tobytes()
+    return stops
+
+
+@st.composite
+def coding_problems(draw):
+    """A dictionary, signal columns of several kinds and a coding config.
+
+    Signals are noise, zero, a scaled atom or a planted combination of
+    atoms, so columns stop at different steps and for different reasons; a
+    repeated atom puts trial atoms exactly in the support's span.
+    """
+    d, k, m = (draw(st.integers(1, 12)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=(d, k))
+    if k > 1 and draw(st.booleans()):
+        raw[:, k - 1] = -2.0 * raw[:, 0]
+    dic = Dictionary.from_matrix(raw)
+    signals = np.empty((d, m))
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(["noise", "zero", "atom", "planted"]),
+                                           min_size=m, max_size=m))):
+        if kind == "noise":
+            signals[:, j] = rng.normal(size=d)
+        elif kind == "zero":
+            signals[:, j] = 0.0
+        else:
+            used = rng.choice(k, size=1 if kind == "atom" else int(rng.integers(1, k + 1)),
+                              replace=False)
+            signals[:, j] = dic.atoms[:, used] @ rng.normal(size=used.size)
+    cfg = KsvdConfig(epsilon=draw(st.sampled_from([0.0, 1e-12, 0.05, 0.5]) | st.floats(0.0, 4.0)),
+                     max_atoms=draw(st.integers(0, k)),
+                     residual_norm=draw(st.sampled_from(["l1", "l2"])))
+    return dic, signals, cfg
+
+
+def mixed_batches():
+    """(dictionary, signals, cfg) params: the stop constructions of the tests
+    above, each batched with columns that stop at other steps."""
+    rng = np.random.default_rng(37)
+    cases = []
+    # zero correlation after e0; an exact one-atom signal stops on epsilon at
+    # step 1, the zero signal at step 0, noise on the budget
+    dic = Dictionary.from_matrix(np.eye(4)[:, [0, 1, 3]])
+    signals = np.column_stack([[1.0, 0.0, 3.0, 0.0], [0.0, 2.0, 0.0, 0.0], np.zeros(4),
+                               [1.0, -2.0, 0.0, 0.5], rng.normal(size=4)])
+    cases.append(("zero_correlation", dic, signals, 0.0, 3))
+    # a refit on w = (0, 0, 1e-9, 1) cannot shrink the residual (0, 0, 3, 0)
+    cols = np.eye(4)[:, [0, 1, 3]]
+    cols[2, 2] = 1e-9
+    signals = np.column_stack([[1.0, 0.0, 3.0, 0.0], [0.0, 0.0, 0.0, 2.0], np.zeros(4),
+                               rng.normal(size=(4, 3))])
+    cases.append(("no_gain", Dictionary.from_matrix(cols), signals, 0.0, 3))
+    # any two of three atoms span the plane
+    dic = Dictionary.from_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]))
+    signals = np.column_stack([rng.normal(size=(2, 12)), [1.0, 2.0], np.zeros(2)])
+    cases.append(("dependent", dic, signals, 0.0, 3))
+    # e0 against (e0 + delta e2)/|.|: singular at 1e-9, below the Schur floor at 1e-5
+    for delta in (1e-9, 1e-5):
+        cols = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, delta, 0.0]])
+        signals = np.column_stack([[[1.0, 2.0], [0.0, 3.0], [1.0, 0.0]], np.zeros(3),
+                                   [0.0, 5.0, 0.0], rng.normal(size=(3, 3))])
+        cases.append((f"delta_{delta:g}", Dictionary.from_matrix(cols), signals, 0.0, 3))
+    # a duplicated atom and a budget above d
+    raw = rng.normal(size=(6, 10))
+    dic = Dictionary.from_matrix(np.column_stack([raw, raw[:, 3]]))
+    signals = np.column_stack([rng.normal(size=(6, 12)), dic.atoms[:, [3, 7]] @ [1.0, -0.5],
+                               np.zeros(6)])
+    cases.append(("duplicated_atom", dic, signals, 0.0, 9))
+    # epsilon against the budget on a random dictionary
+    dic = random_dictionary(rng, 8, 12)
+    signals = rng.normal(size=(8, 12)) * np.geomspace(0.01, 1.0, 12)
+    cases.append(("epsilon", dic, signals, 0.1, 4))
+    return [pytest.param(dic, signals,
+                         KsvdConfig(epsilon=eps, max_atoms=budget, residual_norm=norm),
+                         id=f"{name}-{norm}")
+            for name, dic, signals, eps, budget in cases for norm in ("l1", "l2")]
+
+
+MIXED_BATCHES = mixed_batches()
+
+
+class TestLiveOnlyLockstep:
+    """batch_encode's live-only state, grown Gram blocks and codes written
+    once, against the lockstep loop that gathers and scatters every step."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(problem=coding_problems())
+    def test_matches_reference_bytes(self, problem):
+        assert_matches_lockstep_reference(*problem)
+
+    @pytest.mark.parametrize("dic, signals, cfg", MIXED_BATCHES)
+    def test_columns_stopping_at_different_steps(self, dic, signals, cfg):
+        stops = assert_matches_lockstep_reference(dic, signals, cfg)
+        assert len({step for _, step in stops}) > 1
+        codes = batch_encode(dic, signals, cfg)
+        for j in range(signals.shape[1]):
+            assert codes[:, j].tobytes() == batch_encode(dic, signals[:, [j]], cfg).tobytes()
+
+    def test_batches_cover_every_stop_reason(self):
+        reasons = set()
+        for case in MIXED_BATCHES:
+            reasons.update(reason for reason, _ in lockstep_reference(*case.values)[1])
+        assert reasons == {"epsilon", "max_atoms", "zero_correlation", "singular",
+                           "schur_floor", "no_gain"}
+
+    @pytest.mark.parametrize("residual_norm", ["l1", "l2"])
+    def test_acceptance_shape(self, residual_norm):
+        # a 32 x 200 embedding table coding a 7-token program, epsilon 0.045
+        # and 16 atoms, at scales where columns stop on epsilon and on the budget
+        rng = np.random.default_rng(38)
+        table = rng.uniform(-0.1, 0.1, size=(32, 200))
+        dic = Dictionary.from_matrix(table)
+        cfg = KsvdConfig(epsilon=0.045, max_atoms=16, residual_norm=residual_norm)
+        steps = set()
+        for scale in (0.003, 0.01, 0.03, 1.0):
+            theta = rng.uniform(-scale, scale, size=(200, 7))
+            stops = assert_matches_lockstep_reference(dic, table @ theta, cfg)
+            steps.update(step for _, step in stops)
+        assert len(steps) > 3
 
 
 def frob(signals, dic, codes):

@@ -13,6 +13,11 @@ holding `src/` and `perfbench/`. The script runs, in subprocesses:
   source batch with weight gradients (V = 200), `predict` on the target test
   split, and `train_source` at each workload's settings; medians of repeats,
   BLAS on one thread;
+- a replay of the 200 `batch_encode` calls of a seed-1 `bag_fixed_dict`
+  `reprogram_train` under each checkout's `src/`: the calls' inputs are
+  recorded once, by wrapping `batch_encode` in the first checkout's run, and
+  each checkout reports its median time over all 200 calls and one sha256
+  over all 200 codes;
 - with `--accuracy-seeds`, one `perfbench/run.py --seconds 0` per seed and
   checkout, for the test accuracy of the program and the source checkpoint's
   valid accuracy.
@@ -21,11 +26,13 @@ perfbench writes its artifacts to each checkout's `perfbench/work/`.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -111,10 +118,11 @@ def per_seed_accuracy(trees, seeds) -> dict:
     return table
 
 
-def micro(tree: Path, repeats: int) -> dict:
+def micro(tree: Path, repeats: int, omp_calls: Path) -> dict:
     """Micro-timings under tree/src, from this script's --micro mode in a subprocess."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **ONE_THREAD)
-    done = subprocess.run([sys.executable, __file__, "--micro", "--repeats", str(repeats)],
+    done = subprocess.run([sys.executable, __file__, "--micro", "--repeats", str(repeats),
+                           "--omp-calls", str(omp_calls)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -128,14 +136,72 @@ def median_ms(fn, repeats):
     return 1e3 * statistics.median(times)
 
 
-def run_micro(repeats: int) -> dict:
+def record_omp_calls(path: Path, source_split, target_split) -> None:
+    """Record the `batch_encode` inputs of a seed-1 `bag_fixed_dict` `reprogram_train`."""
+    import numpy as np
+    from reprogram import classifier, program, sparse_coding
+
+    (s_train, s_valid), (t_train, t_valid) = source_split, target_split
+    lr, epochs = ARCHITECTURES["bag_mlp"]
+    model, _ = classifier.train_source(
+        s_train, classifier.TrainConfig(architecture="bag_mlp", epochs=epochs, learning_rate=lr),
+        1, valid=s_valid)
+    ksvd = sparse_coding.KsvdConfig(epsilon=0.045, max_atoms=16, sweeps=5,
+                                    update_dictionary=False)
+    config = program.ReprogramConfig(outer_iterations=200, ksvd=ksvd, seed=1)
+    calls, real = [], sparse_coding.batch_encode
+
+    def recorded(dictionary, signals, cfg):
+        assert cfg == ksvd and (not calls or dictionary is calls[0][0])
+        calls.append((dictionary, np.array(signals)))
+        return real(dictionary, signals, cfg)
+
+    sparse_coding.batch_encode = recorded
+    try:
+        program.reprogram_train(model, program.LabelMap((0, 1)), t_train, t_valid, config)
+    finally:
+        sparse_coding.batch_encode = real
+    dictionary = calls[0][0]
+    np.savez(path, atoms=dictionary.atoms, column_norms=dictionary.column_norms,
+             signals=np.stack([signals for _, signals in calls]), epsilon=ksvd.epsilon,
+             max_atoms=ksvd.max_atoms, residual_norm=ksvd.residual_norm)
+
+
+def replay_omp_calls(path: Path, repeats: int) -> dict:
+    """Median time of all recorded `batch_encode` calls and the sha256 of their codes."""
+    import numpy as np
+    from reprogram.sparse_coding import Dictionary, KsvdConfig, batch_encode
+
+    with np.load(path) as recorded:
+        atoms, norms = recorded["atoms"], recorded["column_norms"]
+        atoms.flags.writeable = norms.flags.writeable = False
+        dictionary = Dictionary(atoms=atoms, column_norms=norms)
+        cfg = KsvdConfig(epsilon=float(recorded["epsilon"]), max_atoms=int(recorded["max_atoms"]),
+                         residual_norm=str(recorded["residual_norm"]))
+        calls = list(recorded["signals"])
+    digest = hashlib.sha256()
+    for signals in calls:
+        digest.update(batch_encode(dictionary, signals, cfg).tobytes())
+
+    def replay():
+        for signals in calls:
+            batch_encode(dictionary, signals, cfg)
+
+    return {"calls": len(calls), "median_ms": median_ms(replay, 5 * repeats),
+            "codes_sha256": digest.hexdigest()}
+
+
+def run_micro(repeats: int, omp_calls: Path) -> dict:
     """Timings of the imported `reprogram` package on seed-1 synthetic data."""
     import numpy as np
     from reprogram import classifier, data
 
     source, target = data.synth_tasks(1, 2000, 6500)
     s_train, s_valid, _ = data.split(source, data.SplitSpec(0.8, 0.1, 0.1, seed=1))
-    t_train, _, t_test = data.split(target, data.SplitSpec(0.78, 0.06, 0.16, seed=1))
+    t_train, t_valid, t_test = data.split(target, data.SplitSpec(0.78, 0.06, 0.16, seed=1))
+    if not omp_calls.exists():
+        record_omp_calls(omp_calls, (s_train, s_valid), (t_train, t_valid))
+    omp_replay = replay_omp_calls(omp_calls, repeats)
     rng = np.random.default_rng(1)
     theta = rng.uniform(-0.01, 0.01, size=(len(source.vocab), len(target.vocab)))
     timings = {}
@@ -168,7 +234,7 @@ def run_micro(repeats: int) -> dict:
             "train_source_ms": median_ms(
                 lambda: classifier.train_source(s_train, config, 1, valid=s_valid), repeats),
         }
-    return {"numpy": np.__version__, "timings": timings,
+    return {"numpy": np.__version__, "timings": timings, "batch_encode_replay": omp_replay,
             "sizes": {"target_test_rows": len(t_test), "source_train_rows": len(s_train)}}
 
 
@@ -182,18 +248,24 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_model_path.json")
     parser.add_argument("--micro", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--omp-calls", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.micro:
-        print(json.dumps(run_micro(args.repeats)))
+        if args.omp_calls is None:
+            parser.error("--micro needs --omp-calls")
+        print(json.dumps(run_micro(args.repeats, args.omp_calls)))
         return 0
     if args.parent is None:
         parser.error("--parent is required")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    doc = {
-        "seeds": args.seeds,
-        "seconds_per_run": args.seconds,
-        "micro_ms": {name: micro(tree, args.repeats) for name, tree in trees.items()},
-    }
+    with tempfile.TemporaryDirectory() as scratch:
+        omp_calls = Path(scratch) / "batch_encode_calls.npz"
+        doc = {
+            "seeds": args.seeds,
+            "seconds_per_run": args.seconds,
+            "micro_ms": {name: micro(tree, args.repeats, omp_calls)
+                         for name, tree in trees.items()},
+        }
     doc.update(end_to_end(trees, args.seeds, args.seconds))
     doc["cores"] = {"nproc": os.cpu_count(), "usable": len(os.sched_getaffinity(0))}
     if args.accuracy_seeds:
