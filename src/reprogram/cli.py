@@ -34,9 +34,7 @@ _DEFAULTS = {
         "projection_mode": "every_outer_iteration",
         "label_map": [0, 1],
         "ksvd": {"epsilon": 0.045, "max_atoms": 16, "sweeps": 5,
-                 "update_dictionary": False,
-                 "unused_atom_policy": "replace_with_worst_residual",
-                 "residual_norm": "l1"},
+                 "update_dictionary": False},
     },
 }
 
@@ -349,7 +347,8 @@ def main(argv=None) -> int:
             return cmd_sweep_ksvd(cfg, _parse_grid(args.grid),
                                   args.source_checkpoint, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DataFormatError, FileNotFoundError) as exc:
+    except (ConfigError, DataFormatError, FileNotFoundError, FileExistsError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ShapeError, IndexError, np.linalg.LinAlgError,

@@ -163,21 +163,30 @@ def read_document(path, kind: str, version: int):
 
 
 def load_csv(path, sequence_column="sequence", label_column="label") -> SequenceDataset:
-    """Character-tokenized dataset from a headered CSV file."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"{path}: empty file")
-        for col in (sequence_column, label_column):
-            if col not in reader.fieldnames:
-                raise DataFormatError(f"{path}: missing column {col!r}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            seq = row[sequence_column]
-            label = row[label_column]
-            if not seq:
-                raise DataFormatError(f"{path}: empty sequence at line {lineno}")
-            rows.append((seq, label))
+    """Character-tokenized dataset from a headered UTF-8 CSV file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DataFormatError(f"{path}: empty file")
+            for col in (sequence_column, label_column):
+                if col not in reader.fieldnames:
+                    raise DataFormatError(f"{path}: missing column {col!r}")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                seq = row[sequence_column]
+                label = row[label_column]
+                if seq is None or label is None:
+                    raise DataFormatError(
+                        f"{path}: line {lineno} has fewer fields than the header")
+                if not seq:
+                    raise DataFormatError(f"{path}: empty sequence at line {lineno}")
+                rows.append((seq, label))
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(
+                f"{path}: not valid UTF-8 (byte {exc.object[exc.start]:#04x})") from exc
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return _build_dataset(rows)

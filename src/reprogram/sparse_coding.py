@@ -1,7 +1,7 @@
 """Error-constrained sparse coding (OMP) and k-SVD dictionary learning.
 
 Signals are coded greedily against a unit-norm dictionary until either the
-residual norm drops below epsilon or the atom budget is exhausted; the
+residual's l1 norm drops to epsilon or the atom budget is exhausted; the
 dictionary-update stage replaces each atom and its coefficient row with the
 leading singular pair of the atom's restricted residual.
 
@@ -20,11 +20,11 @@ itself is learned: off, the signals are coded once against the fixed
 initial atoms, since every further sweep would repeat that coding exactly;
 on, each sweep codes and then runs one k-SVD update, so the
 returned atoms may drift away from the initial ones and the codes are only
-meaningful over the returned dictionary. An atom that no signal uses is
-either kept or, as in K-SVD (Aharon, Elad & Bruckstein, 2006), replaced by
-the normalised least-represented signal: only signals whose residual exceeds
-epsilon qualify, the worst goes first, and no signal fills two atoms. When
-no qualifying signal is left the atom is kept, so a dictionary that already
+meaningful over the returned dictionary. An atom that no signal uses is,
+as in K-SVD (Aharon, Elad & Bruckstein, 2006), replaced by the normalised
+least-represented signal: only signals whose l1 residual exceeds epsilon
+qualify, the worst goes first, and no signal fills two atoms. When no
+qualifying signal is left the atom is kept, so a dictionary that already
 codes every signal within epsilon is a fixed point of the update.
 """
 
@@ -90,21 +90,18 @@ class Dictionary:
 class KsvdConfig:
     """Sparse-coding and k-SVD loop parameters.
 
-    `epsilon` and `residual_norm` set the OMP stopping rule and also which
+    `epsilon` bounds the l1 residual: it stops OMP and also decides which
     signals count as unrepresented when an unused atom is replaced.
     `update_dictionary` turns the k-SVD update on (learned atoms) or off (the
     initial atoms stay fixed). `sweeps` counts k-SVD sweeps, so it means
     nothing over a fixed dictionary: `ksvd_run` codes once and repeats that
-    coding error for each sweep. `unused_atom_policy` is "keep" or
-    "replace_with_worst_residual"; see the module docstring for the rule.
+    coding error for each sweep.
     """
 
     epsilon: float
     max_atoms: int
     sweeps: int = 1
     update_dictionary: bool = True
-    unused_atom_policy: str = "replace_with_worst_residual"
-    residual_norm: str = "l1"
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -113,10 +110,6 @@ class KsvdConfig:
             raise ConfigError("max_atoms must be non-negative")
         if self.sweeps < 1:
             raise ConfigError("sweeps must be at least 1")
-        if self.unused_atom_policy not in ("keep", "replace_with_worst_residual"):
-            raise ConfigError(f"unknown unused_atom_policy {self.unused_atom_policy!r}")
-        if self.residual_norm not in ("l1", "l2"):
-            raise ConfigError(f"unknown residual_norm {self.residual_norm!r}")
 
 
 def _residual_norm(residual: np.ndarray, kind: str, axis: int):
@@ -193,9 +186,9 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
     trial support by one stacked solve with the support's Gram sub-matrix
     and right-hand side alpha = atoms^T x; G is the dictionary's own, alpha
     is formed once per call and, the first residual being the signal, is
-    also the first step's product. A column stops for good when its residual
-    norm (cfg.residual_norm) is within cfg.epsilon, when cfg.max_atoms atoms
-    are active, when its best correlation is not positive, or when the trial
+    also the first step's product. A column stops for good when the l1 norm
+    of its residual is within cfg.epsilon, when cfg.max_atoms atoms are
+    active, when its best correlation is not positive, or when the trial
     atom brings no gain: the atom is numerically in the span of the support
     (Schur complement at most sqrt(eps), or a singular Gram sub-matrix), or
     the refit fails to shrink the l2 residual. The trial atom is then
@@ -231,7 +224,7 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
         alpha=np.matmul(signals[:, None, :], atoms)[:, 0, :],
         residual=signals,
         l2=_residual_norm(signals, "l2", axis=1),
-        stop_norm=_residual_norm(signals, cfg.residual_norm, axis=1),
+        stop_norm=_residual_norm(signals, "l1", axis=1),
         support=np.zeros((m, width), dtype=np.intp),
         coefs=np.zeros((m, 0)),
         block=np.zeros((m, width, width)),
@@ -290,7 +283,7 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
             trial_coefs, trial_residual, trial_l2 = (
                 trial_coefs[gain], trial_residual[gain], trial_l2[gain])
         live.coefs, live.residual, live.l2 = trial_coefs, trial_residual, trial_l2
-        live.stop_norm = _residual_norm(trial_residual, cfg.residual_norm, axis=1)
+        live.stop_norm = _residual_norm(trial_residual, "l1", axis=1)
 
     codes[live.support, live.column[:, None]] = live.coefs
     return codes
@@ -304,26 +297,18 @@ def _fix_sign(atom: np.ndarray, row: np.ndarray):
     return atom, row
 
 
-def ksvd_dictionary_update(
-    dictionary: Dictionary,
-    signals,
-    codes,
-    policy: str = "replace_with_worst_residual",
-    epsilon: float = 0.0,
-    residual_norm: str = "l2",
-):
+def ksvd_dictionary_update(dictionary: Dictionary, signals, codes, epsilon: float = 0.0):
     """One k-SVD sweep over all atoms; returns the new dictionary and codes.
 
     Each used atom and its coefficient row are jointly replaced by the leading
     singular pair of the residual restricted to the atom's support, so the
-    Frobenius reconstruction error cannot increase. Atoms with empty support
-    follow `policy`: "keep" leaves them bitwise unchanged, while
-    "replace_with_worst_residual" sets each to the normalised signal with the
-    largest residual (in `residual_norm`) among those whose residual exceeds
-    `epsilon` and that no earlier atom of this sweep took. An unused atom
-    with no such signal left is kept. The default tolerance of 0 lets any
-    imperfectly coded signal qualify; `ksvd_run` passes the coding epsilon,
-    so signals already coded within it are never used as replacements.
+    Frobenius reconstruction error cannot increase. Each atom with empty
+    support is set to the normalised signal with the largest l1 residual
+    among those whose residual exceeds `epsilon` and that no earlier atom of
+    this sweep took. An unused atom with no such signal left is kept. The
+    default tolerance of 0 lets any imperfectly coded signal qualify;
+    `ksvd_run` passes the coding epsilon, so signals already coded within it
+    are never used as replacements.
     """
     signals = as_matrix(signals)
     codes = as_matrix(codes)
@@ -345,10 +330,10 @@ def ksvd_dictionary_update(
     errors, exhausted = None, False
     for k in range(atoms.shape[1]):
         if not in_use[k]:
-            if policy == "keep" or exhausted:
+            if exhausted:
                 continue
             if errors is None:
-                errors = _residual_norm(residual, residual_norm, axis=0)
+                errors = _residual_norm(residual, "l1", axis=0)
                 errors[taken] = -np.inf
             worst = int(np.argmax(errors))
             if not errors[worst] > epsilon:
@@ -393,14 +378,8 @@ def ksvd_run(signals, init_dict: Dictionary, cfg: KsvdConfig):
     for _ in range(cfg.sweeps if cfg.update_dictionary else 1):
         codes = batch_encode(dictionary, signals, cfg)
         if cfg.update_dictionary:
-            dictionary, codes = ksvd_dictionary_update(
-                dictionary,
-                signals,
-                codes,
-                policy=cfg.unused_atom_policy,
-                epsilon=cfg.epsilon,
-                residual_norm=cfg.residual_norm,
-            )
+            dictionary, codes = ksvd_dictionary_update(dictionary, signals, codes,
+                                                       epsilon=cfg.epsilon)
         error = float(np.linalg.norm(signals - dictionary.atoms @ codes))
         error_trace.append(error)
     error_trace += error_trace[-1:] * (cfg.sweeps - len(error_trace))

@@ -140,6 +140,9 @@ def _with(doc, dotted, value):
     ("reprogram.decay", True, ()),
     ("data.target_path", 1, ()),
     ("data.source_path", ["a.csv"], ()),
+    # the OMP stop norm and the unused-atom rule are fixed, not settable
+    ("reprogram.ksvd.residual_norm", "l1", ()),
+    ("reprogram.ksvd.unused_atom_policy", "replace_with_worst_residual", ()),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, key, value, flags):
     path = tmp_path / "cfg.json"
@@ -343,10 +346,13 @@ def count_calls(monkeypatch, module, name):
 
 
 def _exits_2_with_one_error_line(capsys, argv, name):
-    """`main(argv)` returns 2 and writes one `error:` line that contains `name`."""
+    """`main(argv)` returns 2, prints nothing to stdout and writes one `error:`
+    line that contains `name`."""
     capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err.strip().splitlines()
+    out, err = capsys.readouterr()
+    err = err.strip().splitlines()
+    assert out == ""
     assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
 
 
@@ -471,3 +477,53 @@ class TestMalformedInputs:
                      ["sweep-data", *common, "--grid", "50"],
                      ["sweep-ksvd", *common, "--grid", "1"]):
             _exits_2_with_one_error_line(capsys, argv, "reprogram.label_map")
+
+
+class TestPathsOfTheWrongKind:
+    """A directory where a file belongs, an `--out` that is a file and a CSV
+    that is not UTF-8 or has a short row exit 2 with one line naming the path."""
+
+    @pytest.mark.parametrize("flag", ["--config", "--source-checkpoint", "--program"])
+    def test_directory_for_an_input_file_exit_2(self, tmp_path, config_path, source_checkpoint,
+                                                program_path, capsys, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = _eval_argv(config_path, source_checkpoint, program_path, tmp_path)
+        argv[argv.index(flag) + 1] = str(folder)
+        _exits_2_with_one_error_line(capsys, argv, str(folder))
+
+    @pytest.mark.parametrize("key", ["data.source_path", "data.target_path"])
+    def test_directory_for_a_dataset_exit_2(self, tmp_path, capsys, key):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_with(_with(TINY, "data.mode", "csv"), key, str(folder))))
+        _exits_2_with_one_error_line(
+            capsys, ["train-source", "--config", str(path), "--out", str(tmp_path / "o")],
+            str(folder))
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_is_or_is_under_a_file_exit_2(self, tmp_path, config_path, capsys, out):
+        (tmp_path / "file").write_text("kept")
+        _exits_2_with_one_error_line(
+            capsys, ["train-source", "--config", config_path, "--out", str(tmp_path / out)],
+            str(tmp_path / "file"))
+        assert (tmp_path / "file").read_text() == "kept"
+
+    def test_undecodable_csv_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "latin1.csv"
+        target.write_bytes(b"sequence,label\nAC\xffD,x\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "data": {"mode": "csv", "target_path": str(target)}}))
+        _exits_2_with_one_error_line(
+            capsys, ["train-source", "--config", str(path), "--out", str(tmp_path / "o")],
+            "latin1.csv: not valid UTF-8")
+
+    def test_short_csv_row_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "short.csv"
+        target.write_text("sequence,label\nACD,x\nKK\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "data": {"mode": "csv", "target_path": str(target)}}))
+        _exits_2_with_one_error_line(
+            capsys, ["train-source", "--config", str(path), "--out", str(tmp_path / "o")],
+            "short.csv: line 3 has fewer fields than the header")

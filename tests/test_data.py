@@ -63,6 +63,27 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="line 3"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["sequence,label\nAA,x\nGG\n", "label,sequence\nx,AA\ny\n"],
+                             ids=["no_label", "no_sequence"])
+    def test_short_row_reports_line(self, tmp_path, text):
+        path = write(tmp_path / "short.csv", text)
+        with pytest.raises(DataFormatError,
+                           match=r"short\.csv: line 3 has fewer fields than the header"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("raw", [b"seq\xffuence,label\nAA,x\n", b"sequence,label\nA\xffA,x\n"],
+                             ids=["header", "row"])
+    def test_undecodable_file_is_named(self, tmp_path, raw):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=r"latin1\.csv: not valid UTF-8 \(byte 0xff\)"):
+            load_csv(str(path))
+
+    def test_field_beyond_the_csv_limit_is_named(self, tmp_path):
+        path = write(tmp_path / "long.csv", "sequence,label\n" + "A" * 200_000 + ",x\n")
+        with pytest.raises(DataFormatError, match=r"long\.csv: field larger than field limit"):
+            load_csv(path)
+
     def test_loader_deterministic(self, tmp_path):
         path = write(tmp_path / "d.csv", "sequence,label\nABBA,x\nBAB,y\n")
         assert_same(load_csv(path), load_csv(path))

@@ -251,13 +251,9 @@ def reference_omp(atoms, signal, cfg):
     of deficient rank counts as no gain, like a refit that fails to shrink
     the l2 residual.
     """
-    if cfg.residual_norm == "l1":
-        norm = lambda r: np.sum(np.abs(r))
-    else:
-        norm = np.linalg.norm
     support, coefs, residual = [], np.zeros(0), signal.copy()
     while True:
-        if norm(residual) <= cfg.epsilon:
+        if np.sum(np.abs(residual)) <= cfg.epsilon:
             return support, coefs, "epsilon"
         if len(support) == cfg.max_atoms:
             return support, coefs, "max_atoms"
@@ -297,8 +293,7 @@ def assert_matches_reference(dic, signals, cfg):
 class TestLockstepEquivalence:
     """The lockstep Gram-solve path against the per-signal lstsq reference."""
 
-    @pytest.mark.parametrize("residual_norm", ["l1", "l2"])
-    def test_random_dictionaries(self, residual_norm):
+    def test_random_dictionaries(self):
         rng = np.random.default_rng(30)
         reasons = set()
         for _ in range(40):
@@ -309,8 +304,7 @@ class TestLockstepEquivalence:
             # supports of at most d/2 atoms keep the Gram sub-matrices well
             # conditioned, so 1e-12 is a fair bound for normal equations
             cfg = KsvdConfig(epsilon=float(rng.uniform(0.05, 1.0)),
-                             max_atoms=int(rng.integers(1, d // 2 + 1)),
-                             residual_norm=residual_norm)
+                             max_atoms=int(rng.integers(1, d // 2 + 1)))
             reasons.update(assert_matches_reference(dic, signals, cfg))
         assert reasons == {"epsilon", "max_atoms"}
 
@@ -341,11 +335,10 @@ class TestLockstepEquivalence:
         rng = np.random.default_rng(31)
         dic = Dictionary.from_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]))
         signals = rng.normal(size=(2, 40))
-        for residual_norm in ("l1", "l2"):
-            cfg = KsvdConfig(epsilon=0.0, max_atoms=3, residual_norm=residual_norm)
-            reasons = assert_matches_reference(dic, signals, cfg)
-            assert "no_gain" in reasons
-            assert np.all(np.count_nonzero(batch_encode(dic, signals, cfg), axis=0) == 2)
+        cfg = KsvdConfig(epsilon=0.0, max_atoms=3)
+        reasons = assert_matches_reference(dic, signals, cfg)
+        assert "no_gain" in reasons
+        assert np.all(np.count_nonzero(batch_encode(dic, signals, cfg), axis=0) == 2)
 
     def test_zero_signal(self):
         rng = np.random.default_rng(32)
@@ -436,7 +429,7 @@ def lockstep_reference(dic, signals, cfg):
     stops = [("max_atoms", cfg.max_atoms)] * m
     support = np.zeros((m, cfg.max_atoms), dtype=np.intp)
     residual = signals.copy()
-    stop_norm = sparse_coding._residual_norm(residual, cfg.residual_norm, axis=1)
+    stop_norm = sparse_coding._residual_norm(residual, "l1", axis=1)
     l2 = sparse_coding._residual_norm(residual, "l2", axis=1)
     gram = dic.gram
     alpha = np.matmul(signals[:, None, :], atoms)[:, 0, :]
@@ -483,7 +476,7 @@ def lockstep_reference(dic, signals, cfg):
         accepted = trial_residual[gain]
         residual[live] = accepted
         l2[live] = trial_l2[gain]
-        stop_norm[live] = sparse_coding._residual_norm(accepted, cfg.residual_norm, axis=1)
+        stop_norm[live] = sparse_coding._residual_norm(accepted, "l1", axis=1)
 
     return codes, stops
 
@@ -522,8 +515,7 @@ def coding_problems(draw):
                               replace=False)
             signals[:, j] = dic.atoms[:, used] @ rng.normal(size=used.size)
     cfg = KsvdConfig(epsilon=draw(st.sampled_from([0.0, 1e-12, 0.05, 0.5]) | st.floats(0.0, 4.0)),
-                     max_atoms=draw(st.integers(0, k)),
-                     residual_norm=draw(st.sampled_from(["l1", "l2"])))
+                     max_atoms=draw(st.integers(0, k)))
     return dic, signals, cfg
 
 
@@ -564,10 +556,8 @@ def mixed_batches():
     dic = random_dictionary(rng, 8, 12)
     signals = rng.normal(size=(8, 12)) * np.geomspace(0.01, 1.0, 12)
     cases.append(("epsilon", dic, signals, 0.1, 4))
-    return [pytest.param(dic, signals,
-                         KsvdConfig(epsilon=eps, max_atoms=budget, residual_norm=norm),
-                         id=f"{name}-{norm}")
-            for name, dic, signals, eps, budget in cases for norm in ("l1", "l2")]
+    return [pytest.param(dic, signals, KsvdConfig(epsilon=eps, max_atoms=budget), id=name)
+            for name, dic, signals, eps, budget in cases]
 
 
 MIXED_BATCHES = mixed_batches()
@@ -597,14 +587,13 @@ class TestLiveOnlyLockstep:
         assert reasons == {"epsilon", "max_atoms", "zero_correlation", "singular",
                            "schur_floor", "no_gain"}
 
-    @pytest.mark.parametrize("residual_norm", ["l1", "l2"])
-    def test_acceptance_shape(self, residual_norm):
+    def test_acceptance_shape(self):
         # a 32 x 200 embedding table coding a 7-token program, epsilon 0.045
         # and 16 atoms, at scales where columns stop on epsilon and on the budget
         rng = np.random.default_rng(38)
         table = rng.uniform(-0.1, 0.1, size=(32, 200))
         dic = Dictionary.from_matrix(table)
-        cfg = KsvdConfig(epsilon=0.045, max_atoms=16, residual_norm=residual_norm)
+        cfg = KsvdConfig(epsilon=0.045, max_atoms=16)
         steps = set()
         for scale in (0.003, 0.01, 0.03, 1.0):
             theta = rng.uniform(-scale, scale, size=(200, 7))
@@ -617,7 +606,7 @@ def frob(signals, dic, codes):
     return np.linalg.norm(signals - dic.atoms @ codes)
 
 
-def reference_dictionary_update(dictionary, signals, codes, policy, epsilon, residual_norm):
+def reference_dictionary_update(dictionary, signals, codes, epsilon):
     """The k-SVD sweep as a plain per-atom loop: each atom's support found by
     np.nonzero, every signal's residual norm recomputed for each unused atom."""
     atoms, codes = dictionary.atoms.copy(), codes.copy()
@@ -626,9 +615,7 @@ def reference_dictionary_update(dictionary, signals, codes, policy, epsilon, res
     for k in range(atoms.shape[1]):
         used = np.nonzero(codes[k, :])[0]
         if used.size == 0:
-            if policy == "keep":
-                continue
-            errors = sparse_coding._residual_norm(residual, residual_norm, axis=0)
+            errors = sparse_coding._residual_norm(residual, "l1", axis=0)
             errors[taken] = -np.inf
             worst = int(np.argmax(errors))
             if not errors[worst] > epsilon:
@@ -649,9 +636,7 @@ def reference_dictionary_update(dictionary, signals, codes, policy, epsilon, res
 
 
 class TestKsvdDictionaryUpdate:
-    @pytest.mark.parametrize("residual_norm", ["l1", "l2"])
-    @pytest.mark.parametrize("policy", ["keep", "replace_with_worst_residual"])
-    def test_matches_per_atom_reference_bitwise(self, policy, residual_norm):
+    def test_matches_per_atom_reference_bitwise(self):
         rng = np.random.default_rng(26)
         replaced = 0
         for _ in range(60):
@@ -662,17 +647,15 @@ class TestKsvdDictionaryUpdate:
             signals = rng.normal(size=(6, n))
             # a tolerance that some, but not all, signals' residuals exceed
             residual = signals - dic.atoms @ codes
-            norms = sparse_coding._residual_norm(residual, residual_norm, axis=0)
+            norms = sparse_coding._residual_norm(residual, "l1", axis=0)
             epsilon = float(np.quantile(norms, rng.random()))
-            new_dic, new_codes = ksvd_dictionary_update(dic, signals, codes, policy, epsilon,
-                                                        residual_norm)
-            atoms, ref_codes = reference_dictionary_update(dic, signals, codes, policy, epsilon,
-                                                           residual_norm)
+            new_dic, new_codes = ksvd_dictionary_update(dic, signals, codes, epsilon)
+            atoms, ref_codes = reference_dictionary_update(dic, signals, codes, epsilon)
             assert new_dic.atoms.tobytes() == atoms.tobytes()
             assert new_codes.tobytes() == ref_codes.tobytes()
             unused = ~codes.any(axis=1)
             replaced += np.count_nonzero(np.any(atoms[:, unused] != dic.atoms[:, unused], axis=0))
-        assert (replaced > 0) == (policy != "keep")
+        assert replaced > 0
 
     def test_exact_reconstruction_unchanged(self):
         rng = np.random.default_rng(14)
@@ -696,15 +679,6 @@ class TestKsvdDictionaryUpdate:
             new_dic, new_codes = ksvd_dictionary_update(dic, signals, codes)
             after = frob(signals, new_dic, new_codes)
             assert after <= before + 1e-10
-
-    def test_unused_atom_keep_is_bitwise(self):
-        rng = np.random.default_rng(16)
-        dic = random_dictionary(rng, 6, 4)
-        codes = rng.normal(size=(4, 8))
-        codes[2, :] = 0.0
-        signals = rng.normal(size=(6, 8))
-        new_dic, _ = ksvd_dictionary_update(dic, signals, codes, policy="keep")
-        assert np.array_equal(new_dic.atoms[:, 2], dic.atoms[:, 2])
 
     def test_unused_atom_replacement_unit_norm(self):
         rng = np.random.default_rng(17)
@@ -748,10 +722,7 @@ class TestKsvdDictionaryUpdate:
         signals = rng.normal(size=(32, 7))
         codes = batch_encode(dic, signals, KsvdConfig(epsilon=0.045, max_atoms=16))
         unused = np.count_nonzero(codes, axis=1) == 0
-        kept, _ = ksvd_dictionary_update(dic, signals, codes, policy="keep")
-        assert np.array_equal(kept.atoms[:, unused], dic.atoms[:, unused])
-        new_dic, _ = ksvd_dictionary_update(dic, signals, codes, epsilon=0.045,
-                                            residual_norm="l1")
+        new_dic, _ = ksvd_dictionary_update(dic, signals, codes, epsilon=0.045)
         changed = unused & np.any(new_dic.atoms != dic.atoms, axis=0)
         assert changed.sum() == 7
         unit = signals / np.linalg.norm(signals, axis=0)
@@ -879,7 +850,3 @@ class TestKsvdConfig:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ConfigError):
             KsvdConfig(epsilon=-0.1, max_atoms=2)
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            KsvdConfig(epsilon=0.1, max_atoms=2, unused_atom_policy="drop")

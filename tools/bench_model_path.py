@@ -164,7 +164,7 @@ def record_omp_calls(path: Path, source_split, target_split) -> None:
     dictionary = calls[0][0]
     np.savez(path, atoms=dictionary.atoms, column_norms=dictionary.column_norms,
              signals=np.stack([signals for _, signals in calls]), epsilon=ksvd.epsilon,
-             max_atoms=ksvd.max_atoms, residual_norm=ksvd.residual_norm)
+             max_atoms=ksvd.max_atoms)
 
 
 def replay_omp_calls(path: Path, repeats: int) -> dict:
@@ -176,8 +176,7 @@ def replay_omp_calls(path: Path, repeats: int) -> dict:
         atoms, norms = recorded["atoms"], recorded["column_norms"]
         atoms.flags.writeable = norms.flags.writeable = False
         dictionary = Dictionary(atoms=atoms, column_norms=norms)
-        cfg = KsvdConfig(epsilon=float(recorded["epsilon"]), max_atoms=int(recorded["max_atoms"]),
-                         residual_norm=str(recorded["residual_norm"]))
+        cfg = KsvdConfig(epsilon=float(recorded["epsilon"]), max_atoms=int(recorded["max_atoms"]))
         calls = list(recorded["signals"])
     digest = hashlib.sha256()
     for signals in calls:
