@@ -39,7 +39,7 @@ _DEFAULTS = {
 }
 
 
-_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
           list: "a list", dict: "an object"}
 # The type of a key whose default is null, besides null itself.
 _NULLABLE = {"data.source_path": str, "data.target_path": str, "reprogram.decay": float}
@@ -47,8 +47,11 @@ _NULLABLE = {"data.source_path": str, "data.target_path": str, "reprogram.decay"
 
 def _accepts(kind, value) -> bool:
     """Whether a config value is of JSON type `kind`: an int passes for a
-    float, a bool never for a number."""
-    return type(value) is kind or (kind is float and type(value) is int)
+    float, a bool never for a number, and a number must be finite as a float
+    (`json` reads NaN, Infinity and overflowing numerals such as 1e999)."""
+    if kind is float and type(value) in (int, float):
+        return abs(value) <= sys.float_info.max
+    return type(value) is kind
 
 
 def _check_keys(doc, defaults, prefix=""):

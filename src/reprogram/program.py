@@ -384,7 +384,11 @@ def save_program(program: AdversarialProgram, path) -> None:
 
 
 def load_program(path) -> AdversarialProgram:
-    """Read a `save_program` file; a malformed one is a DataFormatError naming it."""
+    """Read a `save_program` file; a malformed one is a DataFormatError naming it.
+
+    Every theta and source_basis entry must be finite, as `load_checkpoint`
+    requires of the model it is scored with.
+    """
     with read_document(path, "program", PROGRAM_FORMAT_VERSION) as doc:
         theta = np.array(doc["theta"], dtype=np.float64).reshape(
             doc["source_vocab_size"], doc["target_vocab_size"]
@@ -393,6 +397,8 @@ def load_program(path) -> AdversarialProgram:
         if "source_basis" in doc:
             spec = doc["source_basis"]
             basis = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        if not all(np.isfinite(arr).all() for arr in (theta, basis) if arr is not None):
+            raise ValueError("non-finite theta or source_basis entry")
         return AdversarialProgram(theta=theta, config=doc["config"], source_basis=basis)
 
 

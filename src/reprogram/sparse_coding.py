@@ -188,11 +188,11 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
     is formed once per call and, the first residual being the signal, is
     also the first step's product. A column stops for good when the l1 norm
     of its residual is within cfg.epsilon, when cfg.max_atoms atoms are
-    active, when its best correlation is not positive, or when the trial
-    atom brings no gain: the atom is numerically in the span of the support
-    (Schur complement at most sqrt(eps), or a singular Gram sub-matrix), or
-    the refit fails to shrink the l2 residual. The trial atom is then
-    rejected and the previous code kept.
+    active, or when it rejects its trial atom and keeps its previous code.
+    One acceptance test, after the trial refit, takes the atom only if its
+    correlation is positive, it is numerically outside the support's span
+    (Schur complement above sqrt(eps), and a non-singular Gram sub-matrix),
+    and the refit shrinks the l2 residual.
 
     A step touches only what it changes. The state is held for live columns
     alone and compacted when one stops, which happens once per column, so a
@@ -248,9 +248,6 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
         # row can hold the trial support before the atom is accepted
         live.support[:, t] = pick
         positive = correlations[rows, pick] > 0.0
-        if not positive.all():
-            rows = live.stop(positive, codes, t)
-            pick = pick[positive]
         trial = live.support[:, : t + 1]
 
         # the trial atom's row of the Gram block and, G being symmetric, its
@@ -265,9 +262,6 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
         # the second right-hand side e_t gives 1 / the trial atom's Schur complement
         inverse_schur = solution[:, t, 1]
         independent = (inverse_schur > 0.0) & (inverse_schur < 1.0 / _SCHUR_FLOOR)
-        if not independent.all():
-            rows = live.stop(independent, codes, t)
-            solution, trial = solution[independent], live.support[:, : t + 1]
         # contiguous, as a fresh gather gives it: numpy's matmul takes a strided
         # vector through its own loop, which rounds differently from BLAS
         trial_coefs = np.ascontiguousarray(solution[:, :, 0])
@@ -278,10 +272,13 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
         # a least-squares refit cannot increase the l2 residual; failing to
         # shrink it means the remaining atoms add nothing
         gain = trial_l2 < live.l2
-        if not gain.all():
-            rows = live.stop(gain, codes, t)
+        # a column that fails any of the three rejects its trial atom; every
+        # product and solve above is its own, so the others' bits are unchanged
+        accept = positive & independent & gain
+        if not accept.all():
+            rows = live.stop(accept, codes, t)
             trial_coefs, trial_residual, trial_l2 = (
-                trial_coefs[gain], trial_residual[gain], trial_l2[gain])
+                trial_coefs[accept], trial_residual[accept], trial_l2[accept])
         live.coefs, live.residual, live.l2 = trial_coefs, trial_residual, trial_l2
         live.stop_norm = _residual_norm(trial_residual, "l1", axis=1)
 

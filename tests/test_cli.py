@@ -143,10 +143,14 @@ def _with(doc, dotted, value):
     # the OMP stop norm and the unused-atom rule are fixed, not settable
     ("reprogram.ksvd.residual_norm", "l1", ()),
     ("reprogram.ksvd.unused_atom_policy", "replace_with_worst_residual", ()),
+    # json reads NaN, Infinity and a numeral past the float range; none is a number here
+    *[(key, value, ()) for key in ("split.train", "reprogram.step_size", "reprogram.ksvd.epsilon")
+      for value in (float("nan"), float("inf"), -float("inf"), "1e999")],
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, key, value, flags):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_with(TINY, key, value)))
+    # json.dumps writes infinity as Infinity, so the numeral 1e999 goes in as text
+    path.write_text(json.dumps(_with(TINY, key, value)).replace('"1e999"', "1e999"))
     argv = ["train-source", "--config", str(path), *flags, "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -400,12 +404,23 @@ class TestMalformedInputs:
             capsys, _eval_argv(config_path, source_checkpoint, cut, tmp_path), "cut_program.json"
         )
 
+    @pytest.mark.parametrize("damage", ["short_theta", "nan_theta", "overflow_theta",
+                                        "nan_basis"])
     def test_malformed_program_exit_2(self, tmp_path, config_path, source_checkpoint,
-                                      program_path, capsys):
+                                      program_path, capsys, damage):
         doc = json.loads(Path(program_path).read_text())
-        doc["theta"].pop()
+        if damage == "short_theta":
+            doc["theta"].pop()
+        elif damage == "nan_basis":
+            checkpoint = json.loads(Path(source_checkpoint).read_text())
+            basis = [float("nan"), *checkpoint["embeddings"][1:]]
+            doc["source_basis"] = {"shape": [checkpoint["d"], checkpoint["vocab_size"]],
+                                   "data": basis}
+        else:
+            doc["theta"][0] = float("nan") if damage == "nan_theta" else "1e999"
         bad = tmp_path / "bad_program.json"
-        bad.write_text(json.dumps(doc))
+        # json.dumps writes infinity as Infinity, so the numeral 1e999 goes in as text
+        bad.write_text(json.dumps(doc).replace('"1e999"', "1e999"))
         _exits_2_with_one_error_line(
             capsys, _eval_argv(config_path, source_checkpoint, bad, tmp_path), "bad_program.json"
         )

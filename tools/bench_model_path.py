@@ -18,6 +18,13 @@ holding `src/` and `perfbench/`. The script runs, in subprocesses:
   recorded once, by wrapping `batch_encode` in the first checkout's run, and
   each checkout reports its median time over all 200 calls and one sha256
   over all 200 codes;
+- a stage split of `reprogram` commands under each checkout's `src/`, on the
+  seed-1 inputs of both workloads that perfbench's `set_up` writes (once, in
+  the first checkout's run): medians over 8 commands of the command's wall
+  time and of the time spent in `program.ksvd_run`, `program.loss_and_grad`,
+  `data.load_csv` and `classifier.load_checkpoint`, each wrapped from outside
+  the package, and of the rest. Validation stays in its worker, so it counts
+  in the rest only where the loop waits for it;
 - with `--accuracy-seeds`, one `perfbench/run.py --seconds 0` per seed and
   checkout, for the test accuracy of the program and the source checkpoint's
   valid accuracy.
@@ -26,7 +33,10 @@ perfbench writes its artifacts to each checkout's `perfbench/work/`.
 """
 
 import argparse
+import contextlib
+import gc
 import hashlib
+import importlib
 import json
 import os
 import statistics
@@ -40,6 +50,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bag_fixed_dict", "birnn_fixed_dict")
 ARCHITECTURES = {"bag_mlp": (1.0, 20), "birnn": (0.3, 10)}  # source lr, epochs per workload
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+STAGES = ("program.ksvd_run", "program.loss_and_grad", "data.load_csv",
+          "classifier.load_checkpoint")
+STAGE_COMMANDS = 8  # reprogram commands per workload in the stage split
 
 
 def seed_list(text):
@@ -118,11 +131,11 @@ def per_seed_accuracy(trees, seeds) -> dict:
     return table
 
 
-def micro(tree: Path, repeats: int, omp_calls: Path) -> dict:
+def micro(tree: Path, repeats: int, scratch: Path) -> dict:
     """Micro-timings under tree/src, from this script's --micro mode in a subprocess."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **ONE_THREAD)
     done = subprocess.run([sys.executable, __file__, "--micro", "--repeats", str(repeats),
-                           "--omp-calls", str(omp_calls)],
+                           "--scratch", str(scratch)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -190,7 +203,58 @@ def replay_omp_calls(path: Path, repeats: int) -> dict:
             "codes_sha256": digest.hexdigest()}
 
 
-def run_micro(repeats: int, omp_calls: Path) -> dict:
+def stage_split(inputs: Path) -> dict:
+    """Median milliseconds per `reprogram` command and per stage, for each workload."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run as perfbench
+    from reprogram import cli
+
+    totals = dict.fromkeys(STAGES, 0.0)
+
+    def timed(stage, real):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                totals[stage] += time.perf_counter() - start
+        return wrapper
+
+    reals = []
+    for stage in STAGES:
+        module, name = stage.split(".")
+        module = importlib.import_module(f"reprogram.{module}")
+        reals.append((module, name, getattr(module, name)))
+        setattr(module, name, timed(stage, getattr(module, name)))
+    split = {}
+    try:
+        for w in WORKLOADS:
+            dest = inputs / w
+            if not (dest / "config.json").exists():  # set_up writes the config last
+                perfbench.set_up(perfbench.WORKLOADS[w], perfbench.ACCEPTANCE, 1, dest)
+            argv = ["reprogram", "--config", str(dest / "config.json"), "--source-checkpoint",
+                    str(dest / "source_checkpoint.json"), "--out", str(dest / "out")]
+            rows = []
+            for _ in range(STAGE_COMMANDS):
+                totals.update(dict.fromkeys(STAGES, 0.0))
+                gc.collect()
+                with contextlib.redirect_stdout(sys.stderr):
+                    start = time.perf_counter()
+                    code = cli.main(argv)
+                    wall = time.perf_counter() - start
+                if code != 0:
+                    raise RuntimeError(f"reprogram exited {code} on {w}")
+                rows.append(dict(totals, command=wall, rest=wall - sum(totals.values())))
+            split[w] = {key: 1e3 * statistics.median(row[key] for row in rows)
+                        for key in ("command", *STAGES, "rest")}
+            split[w]["commands"] = len(rows)
+    finally:
+        for module, name, real in reals:
+            setattr(module, name, real)
+    return split
+
+
+def run_micro(repeats: int, scratch: Path) -> dict:
     """Timings of the imported `reprogram` package on seed-1 synthetic data."""
     import numpy as np
     from reprogram import classifier, data
@@ -198,9 +262,11 @@ def run_micro(repeats: int, omp_calls: Path) -> dict:
     source, target = data.synth_tasks(1, 2000, 6500)
     s_train, s_valid, _ = data.split(source, data.SplitSpec(0.8, 0.1, 0.1, seed=1))
     t_train, t_valid, t_test = data.split(target, data.SplitSpec(0.78, 0.06, 0.16, seed=1))
+    omp_calls = scratch / "batch_encode_calls.npz"
     if not omp_calls.exists():
         record_omp_calls(omp_calls, (s_train, s_valid), (t_train, t_valid))
     omp_replay = replay_omp_calls(omp_calls, repeats)
+    stages = stage_split(scratch / "perfbench_inputs")
     rng = np.random.default_rng(1)
     theta = rng.uniform(-0.01, 0.01, size=(len(source.vocab), len(target.vocab)))
     timings = {}
@@ -234,6 +300,7 @@ def run_micro(repeats: int, omp_calls: Path) -> dict:
                 lambda: classifier.train_source(s_train, config, 1, valid=s_valid), repeats),
         }
     return {"numpy": np.__version__, "timings": timings, "batch_encode_replay": omp_replay,
+            "stage_split_ms": stages,
             "sizes": {"target_test_rows": len(t_test), "source_train_rows": len(s_train)}}
 
 
@@ -247,22 +314,21 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_model_path.json")
     parser.add_argument("--micro", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--omp-calls", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--scratch", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.micro:
-        if args.omp_calls is None:
-            parser.error("--micro needs --omp-calls")
-        print(json.dumps(run_micro(args.repeats, args.omp_calls)))
+        if args.scratch is None:
+            parser.error("--micro needs --scratch")
+        print(json.dumps(run_micro(args.repeats, args.scratch)))
         return 0
     if args.parent is None:
         parser.error("--parent is required")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory() as scratch:
-        omp_calls = Path(scratch) / "batch_encode_calls.npz"
         doc = {
             "seeds": args.seeds,
             "seconds_per_run": args.seconds,
-            "micro_ms": {name: micro(tree, args.repeats, omp_calls)
+            "micro_ms": {name: micro(tree, args.repeats, Path(scratch))
                          for name, tree in trees.items()},
         }
     doc.update(end_to_end(trees, args.seeds, args.seconds))
