@@ -31,7 +31,7 @@ _DEFAULTS = {
         "step_size": 0.01,
         "decay": None,
         "batch_size": 64,
-        "projection_mode": "every_outer_iteration",
+        "projection_mode": "encode_once",
         "label_map": [0, 1],
         "ksvd": {"epsilon": 0.045, "max_atoms": 16, "sweeps": 5,
                  "update_dictionary": False},

@@ -2,9 +2,12 @@
 
 The program is a coefficient matrix theta (|V_S| x |V_T|): the embedding of
 target token j is the source embedding table times column j. Training
-alternates a sparse-coding projection of theta (OMP/k-SVD against the
-normalized source embeddings) with mini-batch gradient steps through the
-frozen source classifier.
+projects theta onto sparse codes (OMP/k-SVD against the normalized source
+embeddings) and takes mini-batch gradient steps through the frozen source
+classifier. By default (`encode_once`) it projects once and then steps only
+on the support that projection chose, so the saved theta has at most
+`max_atoms` non-zeros per column; `every_outer_iteration` alternates a
+projection and a dense step on every iteration.
 
 Loss, gradient and evaluation hand the classifier's padded-batch path one
 vocabulary embedding E = basis @ theta (d x |V_T|) and a target dataset's
@@ -68,14 +71,19 @@ class LabelMap:
 
 @dataclass(frozen=True)
 class ReprogramConfig:
-    """Outer-loop parameters wrapping the inner sparse-coding configuration."""
+    """Outer-loop parameters wrapping the inner sparse-coding configuration.
+
+    `projection_mode` is "encode_once" (the default: one projection, then
+    gradient steps on its support) or "every_outer_iteration" (a projection,
+    then a dense step, on every iteration); see `reprogram_train`.
+    """
 
     outer_iterations: int
     ksvd: KsvdConfig
     step_size: float = 0.01
     decay: float | None = None
     batch_size: int = 64
-    projection_mode: str = "every_outer_iteration"
+    projection_mode: str = "encode_once"
     seed: int = 0
 
     def __post_init__(self):
@@ -294,11 +302,17 @@ def _overlapped(score):
 
 def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
                     cfg: ReprogramConfig):
-    """Alternating sparse-coding projection and gradient descent on theta.
+    """Sparse-coding projection and gradient descent on theta.
 
     Per outer iteration: project theta onto sparse codes over the source
-    embedding dictionary (every iteration, or once up front in encode_once
-    mode), then take one mini-batch gradient step through the frozen model.
+    embedding dictionary, then take one mini-batch gradient step through
+    the frozen model. In encode_once mode (the default) only iteration 0
+    projects, and every step is masked to the support of that projection:
+    theta keeps at most `max_atoms` non-zeros per column, and the saved
+    program is the projection refit on its own support. A column whose
+    projection is empty stays zero. In every_outer_iteration mode every
+    iteration projects and steps densely, so the saved theta is dense. The
+    trace's `coding_error` is recorded on the iterations that project.
     Each step's validation overlaps the next iteration (see the module
     docstring); the scores are read back in iteration order. Returns the
     program with the best validation accuracy (ties: earliest iteration)
@@ -327,10 +341,12 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
 
     with validation as (submit, collect):
         for it in range(cfg.outer_iterations):
-            if it == 0 or every_iteration:
+            projects = it == 0 or every_iteration
+            if projects:
                 signals = (table if basis is None else basis) @ theta
                 dictionary, codes, ksvd_trace = ksvd_run(signals, dictionary, cfg.ksvd)
                 theta = dictionary.fold_codes(codes)
+                support = theta != 0
                 if cfg.ksvd.update_dictionary:
                     basis = dictionary.atoms
 
@@ -340,6 +356,8 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
             order = order[cfg.batch_size :]
 
             loss, grad = loss_and_grad(theta, model, label_map, batch, basis=basis)
+            if not every_iteration:
+                grad = np.where(support, grad, 0.0)
             theta = theta - cfg.step_at(it) * grad
 
             entry = {
@@ -348,7 +366,7 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
                 "valid_accuracy": None,  # filled in when its score is read back
                 "mean_support": float(np.mean(np.count_nonzero(theta, axis=0))),
             }
-            if every_iteration:
+            if projects:
                 entry["coding_error"] = ksvd_trace[-1]
             trace.append(entry)
             submit(_embedding(theta, model, valid, basis)[1], (entry, theta, basis))

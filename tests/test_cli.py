@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 from pathlib import Path
@@ -250,6 +251,23 @@ class TestSweeps:
         lines = (out / "sweep_ksvd.csv").read_text().strip().splitlines()
         assert lines[0] == "ksvd_sweeps,train_accuracy,test_accuracy,final_coding_error"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("update_dictionary", [False, True], ids=["fixed", "learned"])
+    def test_sweep_ksvd_default_mode_writes_coding_error(self, tmp_path, source_checkpoint,
+                                                         update_dictionary):
+        # the default mode projects once; that projection's error is the row's
+        cfg = json.loads(json.dumps(TINY))
+        cfg["reprogram"]["ksvd"]["update_dictionary"] = update_dictionary
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert "projection_mode" not in cfg["reprogram"]
+        code = main(["sweep-ksvd", "--config", str(path),
+                     "--source-checkpoint", source_checkpoint,
+                     "--grid", "1,2", "--out", str(tmp_path / "sk")])
+        assert code == 0
+        rows = (tmp_path / "sk" / "sweep_ksvd.csv").read_text().strip().splitlines()[1:]
+        errors = [float(row.split(",")[-1]) for row in rows]
+        assert len(errors) == 2 and all(math.isfinite(e) for e in errors)
 
     def test_sweep_ksvd_fixed_dictionary_says_rows_cannot_differ(
         self, tmp_path, config_path, source_checkpoint, capsys, monkeypatch

@@ -284,6 +284,15 @@ def base_config(**overrides):
     return ReprogramConfig(**defaults)
 
 
+def first_projection(model, train, cfg):
+    """Iteration 0's projection: the k-SVD codes of the initial implied embeddings."""
+    table = model.embeddings
+    theta0 = initial_theta(table.shape[1], len(train.vocab), cfg.seed)
+    dictionary = Dictionary.from_matrix(table)
+    _, codes, _ = ksvd_run(table @ theta0, dictionary, cfg.ksvd)
+    return dictionary.fold_codes(codes)
+
+
 class TestReprogramTrain:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ConfigError):
@@ -310,22 +319,32 @@ class TestReprogramTrain:
         prog, _ = reprogram_train(model, LabelMap((0, 1)), train, valid, cfg)
         assert np.all(np.count_nonzero(prog.theta, axis=0) <= cfg.ksvd.max_atoms)
 
+    def test_default_run_steps_on_its_projection_support(self, training_setup):
+        # a non-zero step must not leave the support of the one projection,
+        # so the saved theta is as sparse as that projection
+        model, train, valid = training_setup
+        cfg = base_config(outer_iterations=10, step_size=0.5)
+        assert cfg.projection_mode == "encode_once"
+        prog, trace = reprogram_train(model, LabelMap((0, 1)), train, valid, cfg)
+        projection = first_projection(model, train, cfg)
+        projected = projection != 0
+        assert np.all(np.count_nonzero(prog.theta, axis=0) <= cfg.ksvd.max_atoms)
+        assert not np.any((prog.theta != 0) & ~projected)
+        assert not np.array_equal(prog.theta[projected], projection[projected])
+        assert all(entry["mean_support"] <= cfg.ksvd.max_atoms for entry in trace)
+
     def test_reduces_to_sparse_coding(self, training_setup):
         # encode_once + zero step: theta equals the k-SVD codes of the
         # initial implied embeddings, bitwise
         model, train, valid = training_setup
         cfg = base_config(step_size=0.0, projection_mode="encode_once")
         prog, _ = reprogram_train(model, LabelMap((0, 1)), train, valid, cfg)
-        table = model.embeddings
-        theta0 = initial_theta(table.shape[1], len(train.vocab), cfg.seed)
-        dictionary = Dictionary.from_matrix(table)
-        _, codes, _ = ksvd_run(table @ theta0, dictionary, cfg.ksvd)
-        assert np.array_equal(prog.theta, dictionary.fold_codes(codes))
+        assert np.array_equal(prog.theta, first_projection(model, train, cfg))
 
     def test_returned_program_scores_its_best_validation(self, training_setup):
-        # under dictionary update theta codes over a learned basis that moves
-        # every iteration; the program must carry the basis its best theta
-        # was validated with, not the last one
+        # under dictionary update and a projection every iteration, theta
+        # codes over a learned basis that moves every iteration; the program
+        # must carry the basis its best theta was validated with, not the last one
         model, train, valid = training_setup
         h = LabelMap((0, 1))
         cfg = base_config(
@@ -333,6 +352,7 @@ class TestReprogramTrain:
             step_size=0.5,
             seed=21,
             ksvd=KsvdConfig(epsilon=1e-4, max_atoms=3, sweeps=2, update_dictionary=True),
+            projection_mode="every_outer_iteration",
         )
         prog, trace = reprogram_train(model, h, train, valid, cfg)
         accuracy, _ = evaluate_program(prog, model, h, valid)
@@ -388,8 +408,10 @@ class TestValidationWorker:
         {"projection_mode": "encode_once"},
     ], ids=["fixed_dictionary", "update_dictionary", "encode_once"])
     def test_worker_equals_in_process_bitwise(self, setup, overrides, monkeypatch):
+        # the dictionary cases project every iteration
         model, train, valid = setup
-        cfg = base_config(outer_iterations=25, step_size=0.5, **overrides)
+        cfg = base_config(outer_iterations=25, step_size=0.5,
+                          **{"projection_mode": "every_outer_iteration", **overrides})
         caller, real, scored_here = os.getpid(), program._score, []
 
         def score(*args):
@@ -559,7 +581,8 @@ class TestProgramSerialization:
 
     def test_trace_csv(self, tmp_path, training_setup):
         model, train, valid = training_setup
-        _, trace = reprogram_train(model, LabelMap((0, 1)), train, valid, base_config())
+        cfg = base_config(projection_mode="every_outer_iteration")
+        _, trace = reprogram_train(model, LabelMap((0, 1)), train, valid, cfg)
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
         lines = path.read_text().strip().splitlines()
@@ -569,10 +592,14 @@ class TestProgramSerialization:
         assert coding_errors == [entry["coding_error"] for entry in trace]
 
     def test_trace_csv_coding_error_empty_when_not_coded(self, tmp_path, training_setup):
+        # encode_once projects on iteration 0 only
         model, train, valid = training_setup
         cfg = base_config(projection_mode="encode_once")
         _, trace = reprogram_train(model, LabelMap((0, 1)), train, valid, cfg)
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
         rows = path.read_text().strip().splitlines()[1:]
-        assert len(rows) == 5 and all(row.endswith(",") for row in rows)
+        assert len(rows) == 5
+        assert float(rows[0].split(",")[-1]) == trace[0]["coding_error"]
+        assert math.isfinite(trace[0]["coding_error"])
+        assert all(row.endswith(",") for row in rows[1:])

@@ -14,7 +14,8 @@ holding `src/` and `perfbench/`. The script runs, in subprocesses:
   split, and `train_source` at each workload's settings; medians of repeats,
   BLAS on one thread;
 - a replay of the 200 `batch_encode` calls of a seed-1 `bag_fixed_dict`
-  `reprogram_train` under each checkout's `src/`: the calls' inputs are
+  `reprogram_train` with `projection_mode="every_outer_iteration"` under
+  each checkout's `src/`: the calls' inputs are
   recorded once, by wrapping `batch_encode` in the first checkout's run, and
   each checkout reports its median time over all 200 calls and one sha256
   over all 200 codes;
@@ -150,7 +151,8 @@ def median_ms(fn, repeats):
 
 
 def record_omp_calls(path: Path, source_split, target_split) -> None:
-    """Record the `batch_encode` inputs of a seed-1 `bag_fixed_dict` `reprogram_train`."""
+    """Record the `batch_encode` inputs of a seed-1 `bag_fixed_dict` `reprogram_train`
+    that projects on every one of its 200 iterations."""
     import numpy as np
     from reprogram import classifier, program, sparse_coding
 
@@ -161,7 +163,8 @@ def record_omp_calls(path: Path, source_split, target_split) -> None:
         1, valid=s_valid)
     ksvd = sparse_coding.KsvdConfig(epsilon=0.045, max_atoms=16, sweeps=5,
                                     update_dictionary=False)
-    config = program.ReprogramConfig(outer_iterations=200, ksvd=ksvd, seed=1)
+    config = program.ReprogramConfig(outer_iterations=200, ksvd=ksvd, seed=1,
+                                     projection_mode="every_outer_iteration")
     calls, real = [], sparse_coding.batch_encode
 
     def recorded(dictionary, signals, cfg):
@@ -174,6 +177,7 @@ def record_omp_calls(path: Path, source_split, target_split) -> None:
         program.reprogram_train(model, program.LabelMap((0, 1)), t_train, t_valid, config)
     finally:
         sparse_coding.batch_encode = real
+    assert len(calls) == config.outer_iterations
     dictionary = calls[0][0]
     np.savez(path, atoms=dictionary.atoms, column_norms=dictionary.column_norms,
              signals=np.stack([signals for _, signals in calls]), epsilon=ksvd.epsilon,
