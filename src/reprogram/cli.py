@@ -31,7 +31,6 @@ _DEFAULTS = {
         "step_size": 0.01,
         "decay": None,
         "batch_size": 64,
-        "projection_mode": "encode_once",
         "label_map": [0, 1],
         "ksvd": {"epsilon": 0.045, "max_atoms": 16, "sweeps": 5,
                  "update_dictionary": False},
@@ -214,9 +213,14 @@ def cmd_eval(cfg, program_path, source_checkpoint, out_dir) -> int:
     if basis is not None and basis.shape != model.embeddings.shape:
         raise ConfigError("program source_basis does not match the source model's d x vocab")
     _, _, test = _target_splits(cfg)
-    if prog.theta.shape[1] != len(test.vocab):
-        raise ConfigError("program does not match the target vocabulary size")
+    if prog.target_tokens != test.vocab.index_to_token:
+        raise ConfigError(f"program was built for target vocabulary "
+                          f"{''.join(prog.target_tokens)!r}, the data has "
+                          f"{''.join(test.vocab.index_to_token)!r}")
     label_map = _label_map(cfg, test)
+    if prog.class_names != test.class_names:
+        raise ConfigError(f"program was built for target classes {list(prog.class_names)}, "
+                          f"the data has {list(test.class_names)}")
     accuracy, confusion = program.evaluate_program(prog, model, label_map, test)
     summary = {"accuracy": accuracy, "confusion": confusion.tolist(),
                "num_samples": len(test)}
@@ -270,8 +274,7 @@ def cmd_sweep_ksvd(cfg, grid, source_checkpoint, out_dir) -> int:
             run_cfg["reprogram"]["ksvd"]["sweeps"] = sweeps
             prog, trace, test_acc, _, _ = _run_reprogram(run_cfg, model, label_map, splits)
             train_acc, _ = program.evaluate_program(prog, model, label_map, splits[0])
-            coding_errors = [e["coding_error"] for e in trace if "coding_error" in e]
-            final_error = coding_errors[-1] if coding_errors else float("nan")
+            final_error = trace[0]["coding_error"]
         rows.append((sweeps, train_acc, test_acc, final_error))
         print(f"sweeps={sweeps}: train={train_acc:.4f} test={test_acc:.4f} "
               f"coding_error={final_error:.6f}")

@@ -2,12 +2,10 @@
 
 The program is a coefficient matrix theta (|V_S| x |V_T|): the embedding of
 target token j is the source embedding table times column j. Training
-projects theta onto sparse codes (OMP/k-SVD against the normalized source
-embeddings) and takes mini-batch gradient steps through the frozen source
-classifier. By default (`encode_once`) it projects once and then steps only
-on the support that projection chose, so the saved theta has at most
-`max_atoms` non-zeros per column; `every_outer_iteration` alternates a
-projection and a dense step on every iteration.
+codes theta once (OMP/k-SVD against the normalized source embeddings) and
+then takes mini-batch gradient steps through the frozen source classifier,
+each masked to the support that coding chose, so the saved theta has at
+most `max_atoms` non-zeros per column.
 
 Loss, gradient and evaluation hand the classifier's padded-batch path one
 vocabulary embedding E = basis @ theta (d x |V_T|) and a target dataset's
@@ -32,7 +30,7 @@ from .errors import ConfigError, ShapeError
 from .numerics import as_matrix, softmax
 from .sparse_coding import Dictionary, KsvdConfig, ksvd_run
 
-PROGRAM_FORMAT_VERSION = 1
+PROGRAM_FORMAT_VERSION = 2
 VALIDATIONS = 20  # iterates scored per reprogram_train run, give or take; see its docstring
 
 
@@ -63,19 +61,13 @@ class LabelMap:
 
 @dataclass(frozen=True)
 class ReprogramConfig:
-    """Outer-loop parameters wrapping the inner sparse-coding configuration.
-
-    `projection_mode` is "encode_once" (the default: one projection, then
-    gradient steps on its support) or "every_outer_iteration" (a projection,
-    then a dense step, on every iteration); see `reprogram_train`.
-    """
+    """Outer-loop parameters wrapping the inner sparse-coding configuration."""
 
     outer_iterations: int
     ksvd: KsvdConfig
     step_size: float = 0.01
     decay: float | None = None
     batch_size: int = 64
-    projection_mode: str = "encode_once"
     seed: int = 0
 
     def __post_init__(self):
@@ -87,8 +79,6 @@ class ReprogramConfig:
             raise ConfigError("step_size must be non-negative")
         if self.decay is not None and not 0 < self.decay <= 1:
             raise ConfigError("decay must lie in (0, 1]")
-        if self.projection_mode not in ("every_outer_iteration", "encode_once"):
-            raise ConfigError(f"unknown projection_mode {self.projection_mode!r}")
 
     def step_at(self, iteration: int) -> float:
         if self.decay is None:
@@ -98,16 +88,20 @@ class ReprogramConfig:
 
 @dataclass(frozen=True)
 class AdversarialProgram:
-    """Learned theta plus sparsity metadata and the config it was trained with.
+    """Learned theta, the config it was trained with and the target it was built for.
 
+    Column j of theta embeds `target_tokens[j]`, and target class i is
+    `class_names[i]`; data numbered otherwise does not fit the program.
     `source_basis` is None when theta codes over the model's own embedding
-    table. Under dictionary update it is the learned basis that this theta
-    was validated with, and theta means nothing without it; score a program
-    with `evaluate_program`, which applies the two together.
+    table. Under dictionary update it is the learned basis that theta was
+    coded and trained over, and theta means nothing without it; score a
+    program with `evaluate_program`, which applies the two together.
     """
 
     theta: np.ndarray
     config: dict
+    target_tokens: tuple
+    class_names: tuple
     source_basis: np.ndarray | None = None
 
 
@@ -196,17 +190,17 @@ def evaluate_program(program: AdversarialProgram, model, label_map, dataset):
 
 def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
                     cfg: ReprogramConfig):
-    """Sparse-coding projection and gradient descent on theta.
+    """Sparse coding once, then gradient descent on theta over its support.
 
-    Per outer iteration: project theta onto sparse codes over the source
-    embedding dictionary, then take one mini-batch gradient step through
-    the frozen model. In encode_once mode (the default) only iteration 0
-    projects, and every step is masked to the support of that projection:
-    theta keeps at most `max_atoms` non-zeros per column, and the saved
-    program is the projection refit on its own support. A column whose
-    projection is empty stays zero. In every_outer_iteration mode every
-    iteration projects and steps densely, so the saved theta is dense. The
-    trace's `coding_error` is recorded on the iterations that project.
+    The initial theta is coded once over the source embedding dictionary
+    (`ksvd_run`); under dictionary update the learned atoms become the
+    basis for the rest of the run. Each outer iteration then takes one
+    mini-batch gradient step through the frozen model, masked to the
+    support of that coding: theta keeps at most `max_atoms` non-zeros per
+    column, and the saved program is the coding refit on its own support.
+    A column whose code is empty stays zero. This is the debiasing step of
+    hard thresholding pursuit (Foucart, 2011) with the support held fixed.
+    Trace row 0 holds the coding's `coding_error`.
 
     Iteration `it` is scored on the validation split when
     (last - it) % max(1, outer_iterations // VALIDATIONS) == 0: the last
@@ -214,10 +208,8 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
     iterations, and 20 to 30 evenly spaced ones otherwise (at 200
     iterations, 9, 19, ..., 199). Unscored trace rows hold `valid_accuracy`
     None. Returns the scored iterate with the best validation accuracy
-    (ties: earliest iteration) and the full metrics trace. Under dictionary
-    update the program's `source_basis` is the basis that the returned
-    theta was validated with, so `evaluate_program` on the validation split
-    reproduces the best `valid_accuracy` of the trace.
+    (ties: earliest iteration) and the full metrics trace; `evaluate_program`
+    on the validation split reproduces the best `valid_accuracy` of the trace.
     """
     if len(train) == 0 or len(valid) == 0:
         raise ConfigError("train and valid datasets must be non-empty")
@@ -225,11 +217,13 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
     _check_classes(label_map, model, valid)
 
     table = model.embeddings
-    dictionary = Dictionary.from_matrix(table)
-    basis = None  # the model's own table until the dictionary is learned
     theta = initial_theta(table.shape[1], len(train.vocab), cfg.seed)
+    dictionary, codes, ksvd_trace = ksvd_run(table @ theta, Dictionary.from_matrix(table),
+                                             cfg.ksvd)
+    theta = dictionary.fold_codes(codes)
+    support = theta != 0
+    basis = dictionary.atoms if cfg.ksvd.update_dictionary else None
     rng = np.random.default_rng(cfg.seed)
-    every_iteration = cfg.projection_mode == "every_outer_iteration"
 
     order = np.empty(0, dtype=np.intp)
     trace = []
@@ -238,24 +232,13 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
     stride = max(1, cfg.outer_iterations // VALIDATIONS)
 
     for it in range(cfg.outer_iterations):
-        projects = it == 0 or every_iteration
-        if projects:
-            signals = (table if basis is None else basis) @ theta
-            dictionary, codes, ksvd_trace = ksvd_run(signals, dictionary, cfg.ksvd)
-            theta = dictionary.fold_codes(codes)
-            support = theta != 0
-            if cfg.ksvd.update_dictionary:
-                basis = dictionary.atoms
-
         if not order.size:
             order = rng.permutation(len(train))
         batch = train.take(order[: cfg.batch_size])
         order = order[cfg.batch_size :]
 
         loss, grad = loss_and_grad(theta, model, label_map, batch, basis=basis)
-        if not every_iteration:
-            grad = np.where(support, grad, 0.0)
-        theta = theta - cfg.step_at(it) * grad
+        theta = theta - cfg.step_at(it) * np.where(support, grad, 0.0)
 
         entry = {
             "iteration": it,
@@ -263,19 +246,20 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
             "valid_accuracy": None,
             "mean_support": float(np.mean(np.count_nonzero(theta, axis=0))),
         }
-        if projects:
-            entry["coding_error"] = ksvd_trace[-1]
         trace.append(entry)
         if (last - it) % stride == 0:
             valid_acc, _ = evaluate(theta, model, label_map, valid, basis)
             entry["valid_accuracy"] = valid_acc
             if valid_acc > best_acc:
-                best_acc, best_theta, best_basis = valid_acc, theta, basis
+                best_acc, best_theta = valid_acc, theta
+    trace[0]["coding_error"] = ksvd_trace[-1]
 
     program = AdversarialProgram(
         theta=best_theta,
         config=asdict(cfg),
-        source_basis=None if best_basis is None else best_basis.copy(),
+        target_tokens=train.vocab.index_to_token,
+        class_names=train.class_names,
+        source_basis=None if basis is None else basis.copy(),
     )
     return program, trace
 
@@ -285,6 +269,8 @@ def save_program(program: AdversarialProgram, path) -> None:
         "format_version": PROGRAM_FORMAT_VERSION,
         "source_vocab_size": program.theta.shape[0],
         "target_vocab_size": program.theta.shape[1],
+        "target_tokens": list(program.target_tokens),
+        "class_names": list(program.class_names),
         "config": program.config,
         "theta": program.theta.ravel().tolist(),
     }
@@ -301,7 +287,8 @@ def load_program(path) -> AdversarialProgram:
     """Read a `save_program` file; a malformed one is a DataFormatError naming it.
 
     Every theta and source_basis entry must be finite, as `load_checkpoint`
-    requires of the model it is scored with.
+    requires of the model it is scored with, and there must be one target
+    token per theta column, each a string, as are the class names.
     """
     with read_document(path, "program", PROGRAM_FORMAT_VERSION) as doc:
         theta = np.array(doc["theta"], dtype=np.float64).reshape(
@@ -313,7 +300,13 @@ def load_program(path) -> AdversarialProgram:
             basis = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
         if not all(np.isfinite(arr).all() for arr in (theta, basis) if arr is not None):
             raise ValueError("non-finite theta or source_basis entry")
-        return AdversarialProgram(theta=theta, config=doc["config"], source_basis=basis)
+        tokens, class_names = tuple(doc["target_tokens"]), tuple(doc["class_names"])
+        if len(tokens) != theta.shape[1]:
+            raise ValueError(f"{len(tokens)} target tokens for {theta.shape[1]} theta columns")
+        if not all(type(name) is str for name in tokens + class_names):
+            raise ValueError("target tokens and class names must be strings")
+        return AdversarialProgram(theta=theta, config=doc["config"], target_tokens=tokens,
+                                  class_names=class_names, source_basis=basis)
 
 
 def trace_to_csv(trace, path) -> None:

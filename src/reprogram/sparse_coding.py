@@ -9,7 +9,7 @@ Coding is Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008) run in lockstep:
 all signals of a call advance together, one atom per step, with one product
 for every live signal's correlations and one stacked solve that refits each
 over its support's block of the Gram matrix G = atoms^T atoms, formed once
-per dictionary (`Dictionary.gram`). A single signal is a batch of one column.
+per call. A single signal is a batch of one column.
 As in Batch-OMP, a step extends what the last one built: state is kept for
 live columns only, Gram blocks grow by one row and column, and a code is
 written once, when its column stops. The refit is still an LU solve per
@@ -29,7 +29,6 @@ codes every signal within epsilon is a fixed point of the update.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +41,7 @@ class Dictionary:
     """Unit-norm atom columns (d x K) plus the pre-normalization column norms.
 
     Codes produced against the normalized atoms can be mapped back to
-    coefficients over the original columns with `fold_codes`. The atoms are
-    read-only, so `gram` is formed once, on first use, and stays valid.
+    coefficients over the original columns with `fold_codes`.
     """
 
     atoms: np.ndarray
@@ -69,17 +67,6 @@ class Dictionary:
     @property
     def num_atoms(self) -> int:
         return self.atoms.shape[1]
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Read-only Gram matrix atoms^T atoms, formed on first use.
-
-        It is exactly symmetric, which `batch_encode` relies on: numpy forms a
-        matrix times its own transpose as one triangle and mirrors it.
-        """
-        gram = self.atoms.T @ self.atoms
-        gram.flags.writeable = False
-        return gram
 
     def fold_codes(self, codes: np.ndarray) -> np.ndarray:
         """Rescale codes over unit atoms into codes over the original columns."""
@@ -184,11 +171,11 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
     the atom maximizing |<atom, residual>| (ties to the lowest index), from
     one product atoms^T R over every live residual, and is refit over its
     trial support by one stacked solve with the support's Gram sub-matrix
-    and right-hand side alpha = atoms^T x; G is the dictionary's own, alpha
-    is formed once per call and, the first residual being the signal, is
-    also the first step's product. A column stops for good when the l1 norm
-    of its residual is within cfg.epsilon, when cfg.max_atoms atoms are
-    active, or when it rejects its trial atom and keeps its previous code.
+    and right-hand side alpha = atoms^T x; G and alpha are formed once per
+    call and, the first residual being the signal, alpha is also the first
+    step's product. A column stops for good when the l1 norm of its
+    residual is within cfg.epsilon, when cfg.max_atoms atoms are active, or
+    when it rejects its trial atom and keeps its previous code.
     One acceptance test, after the trial refit, takes the atom only if its
     correlation is positive, it is numerically outside the support's span
     (Schur complement above sqrt(eps), and a non-singular Gram sub-matrix),
@@ -215,7 +202,9 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
     signals = np.ascontiguousarray(signals.T)  # one row per signal, a contiguous BLAS vector
     m, width = signals.shape[0], cfg.max_atoms
     codes = np.zeros((dictionary.num_atoms, m))
-    gram = dictionary.gram
+    # exactly symmetric, which the Gram blocks below rely on: numpy forms a
+    # matrix times its own transpose as one triangle and mirrors it
+    gram = atoms.T @ atoms
     live = _LiveColumns(
         column=np.arange(m),
         signal=signals,

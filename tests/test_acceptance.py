@@ -317,7 +317,6 @@ def test_criterion_8_reduction_consistency(pipeline):
         ksvd=ksvd_cfg,
         step_size=0.0,
         batch_size=16,
-        projection_mode="encode_once",
         seed=5,
     )
     program, _ = reprogram_train(model, label_map, t_train, t_valid, cfg)
@@ -326,5 +325,5 @@ def test_criterion_8_reduction_consistency(pipeline):
     dictionary = Dictionary.from_matrix(table)
     _, codes, _ = ksvd_run(table @ theta0, dictionary, ksvd_cfg)
     expected = dictionary.fold_codes(codes)
-    report(8, "zero-step encode_once run equals pure sparse coding",
+    report(8, "zero-step run equals pure sparse coding",
            np.array_equal(program.theta, expected))

@@ -113,6 +113,15 @@ class TestConfig:
         assert cfg["reprogram"]["ksvd"]["epsilon"] == 0.045
         assert cfg["split"]["train"] == 0.8
 
+    def test_removed_projection_mode_rejected(self, tmp_path, capsys):
+        # the training loop has one mode; a config that still picks one is stale
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_with(TINY, "reprogram.projection_mode", "encode_once")))
+        assert main(["train-source", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: unknown config key 'reprogram.projection_mode'"]
+
 
 def _with(doc, dotted, value):
     """A deep copy of a config with the value at a dotted key replaced."""
@@ -257,12 +266,11 @@ class TestSweeps:
     @pytest.mark.parametrize("update_dictionary", [False, True], ids=["fixed", "learned"])
     def test_sweep_ksvd_default_mode_writes_coding_error(self, tmp_path, source_checkpoint,
                                                          update_dictionary):
-        # the default mode projects once; that projection's error is the row's
+        # theta is coded once; that coding's error is the row's
         cfg = json.loads(json.dumps(TINY))
         cfg["reprogram"]["ksvd"]["update_dictionary"] = update_dictionary
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert "projection_mode" not in cfg["reprogram"]
         code = main(["sweep-ksvd", "--config", str(path),
                      "--source-checkpoint", source_checkpoint,
                      "--grid", "1,2", "--out", str(tmp_path / "sk")])
@@ -401,12 +409,16 @@ class TestMalformedInputs:
         )
 
     @pytest.mark.parametrize("damage", ["short_theta", "nan_theta", "overflow_theta",
-                                        "nan_basis"])
+                                        "nan_basis", "short_tokens", "numeric_class"])
     def test_malformed_program_exit_2(self, tmp_path, config_path, source_checkpoint,
                                       program_path, capsys, damage):
         doc = json.loads(Path(program_path).read_text())
         if damage == "short_theta":
             doc["theta"].pop()
+        elif damage == "short_tokens":
+            doc["target_tokens"].pop()
+        elif damage == "numeric_class":
+            doc["class_names"][0] = 0
         elif damage == "nan_basis":
             checkpoint = json.loads(Path(source_checkpoint).read_text())
             basis = [float("nan"), *checkpoint["embeddings"][1:]]
@@ -446,6 +458,43 @@ class TestMalformedInputs:
             capsys, _eval_argv(str(path), source_checkpoint, program_path, tmp_path),
             "target vocabulary"
         )
+
+    @pytest.mark.parametrize("edit, message", [
+        # the same 7-letter alphabet size, so a size check passes; this scored
+        # well below the program's own test accuracy and exited 0
+        (lambda header, rows: [header] + [row.replace("A", "H") for row in rows],
+         "target vocabulary"),
+        # the first row's class is numbered 0, so swapping the first two
+        # rows, of different classes, swaps the class numbers
+        (lambda header, rows: [header, rows[1], rows[0], *rows[2:]], "target classes"),
+        (lambda header, rows: [header, *rows], None),
+    ], ids=["A_to_H", "swapped_classes", "same_target"])
+    def test_program_built_for_another_target_exit_2(self, tmp_path, source_checkpoint,
+                                                     program_path, capsys, edit, message):
+        _, target = synth_tasks(TINY["seed"], 10, TINY["data"]["target_size"])
+        save_csv(target, tmp_path / "target.csv")
+        header, *rows = (tmp_path / "target.csv").read_text().splitlines()
+        assert rows[0].split(",")[1] != rows[1].split(",")[1]
+        edited = tmp_path / "edited.csv"
+        edited.write_text("\n".join(edit(header, rows)) + "\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "data": {"mode": "csv", "target_path": str(edited)}}))
+        argv = _eval_argv(str(path), source_checkpoint, program_path, tmp_path)
+        if message is None:
+            assert main(argv) == 0
+        else:
+            _exits_2_with_one_error_line(capsys, argv, message)
+
+    def test_version_1_program_exit_2(self, tmp_path, config_path, source_checkpoint,
+                                      program_path, capsys):
+        # a v1 program records no target, so what it was built for is unknown
+        doc = json.loads(Path(program_path).read_text())
+        del doc["target_tokens"], doc["class_names"]
+        old = tmp_path / "v1_program.json"
+        old.write_text(json.dumps({**doc, "format_version": 1}))
+        _exits_2_with_one_error_line(
+            capsys, _eval_argv(config_path, source_checkpoint, old, tmp_path),
+            "unsupported program version 1")
 
     @pytest.mark.parametrize("label_map, message", [
         (["a", "b"], "non-negative integers"),

@@ -1,5 +1,3 @@
-from functools import cached_property
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,27 +43,6 @@ class TestDictionary:
 
 
 class TestGram:
-    @staticmethod
-    def count_gram(monkeypatch):
-        """Count how often any Dictionary forms its Gram matrix."""
-        formed = []
-        real = Dictionary.__dict__["gram"].func
-
-        def counted(self):
-            formed.append(self)
-            return real(self)
-
-        spy = cached_property(counted)
-        spy.__set_name__(Dictionary, "gram")
-        monkeypatch.setattr(Dictionary, "gram", spy)
-        return formed
-
-    def test_equals_atoms_product_and_is_read_only(self):
-        dic = random_dictionary(np.random.default_rng(40), 8, 12)
-        assert dic.gram.tobytes() == (dic.atoms.T @ dic.atoms).tobytes()
-        with pytest.raises(ValueError):
-            dic.gram[0, 0] = 2.0
-
     def test_is_exactly_symmetric(self):
         # batch_encode fills each Gram block's new column from its new row
         rng = np.random.default_rng(44)
@@ -75,32 +52,8 @@ class TestGram:
         codes = batch_encode(dictionaries[2], signals, KsvdConfig(epsilon=0.05, max_atoms=4))
         dictionaries.append(ksvd_dictionary_update(dictionaries[2], signals, codes)[0])
         for dic in dictionaries:
-            assert dic.gram.tobytes() == np.ascontiguousarray(dic.gram.T).tobytes()
-
-    def test_formed_once_per_dictionary(self, monkeypatch):
-        rng = np.random.default_rng(41)
-        dic = random_dictionary(rng, 8, 10)
-        signals = rng.normal(size=(8, 6))
-        formed = self.count_gram(monkeypatch)
-        cfg = KsvdConfig(epsilon=0.05, max_atoms=4, sweeps=3, update_dictionary=False)
-        for _ in range(3):
-            batch_encode(dic, signals, cfg)
-            ksvd_run(signals, dic, cfg)
-        assert len(formed) == 1 and formed[0] is dic
-
-    def test_updated_dictionary_forms_its_own(self, monkeypatch):
-        rng = np.random.default_rng(42)
-        dic = random_dictionary(rng, 8, 10)
-        signals = rng.normal(size=(8, 6))
-        formed = self.count_gram(monkeypatch)
-        cfg = KsvdConfig(epsilon=0.05, max_atoms=4, sweeps=3)
-        updated, _, _ = ksvd_run(signals, dic, cfg)
-        # each sweep codes against a new dictionary; the last update's is never coded against
-        assert len(formed) == 3 and formed[0] is dic
-        assert len({id(d) for d in formed + [updated]}) == 4
-        new, _ = ksvd_dictionary_update(dic, signals, batch_encode(dic, signals, cfg))
-        assert new.gram.tobytes() == (new.atoms.T @ new.atoms).tobytes()
-        assert not np.array_equal(new.gram, dic.gram)
+            gram = dic.atoms.T @ dic.atoms
+            assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -431,7 +384,7 @@ def lockstep_reference(dic, signals, cfg):
     residual = signals.copy()
     stop_norm = sparse_coding._residual_norm(residual, "l1", axis=1)
     l2 = sparse_coding._residual_norm(residual, "l2", axis=1)
-    gram = dic.gram
+    gram = atoms.T @ atoms
     alpha = np.matmul(signals[:, None, :], atoms)[:, 0, :]
     live = np.arange(m)
 

@@ -13,12 +13,6 @@ holding `src/` and `perfbench/`. The script runs, in subprocesses:
   source batch with weight gradients (V = 200), `predict` on the target test
   split, and `train_source` at each workload's settings; medians of repeats,
   BLAS on one thread;
-- a replay of the 200 `batch_encode` calls of a seed-1 `bag_fixed_dict`
-  `reprogram_train` with `projection_mode="every_outer_iteration"` under
-  each checkout's `src/`: the calls' inputs are
-  recorded once, by wrapping `batch_encode` in the first checkout's run, and
-  each checkout reports its median time over all 200 calls and one sha256
-  over all 200 codes;
 - a stage split of `reprogram` commands under each checkout's `src/`, on the
   seed-1 inputs of both workloads that perfbench's `set_up` writes (once, in
   the first checkout's run): medians over 8 commands of the command's wall
@@ -37,7 +31,6 @@ perfbench writes its artifacts to each checkout's `perfbench/work/`.
 import argparse
 import contextlib
 import gc
-import hashlib
 import importlib
 import json
 import os
@@ -151,63 +144,6 @@ def median_ms(fn, repeats):
     return 1e3 * statistics.median(times)
 
 
-def record_omp_calls(path: Path, source_split, target_split) -> None:
-    """Record the `batch_encode` inputs of a seed-1 `bag_fixed_dict` `reprogram_train`
-    that projects on every one of its 200 iterations."""
-    import numpy as np
-    from reprogram import classifier, program, sparse_coding
-
-    (s_train, s_valid), (t_train, t_valid) = source_split, target_split
-    lr, epochs = ARCHITECTURES["bag_mlp"]
-    model, _ = classifier.train_source(
-        s_train, classifier.TrainConfig(architecture="bag_mlp", epochs=epochs, learning_rate=lr),
-        1, valid=s_valid)
-    ksvd = sparse_coding.KsvdConfig(epsilon=0.045, max_atoms=16, sweeps=5,
-                                    update_dictionary=False)
-    config = program.ReprogramConfig(outer_iterations=200, ksvd=ksvd, seed=1,
-                                     projection_mode="every_outer_iteration")
-    calls, real = [], sparse_coding.batch_encode
-
-    def recorded(dictionary, signals, cfg):
-        assert cfg == ksvd and (not calls or dictionary is calls[0][0])
-        calls.append((dictionary, np.array(signals)))
-        return real(dictionary, signals, cfg)
-
-    sparse_coding.batch_encode = recorded
-    try:
-        program.reprogram_train(model, program.LabelMap((0, 1)), t_train, t_valid, config)
-    finally:
-        sparse_coding.batch_encode = real
-    assert len(calls) == config.outer_iterations
-    dictionary = calls[0][0]
-    np.savez(path, atoms=dictionary.atoms, column_norms=dictionary.column_norms,
-             signals=np.stack([signals for _, signals in calls]), epsilon=ksvd.epsilon,
-             max_atoms=ksvd.max_atoms)
-
-
-def replay_omp_calls(path: Path, repeats: int) -> dict:
-    """Median time of all recorded `batch_encode` calls and the sha256 of their codes."""
-    import numpy as np
-    from reprogram.sparse_coding import Dictionary, KsvdConfig, batch_encode
-
-    with np.load(path) as recorded:
-        atoms, norms = recorded["atoms"], recorded["column_norms"]
-        atoms.flags.writeable = norms.flags.writeable = False
-        dictionary = Dictionary(atoms=atoms, column_norms=norms)
-        cfg = KsvdConfig(epsilon=float(recorded["epsilon"]), max_atoms=int(recorded["max_atoms"]))
-        calls = list(recorded["signals"])
-    digest = hashlib.sha256()
-    for signals in calls:
-        digest.update(batch_encode(dictionary, signals, cfg).tobytes())
-
-    def replay():
-        for signals in calls:
-            batch_encode(dictionary, signals, cfg)
-
-    return {"calls": len(calls), "median_ms": median_ms(replay, 5 * repeats),
-            "codes_sha256": digest.hexdigest()}
-
-
 def stage_split(inputs: Path) -> dict:
     """Median milliseconds per `reprogram` command and per stage, for each workload."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -266,11 +202,7 @@ def run_micro(repeats: int, scratch: Path) -> dict:
 
     source, target = data.synth_tasks(1, 2000, 6500)
     s_train, s_valid, _ = data.split(source, data.SplitSpec(0.8, 0.1, 0.1, seed=1))
-    t_train, t_valid, t_test = data.split(target, data.SplitSpec(0.78, 0.06, 0.16, seed=1))
-    omp_calls = scratch / "batch_encode_calls.npz"
-    if not omp_calls.exists():
-        record_omp_calls(omp_calls, (s_train, s_valid), (t_train, t_valid))
-    omp_replay = replay_omp_calls(omp_calls, repeats)
+    t_train, _, t_test = data.split(target, data.SplitSpec(0.78, 0.06, 0.16, seed=1))
     stages = stage_split(scratch / "perfbench_inputs")
     rng = np.random.default_rng(1)
     theta = rng.uniform(-0.01, 0.01, size=(len(source.vocab), len(target.vocab)))
@@ -304,8 +236,7 @@ def run_micro(repeats: int, scratch: Path) -> dict:
             "train_source_ms": median_ms(
                 lambda: classifier.train_source(s_train, config, 1, valid=s_valid), repeats),
         }
-    return {"numpy": np.__version__, "timings": timings, "batch_encode_replay": omp_replay,
-            "stage_split_ms": stages,
+    return {"numpy": np.__version__, "timings": timings, "stage_split_ms": stages,
             "sizes": {"target_test_rows": len(t_test), "source_train_rows": len(s_train)}}
 
 
