@@ -30,7 +30,7 @@ from .errors import ConfigError, ShapeError
 from .numerics import as_matrix, softmax
 from .sparse_coding import Dictionary, KsvdConfig, ksvd_run
 
-PROGRAM_FORMAT_VERSION = 2
+PROGRAM_FORMAT_VERSION = 3
 VALIDATIONS = 20  # iterates scored per reprogram_train run, give or take; see its docstring
 
 
@@ -90,8 +90,10 @@ class ReprogramConfig:
 class AdversarialProgram:
     """Learned theta, the config it was trained with and the target it was built for.
 
-    Column j of theta embeds `target_tokens[j]`, and target class i is
-    `class_names[i]`; data numbered otherwise does not fit the program.
+    Column j of theta embeds `target_tokens[j]`, target class i is
+    `class_names[i]`, and source class i scores for target class
+    `label_map[i]`; data numbered otherwise, or another map, does not fit
+    the program.
     `source_basis` is None when theta codes over the model's own embedding
     table. Under dictionary update it is the learned basis that theta was
     coded and trained over, and theta means nothing without it; score a
@@ -102,6 +104,7 @@ class AdversarialProgram:
     config: dict
     target_tokens: tuple
     class_names: tuple
+    label_map: tuple
     source_basis: np.ndarray | None = None
 
 
@@ -182,7 +185,15 @@ def evaluate(theta, model, label_map: LabelMap, dataset, basis=None):
 
 
 def evaluate_program(program: AdversarialProgram, model, label_map, dataset):
-    """`evaluate` the program's theta over its own basis (see AdversarialProgram)."""
+    """`evaluate` the program's theta over its own basis (see AdversarialProgram).
+
+    A label map other than the one the program was trained with is a
+    ConfigError: the program's classes would be scored under another map.
+    """
+    _check_classes(label_map, model, dataset)  # a map that misses a class is named so
+    if label_map.source_to_target != program.label_map:
+        raise ConfigError(f"program was trained with label map {list(program.label_map)}, "
+                          f"not {list(label_map.source_to_target)}")
     return evaluate(
         program.theta, model, label_map, dataset, basis=program.source_basis
     )
@@ -259,6 +270,7 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
         config=asdict(cfg),
         target_tokens=train.vocab.index_to_token,
         class_names=train.class_names,
+        label_map=label_map.source_to_target,
         source_basis=None if basis is None else basis.copy(),
     )
     return program, trace
@@ -271,6 +283,7 @@ def save_program(program: AdversarialProgram, path) -> None:
         "target_vocab_size": program.theta.shape[1],
         "target_tokens": list(program.target_tokens),
         "class_names": list(program.class_names),
+        "label_map": list(program.label_map),
         "config": program.config,
         "theta": program.theta.ravel().tolist(),
     }
@@ -288,7 +301,8 @@ def load_program(path) -> AdversarialProgram:
 
     Every theta and source_basis entry must be finite, as `load_checkpoint`
     requires of the model it is scored with, and there must be one target
-    token per theta column, each a string, as are the class names.
+    token per theta column, each a string, as are the class names; the
+    label map's entries must be integers.
     """
     with read_document(path, "program", PROGRAM_FORMAT_VERSION) as doc:
         theta = np.array(doc["theta"], dtype=np.float64).reshape(
@@ -301,12 +315,16 @@ def load_program(path) -> AdversarialProgram:
         if not all(np.isfinite(arr).all() for arr in (theta, basis) if arr is not None):
             raise ValueError("non-finite theta or source_basis entry")
         tokens, class_names = tuple(doc["target_tokens"]), tuple(doc["class_names"])
+        label_map = tuple(doc["label_map"])
         if len(tokens) != theta.shape[1]:
             raise ValueError(f"{len(tokens)} target tokens for {theta.shape[1]} theta columns")
         if not all(type(name) is str for name in tokens + class_names):
             raise ValueError("target tokens and class names must be strings")
+        if not all(type(target) is int for target in label_map):
+            raise ValueError("label map entries must be integers")
         return AdversarialProgram(theta=theta, config=doc["config"], target_tokens=tokens,
-                                  class_names=class_names, source_basis=basis)
+                                  class_names=class_names, label_map=label_map,
+                                  source_basis=basis)
 
 
 def trace_to_csv(trace, path) -> None:

@@ -5,15 +5,8 @@ residual's l1 norm drops to epsilon or the atom budget is exhausted; the
 dictionary-update stage replaces each atom and its coefficient row with the
 leading singular pair of the atom's restricted residual.
 
-Coding is Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008) run in lockstep:
-all signals of a call advance together, one atom per step, with one product
-for every live signal's correlations and one stacked solve that refits each
-over its support's block of the Gram matrix G = atoms^T atoms, formed once
-per call. A single signal is a batch of one column.
-As in Batch-OMP, a step extends what the last one built: state is kept for
-live columns only, Gram blocks grow by one row and column, and a code is
-written once, when its column stops. The refit is still an LU solve per
-step, so the codes are the plain lockstep loop's, bit for bit.
+Each signal is coded on its own; a refit solves over its support's block
+of the Gram matrix G = atoms^T atoms, formed once per call.
 
 Update mode (`KsvdConfig.update_dictionary`) decides whether the dictionary
 itself is learned: off, the signals are coded once against the fixed
@@ -99,96 +92,66 @@ class KsvdConfig:
             raise ConfigError("sweeps must be at least 1")
 
 
-def _residual_norm(residual: np.ndarray, kind: str, axis: int):
-    """l1 or l2 norm of each residual along `axis` (columns: 0, rows: 1).
-
-    The same reductions as `np.sum` and `np.linalg.norm`, bitwise, without
-    their per-call Python overhead, which the coding loop pays every step.
-    """
-    if kind == "l1":
-        return np.add.reduce(np.abs(residual), axis=axis)
-    return np.sqrt(np.add.reduce(residual * residual, axis=axis))
-
-
 # A trial atom whose Schur complement s (its squared sine to the support's
 # span) is at most sqrt(eps) counts as in that span: a Gram-matrix refit
 # loses about eps / s relative accuracy, half the digits at that floor.
 _SCHUR_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 
-def _solve(gram, rhs):
-    """Stacked `np.linalg.solve`; a singular system gives NaN, not an error.
-
-    numpy solves each system of the stack on its own but raises for the
-    whole stack when one is singular; the fallback solves them one by one,
-    which reproduces every other system bitwise.
-    """
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        for i in range(len(gram)):
-            try:
-                out[i] = np.linalg.solve(gram[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+def _l2(residual: np.ndarray) -> float:
+    """l2 norm by numpy's pairwise sum, as `np.linalg.norm` rounds a matrix's
+    row norms; of a single vector it takes a BLAS dot, which rounds otherwise."""
+    return np.sqrt(np.sum(residual * residual))
 
 
-class _LiveColumns:
-    """`batch_encode`'s state, one row per column still coding.
-
-    `column` is the row's signal column, `support` its atoms in pick order,
-    `coefs` its refit over the accepted ones, and `block` and `rhs` the
-    support's Gram block and the refit's two right-hand sides.
-    """
-
-    __slots__ = ("column", "signal", "alpha", "residual", "l2", "stop_norm",
-                 "support", "coefs", "block", "rhs")
-
-    def __init__(self, **arrays):
-        for name, value in arrays.items():
-            setattr(self, name, value)
-
-    def stop(self, keep, codes, atoms):
-        """Write the code of each row outside `keep` into `codes`, then drop the row.
-
-        A stopped column's code is its first `atoms` atoms with their
-        accepted coefficients; the trial atom past them, if any, was
-        rejected. Returns the index of the rows kept.
-        """
-        done = ~keep
-        codes[self.support[done, :atoms], self.column[done, None]] = self.coefs[done]
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name)[keep])
-        return np.arange(self.column.size)
+def _omp(atoms, gram, signal, cfg: KsvdConfig):
+    """Error-constrained OMP of one signal: its support in pick order and coefficients."""
+    alpha = signal @ atoms
+    support, coefs = np.zeros(0, dtype=np.intp), np.zeros(0)
+    residual, l2 = signal, _l2(signal)
+    while np.sum(np.abs(residual)) > cfg.epsilon and support.size < cfg.max_atoms:
+        # the first residual is the signal, so alpha is the first step's product
+        correlations = np.abs(residual @ atoms if support.size else alpha)
+        correlations[support] = -1.0
+        pick = correlations.argmax()
+        trial = np.append(support, pick)
+        rhs = np.zeros((trial.size, 2))
+        rhs[:, 0] = alpha[trial]
+        rhs[-1, 1] = 1.0
+        try:
+            solution = np.linalg.solve(gram[np.ix_(trial, trial)], rhs)
+        except np.linalg.LinAlgError:  # an exactly singular block: the atom is in the span
+            break
+        # the second right-hand side e_t gives 1 / the trial atom's Schur complement
+        inverse_schur = solution[-1, 1]
+        # contiguous: numpy's matmul takes a strided vector through its own
+        # loop, which rounds differently from BLAS
+        trial_coefs = np.ascontiguousarray(solution[:, 0])
+        trial_residual = signal - trial_coefs @ atoms.T[trial]
+        trial_l2 = _l2(trial_residual)
+        # a least-squares refit cannot increase the l2 residual; failing to
+        # shrink it means the remaining atoms add nothing
+        if not (correlations[pick] > 0.0 and 0.0 < inverse_schur < 1.0 / _SCHUR_FLOOR
+                and trial_l2 < l2):
+            break
+        support, coefs, residual, l2 = trial, trial_coefs, trial_residual, trial_l2
+    return support, coefs
 
 
 def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray:
     """Error-constrained OMP of every signal column; returns dense K x M codes.
 
-    All columns advance in lockstep, one atom per step. A live column takes
-    the atom maximizing |<atom, residual>| (ties to the lowest index), from
-    one product atoms^T R over every live residual, and is refit over its
-    trial support by one stacked solve with the support's Gram sub-matrix
-    and right-hand side alpha = atoms^T x; G and alpha are formed once per
-    call and, the first residual being the signal, alpha is also the first
-    step's product. A column stops for good when the l1 norm of its
-    residual is within cfg.epsilon, when cfg.max_atoms atoms are active, or
-    when it rejects its trial atom and keeps its previous code.
-    One acceptance test, after the trial refit, takes the atom only if its
-    correlation is positive, it is numerically outside the support's span
-    (Schur complement above sqrt(eps), and a non-singular Gram sub-matrix),
-    and the refit shrinks the l2 residual.
-
-    A step touches only what it changes. The state is held for live columns
-    alone and compacted when one stops, which happens once per column, so a
-    step with no stop gathers nothing. Each column's Gram sub-matrix and
-    right-hand sides grow by one row and column per step, in buffers
-    allocated once per call, and its code is written once, when it stops.
-    Every product and solve is taken per column, on the operands a fresh
-    gather would give, so a column's code is bitwise the same whatever else
-    shares its batch.
+    Each column is coded on its own, so its code does not depend on the
+    other columns of the call. A step takes the atom maximizing
+    |<atom, residual>| (ties to the lowest index) and refits the signal
+    over the trial support by one solve with the support's block of the
+    Gram matrix G = atoms^T atoms and the right-hand side alpha = atoms^T x;
+    G is formed once per call, alpha once per signal. The trial atom is
+    accepted only if its correlation is positive, it is numerically outside
+    the support's span (Schur complement above sqrt(eps), and a non-singular
+    Gram block), and the refit shrinks the l2 residual. A column stops when
+    the l1 norm of its residual is within cfg.epsilon, when cfg.max_atoms
+    atoms are active, or when it rejects its trial atom and keeps its code.
     """
     atoms = dictionary.atoms
     signals = as_matrix(signals)
@@ -197,81 +160,15 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
             f"signal length {signals.shape[0]} != dictionary dim {dictionary.dim}"
         )
     if cfg.max_atoms > dictionary.num_atoms:
-        raise ConfigError("max_atoms exceeds the number of atoms")
+        raise ConfigError(f"max_atoms {cfg.max_atoms} exceeds the dictionary's "
+                          f"{dictionary.num_atoms} atoms")
 
-    signals = np.ascontiguousarray(signals.T)  # one row per signal, a contiguous BLAS vector
-    m, width = signals.shape[0], cfg.max_atoms
-    codes = np.zeros((dictionary.num_atoms, m))
-    # exactly symmetric, which the Gram blocks below rely on: numpy forms a
-    # matrix times its own transpose as one triangle and mirrors it
     gram = atoms.T @ atoms
-    live = _LiveColumns(
-        column=np.arange(m),
-        signal=signals,
-        # (M, 1, d) @ (d, K) is one matrix-vector product per signal, so no
-        # signal's arithmetic depends on the others in the batch.
-        alpha=np.matmul(signals[:, None, :], atoms)[:, 0, :],
-        residual=signals,
-        l2=_residual_norm(signals, "l2", axis=1),
-        stop_norm=_residual_norm(signals, "l1", axis=1),
-        support=np.zeros((m, width), dtype=np.intp),
-        coefs=np.zeros((m, 0)),
-        block=np.zeros((m, width, width)),
-        rhs=np.zeros((m, width, 2)),
-    )
-    rows = np.arange(m)
-
-    for t in range(width):
-        keep = live.stop_norm > cfg.epsilon
-        if not keep.all():
-            rows = live.stop(keep, codes, t)
-        if not rows.size:
-            return codes
-        if t:
-            correlations = np.abs(np.matmul(live.residual[:, None, :], atoms)[:, 0, :])
-            correlations[rows[:, None], live.support[:, :t]] = -1.0
-        else:
-            correlations = np.abs(live.alpha)
-        pick = correlations.argmax(axis=1)
-        # a column that rejects its trial atom stops for good, so the support
-        # row can hold the trial support before the atom is accepted
-        live.support[:, t] = pick
-        positive = correlations[rows, pick] > 0.0
-        trial = live.support[:, : t + 1]
-
-        # the trial atom's row of the Gram block and, G being symmetric, its
-        # column; its entry of each right-hand side: alpha, and e_t for e_(t-1)
-        live.block[:, t, : t + 1] = gram[pick[:, None], trial]
-        live.block[:, :t, t] = live.block[:, t, :t]
-        live.rhs[:, t, 0] = live.alpha[rows, pick]
-        live.rhs[:, t, 1] = 1.0
-        if t:
-            live.rhs[:, t - 1, 1] = 0.0
-        solution = _solve(live.block[:, : t + 1, : t + 1], live.rhs[:, : t + 1])
-        # the second right-hand side e_t gives 1 / the trial atom's Schur complement
-        inverse_schur = solution[:, t, 1]
-        independent = (inverse_schur > 0.0) & (inverse_schur < 1.0 / _SCHUR_FLOOR)
-        # contiguous, as a fresh gather gives it: numpy's matmul takes a strided
-        # vector through its own loop, which rounds differently from BLAS
-        trial_coefs = np.ascontiguousarray(solution[:, :, 0])
-
-        fitted = np.matmul(trial_coefs[:, None, :], atoms.T[trial])[:, 0, :]
-        trial_residual = live.signal - fitted
-        trial_l2 = _residual_norm(trial_residual, "l2", axis=1)
-        # a least-squares refit cannot increase the l2 residual; failing to
-        # shrink it means the remaining atoms add nothing
-        gain = trial_l2 < live.l2
-        # a column that fails any of the three rejects its trial atom; every
-        # product and solve above is its own, so the others' bits are unchanged
-        accept = positive & independent & gain
-        if not accept.all():
-            rows = live.stop(accept, codes, t)
-            trial_coefs, trial_residual, trial_l2 = (
-                trial_coefs[accept], trial_residual[accept], trial_l2[accept])
-        live.coefs, live.residual, live.l2 = trial_coefs, trial_residual, trial_l2
-        live.stop_norm = _residual_norm(trial_residual, "l1", axis=1)
-
-    codes[live.support, live.column[:, None]] = live.coefs
+    codes = np.zeros((dictionary.num_atoms, signals.shape[1]))
+    # one contiguous row per signal, as BLAS takes a vector
+    for j, signal in enumerate(np.ascontiguousarray(signals.T)):
+        support, coefs = _omp(atoms, gram, signal, cfg)
+        codes[support, j] = coefs
     return codes
 
 
@@ -319,7 +216,7 @@ def ksvd_dictionary_update(dictionary: Dictionary, signals, codes, epsilon: floa
             if exhausted:
                 continue
             if errors is None:
-                errors = _residual_norm(residual, "l1", axis=0)
+                errors = np.sum(np.abs(residual), axis=0)
                 errors[taken] = -np.inf
             worst = int(np.argmax(errors))
             if not errors[worst] > epsilon:

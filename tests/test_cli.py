@@ -409,7 +409,8 @@ class TestMalformedInputs:
         )
 
     @pytest.mark.parametrize("damage", ["short_theta", "nan_theta", "overflow_theta",
-                                        "nan_basis", "short_tokens", "numeric_class"])
+                                        "nan_basis", "short_tokens", "numeric_class",
+                                        "string_label_map"])
     def test_malformed_program_exit_2(self, tmp_path, config_path, source_checkpoint,
                                       program_path, capsys, damage):
         doc = json.loads(Path(program_path).read_text())
@@ -419,6 +420,8 @@ class TestMalformedInputs:
             doc["target_tokens"].pop()
         elif damage == "numeric_class":
             doc["class_names"][0] = 0
+        elif damage == "string_label_map":
+            doc["label_map"] = "01"
         elif damage == "nan_basis":
             checkpoint = json.loads(Path(source_checkpoint).read_text())
             basis = [float("nan"), *checkpoint["embeddings"][1:]]
@@ -459,18 +462,22 @@ class TestMalformedInputs:
             "target vocabulary"
         )
 
-    @pytest.mark.parametrize("edit, message", [
+    @pytest.mark.parametrize("edit, label_map, message", [
         # the same 7-letter alphabet size, so a size check passes; this scored
         # well below the program's own test accuracy and exited 0
-        (lambda header, rows: [header] + [row.replace("A", "H") for row in rows],
+        (lambda header, rows: [header] + [row.replace("A", "H") for row in rows], [0, 1],
          "target vocabulary"),
         # the first row's class is numbered 0, so swapping the first two
         # rows, of different classes, swaps the class numbers
-        (lambda header, rows: [header, rows[1], rows[0], *rows[2:]], "target classes"),
-        (lambda header, rows: [header, *rows], None),
-    ], ids=["A_to_H", "swapped_classes", "same_target"])
+        (lambda header, rows: [header, rows[1], rows[0], *rows[2:]], [0, 1], "target classes"),
+        # the same data scored through the swapped map, which exited 0 with
+        # the two classes' predictions exchanged
+        (lambda header, rows: [header, *rows], [1, 0], "label map [0, 1], not [1, 0]"),
+        (lambda header, rows: [header, *rows], [0, 1], None),
+    ], ids=["A_to_H", "swapped_classes", "label_map", "same_target"])
     def test_program_built_for_another_target_exit_2(self, tmp_path, source_checkpoint,
-                                                     program_path, capsys, edit, message):
+                                                     program_path, capsys, edit, label_map,
+                                                     message):
         _, target = synth_tasks(TINY["seed"], 10, TINY["data"]["target_size"])
         save_csv(target, tmp_path / "target.csv")
         header, *rows = (tmp_path / "target.csv").read_text().splitlines()
@@ -478,23 +485,38 @@ class TestMalformedInputs:
         edited = tmp_path / "edited.csv"
         edited.write_text("\n".join(edit(header, rows)) + "\n")
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**TINY, "data": {"mode": "csv", "target_path": str(edited)}}))
+        cfg = _with(TINY, "reprogram.label_map", label_map)
+        path.write_text(json.dumps({**cfg, "data": {"mode": "csv", "target_path": str(edited)}}))
         argv = _eval_argv(str(path), source_checkpoint, program_path, tmp_path)
         if message is None:
             assert main(argv) == 0
         else:
             _exits_2_with_one_error_line(capsys, argv, message)
 
-    def test_version_1_program_exit_2(self, tmp_path, config_path, source_checkpoint,
-                                      program_path, capsys):
+    @pytest.mark.parametrize("version, missing", [
         # a v1 program records no target, so what it was built for is unknown
+        (1, ("target_tokens", "class_names", "label_map")),
+        # a v2 program records no label map, so the map it was trained with is unknown
+        (2, ("label_map",)),
+    ], ids=["v1", "v2"])
+    def test_older_program_version_exit_2(self, tmp_path, config_path, source_checkpoint,
+                                          program_path, capsys, version, missing):
         doc = json.loads(Path(program_path).read_text())
-        del doc["target_tokens"], doc["class_names"]
-        old = tmp_path / "v1_program.json"
-        old.write_text(json.dumps({**doc, "format_version": 1}))
+        for key in missing:
+            del doc[key]
+        old = tmp_path / f"v{version}_program.json"
+        old.write_text(json.dumps({**doc, "format_version": version}))
         _exits_2_with_one_error_line(
             capsys, _eval_argv(config_path, source_checkpoint, old, tmp_path),
-            "unsupported program version 1")
+            f"unsupported program version {version}")
+
+    def test_max_atoms_beyond_the_dictionary_exit_2(self, tmp_path, source_checkpoint, capsys):
+        checkpoint = json.loads(Path(source_checkpoint).read_text())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_with(TINY, "reprogram.ksvd.max_atoms", 500)))
+        _exits_2_with_one_error_line(
+            capsys, _reprogram_argv(path, source_checkpoint, tmp_path),
+            f"max_atoms 500 exceeds the dictionary's {checkpoint['vocab_size']} atoms")
 
     @pytest.mark.parametrize("label_map, message", [
         (["a", "b"], "non-negative integers"),

@@ -554,6 +554,7 @@ class TestProgramSerialization:
         loaded = load_program(path)
         assert np.array_equal(loaded.theta, prog.theta)
         assert loaded.config == prog.config
+        assert loaded.label_map == prog.label_map == (0, 1)
 
     def test_trace_csv_coding_error_empty_when_not_coded(self, tmp_path, training_setup):
         # theta is coded on iteration 0 only; 45 iterations score every

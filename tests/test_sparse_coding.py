@@ -44,7 +44,9 @@ class TestDictionary:
 
 class TestGram:
     def test_is_exactly_symmetric(self):
-        # batch_encode fills each Gram block's new column from its new row
+        # batch_encode solves a refit's normal equations over blocks of
+        # atoms^T atoms; numpy forms a matrix times its own transpose as one
+        # triangle and mirrors it, so the blocks are exactly symmetric
         rng = np.random.default_rng(44)
         shapes = ((1, 4), (7, 3), (8, 12), (32, 200))
         dictionaries = [random_dictionary(rng, d, k) for d, k in shapes]
@@ -56,15 +58,12 @@ class TestGram:
             assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_residual_norm_is_bitwise_numpys(axis):
-    # the coding loop's stop and gain tests must see the values of np.sum
-    # and np.linalg.norm, which the per-column reference below uses
-    residual = np.random.default_rng(43).normal(size=(33, 17)) * 10.0 ** np.arange(-8, 9)
-    l1 = sparse_coding._residual_norm(residual, "l1", axis)
-    l2 = sparse_coding._residual_norm(residual, "l2", axis)
-    assert l1.tobytes() == np.sum(np.abs(residual), axis=axis).tobytes()
-    assert l2.tobytes() == np.linalg.norm(residual, axis=axis).tobytes()
+def test_l2_rounds_as_numpys_row_norms():
+    # the gain test must see the l2 norms that lockstep_reference takes of
+    # its residual rows; np.linalg.norm of one vector rounds otherwise
+    rows = np.random.default_rng(43).normal(size=(33, 17)) * 10.0 ** np.arange(-8, 9)
+    norms = np.array([sparse_coding._l2(row) for row in rows])
+    assert norms.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
 
 
 def encode_one(dic, signal, cfg):
@@ -244,7 +243,7 @@ def assert_matches_reference(dic, signals, cfg):
 
 
 class TestLockstepEquivalence:
-    """The lockstep Gram-solve path against the per-signal lstsq reference."""
+    """batch_encode's Gram-solve refit against the per-signal lstsq reference."""
 
     def test_random_dictionaries(self):
         rng = np.random.default_rng(30)
@@ -366,14 +365,34 @@ class TestDependentAtoms:
         assert np.abs(signals[:, 1] - dic.atoms @ codes[:, 1]).max() <= 1e-9
 
 
+def _solve(gram, rhs):
+    """Stacked `np.linalg.solve`; a singular system gives NaN, not an error.
+
+    numpy solves each system of the stack on its own but raises for the
+    whole stack when one is singular; the fallback solves them one by one,
+    which reproduces every other system bitwise.
+    """
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for i in range(len(gram)):
+            try:
+                out[i] = np.linalg.solve(gram[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def lockstep_reference(dic, signals, cfg):
-    """The lockstep loop written with no live-only state: (codes, stops).
+    """Every column coded in lockstep, one atom per step: (codes, stops).
 
     Every step gathers each live column's residual, Gram block and
-    right-hand side afresh and scatters every live code again. The
-    arithmetic is batch_encode's, operand for operand, so the codes must
-    match byte for byte. `stops[j]` is (reason, step) for column j: the step
-    at which it stopped, or max_atoms when it used its whole budget.
+    right-hand side and scatters every live code. Each stacked product and
+    solve is batch_encode's per-column one, operand for operand, so the
+    codes must match byte for byte. `stops[j]` is (reason, step) for column
+    j: the step at which it stopped, or max_atoms when it used its whole
+    budget.
     """
     atoms = dic.atoms
     signals = np.ascontiguousarray(np.asarray(signals, dtype=float).T)
@@ -382,8 +401,8 @@ def lockstep_reference(dic, signals, cfg):
     stops = [("max_atoms", cfg.max_atoms)] * m
     support = np.zeros((m, cfg.max_atoms), dtype=np.intp)
     residual = signals.copy()
-    stop_norm = sparse_coding._residual_norm(residual, "l1", axis=1)
-    l2 = sparse_coding._residual_norm(residual, "l2", axis=1)
+    stop_norm = np.sum(np.abs(residual), axis=1)
+    l2 = np.linalg.norm(residual, axis=1)
     gram = atoms.T @ atoms
     alpha = np.matmul(signals[:, None, :], atoms)[:, 0, :]
     live = np.arange(m)
@@ -410,7 +429,7 @@ def lockstep_reference(dic, signals, cfg):
         rhs = np.zeros((live.size, t + 1, 2))
         rhs[:, :, 0] = alpha[live[:, None], trial]
         rhs[:, t, 1] = 1.0
-        solution = sparse_coding._solve(gram[trial[:, :, None], trial[:, None, :]], rhs)
+        solution = _solve(gram[trial[:, :, None], trial[:, None, :]], rhs)
         inverse_schur = solution[:, t, 1]
         independent = (inverse_schur > 0.0) & (inverse_schur < 1.0 / sparse_coding._SCHUR_FLOOR)
         singular = np.isnan(inverse_schur)
@@ -421,7 +440,7 @@ def lockstep_reference(dic, signals, cfg):
 
         fitted = np.matmul(trial_coefs[:, None, :], atoms.T[trial])[:, 0, :]
         trial_residual = signals[live] - fitted
-        trial_l2 = sparse_coding._residual_norm(trial_residual, "l2", axis=1)
+        trial_l2 = np.linalg.norm(trial_residual, axis=1)
         gain = trial_l2 < l2[live]
         note(live[~gain], "no_gain", t)
         live = live[gain]
@@ -429,7 +448,7 @@ def lockstep_reference(dic, signals, cfg):
         accepted = trial_residual[gain]
         residual[live] = accepted
         l2[live] = trial_l2[gain]
-        stop_norm[live] = sparse_coding._residual_norm(accepted, "l1", axis=1)
+        stop_norm[live] = np.sum(np.abs(accepted), axis=1)
 
     return codes, stops
 
@@ -517,8 +536,8 @@ MIXED_BATCHES = mixed_batches()
 
 
 class TestLiveOnlyLockstep:
-    """batch_encode's live-only state, grown Gram blocks and codes written
-    once, against the lockstep loop that gathers and scatters every step."""
+    """batch_encode, one column at a time, against the lockstep loop that
+    advances every column together through stacked products and solves."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(problem=coding_problems())
@@ -587,7 +606,7 @@ def reference_dictionary_update(dictionary, signals, codes, epsilon):
     for k in range(atoms.shape[1]):
         used = np.nonzero(codes[k, :])[0]
         if used.size == 0:
-            errors = sparse_coding._residual_norm(residual, "l1", axis=0)
+            errors = np.sum(np.abs(residual), axis=0)
             errors[taken] = -np.inf
             worst = int(np.argmax(errors))
             if not errors[worst] > epsilon:
@@ -619,7 +638,7 @@ class TestKsvdDictionaryUpdate:
             signals = rng.normal(size=(6, n))
             # a tolerance that some, but not all, signals' residuals exceed
             residual = signals - dic.atoms @ codes
-            norms = sparse_coding._residual_norm(residual, "l1", axis=0)
+            norms = np.sum(np.abs(residual), axis=0)
             epsilon = float(np.quantile(norms, rng.random()))
             new_dic, new_codes = ksvd_dictionary_update(dic, signals, codes, epsilon)
             atoms, ref_codes = reference_dictionary_update(dic, signals, codes, epsilon)
