@@ -55,7 +55,7 @@ class TrainConfig:
     learning_rate: float = 1.0
 
     def __post_init__(self):
-        if self.architecture not in ("bag_mlp", "birnn"):
+        if self.architecture not in _PASSES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if min(self.embed_dim, self.hidden_dim, self.epochs, self.batch_size) < 1:
             raise ConfigError("embed_dim, hidden_dim, epochs, batch_size must be >= 1")

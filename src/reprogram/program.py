@@ -8,19 +8,14 @@ each masked to the support that coding chose, so the saved theta has at
 most `max_atoms` non-zeros per column.
 
 Loss, gradient and evaluation hand the classifier's padded-batch path one
-vocabulary embedding E = basis @ theta (d x |V_T|) and a target dataset's
-`ids` and `lengths`, padded once when the dataset was built; the gradient
-with respect to theta is basis^T @ dE. `loss_and_grad` is the training
-step's loss and gradient on a batch, `evaluate` scores a whole split.
-
-The loop scores about VALIDATIONS evenly spaced iterates on the
-validation split, the last one among them, in-process, and returns the
-best of them; no step of the loop reads a score.
+vocabulary embedding E = table @ theta (d x |V_T|) over the model's table
+(under dictionary update, the learned atoms) and a target dataset's padded
+`ids` and `lengths`; the gradient with respect to theta is table^T @ dE.
 """
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -95,9 +90,8 @@ class AdversarialProgram:
     `label_map[i]`; data numbered otherwise, or another map, does not fit
     the program.
     `source_basis` is None when theta codes over the model's own embedding
-    table. Under dictionary update it is the learned basis that theta was
-    coded and trained over, and theta means nothing without it; score a
-    program with `evaluate_program`, which applies the two together.
+    table; under dictionary update it is the learned, read-only basis theta
+    was coded and trained over. Score a program with `evaluate_program`.
     """
 
     theta: np.ndarray
@@ -114,15 +108,14 @@ def initial_theta(source_vocab_size: int, target_vocab_size: int, seed: int) -> 
     return rng.uniform(-0.01, 0.01, size=(source_vocab_size, target_vocab_size))
 
 
-def _embedding(theta, model: FrozenClassifier, dataset, basis=None):
-    """Check theta against the source and target vocabularies: basis, E = basis @ theta."""
+def _embedding(theta, model: FrozenClassifier, dataset):
+    """Check theta against the source and target vocabularies: E = table @ theta."""
     theta = as_matrix(theta)
-    basis = model.embeddings if basis is None else basis
-    if theta.shape[0] != basis.shape[1]:
+    if theta.shape[0] != model.embeddings.shape[1]:
         raise ShapeError("theta rows must match source vocabulary size")
     if theta.shape[1] != len(dataset.vocab):
         raise ShapeError("theta columns must match target vocabulary size")
-    return basis, basis @ theta
+    return model.embeddings @ theta
 
 
 def _check_classes(label_map: LabelMap, model: FrozenClassifier, dataset) -> None:
@@ -155,7 +148,7 @@ def _mapped_loss_dlogits(logits, label_map: LabelMap, labels):
     return float(-np.log(target).sum()), dlogits
 
 
-def loss_and_grad(theta, model, label_map: LabelMap, batch, basis=None):
+def loss_and_grad(theta, model, label_map: LabelMap, batch):
     """Mean mapped cross-entropy over a batch and its gradient with respect to theta.
 
     `batch` is a non-empty target dataset, such as `train.take(rows)`.
@@ -163,19 +156,19 @@ def loss_and_grad(theta, model, label_map: LabelMap, batch, basis=None):
     if len(batch) == 0:
         raise ConfigError("batch must be non-empty")
     _check_classes(label_map, model, batch)
-    basis, embedding = _embedding(theta, model, batch, basis)
+    embedding = _embedding(theta, model, batch)
     loss_grad = lambda logits, y: _mapped_loss_dlogits(logits, label_map, y)
     loss, dembedding, _ = gradient(model.params, embedding, batch.ids, batch.lengths,
                                    batch.labels, loss_grad)
-    return loss / len(batch), (basis.T @ dembedding) / len(batch)
+    return loss / len(batch), (model.embeddings.T @ dembedding) / len(batch)
 
 
-def evaluate(theta, model, label_map: LabelMap, dataset, basis=None):
+def evaluate(theta, model, label_map: LabelMap, dataset):
     """Argmax accuracy and target-class confusion counts (rows = true class)."""
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
     _check_classes(label_map, model, dataset)
-    _, embedding = _embedding(theta, model, dataset, basis)
+    embedding = _embedding(theta, model, dataset)
     logits = predict(model.params, embedding, dataset.ids, dataset.lengths)
     predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
     n = label_map.num_target_classes
@@ -185,18 +178,30 @@ def evaluate(theta, model, label_map: LabelMap, dataset, basis=None):
 
 
 def evaluate_program(program: AdversarialProgram, model, label_map, dataset):
-    """`evaluate` the program's theta over its own basis (see AdversarialProgram).
+    """`evaluate` the program's theta over its own basis, if it fits.
 
-    A label map other than the one the program was trained with is a
-    ConfigError: the program's classes would be scored under another map.
+    A model of another source vocabulary or basis shape, data of other
+    target tokens or class names, and another label map are a ConfigError.
     """
     _check_classes(label_map, model, dataset)  # a map that misses a class is named so
+    basis = program.source_basis
+    if program.theta.shape[0] != model.embeddings.shape[1]:
+        raise ConfigError("program does not match the source model vocabulary")
+    if basis is not None and basis.shape != model.embeddings.shape:
+        raise ConfigError("program source_basis does not match the source model's d x vocab")
+    if program.target_tokens != dataset.vocab.index_to_token:
+        raise ConfigError(f"program was built for target vocabulary "
+                          f"{''.join(program.target_tokens)!r}, the data has "
+                          f"{''.join(dataset.vocab.index_to_token)!r}")
+    if program.class_names != dataset.class_names:
+        raise ConfigError(f"program was built for target classes {list(program.class_names)}, "
+                          f"the data has {list(dataset.class_names)}")
     if label_map.source_to_target != program.label_map:
         raise ConfigError(f"program was trained with label map {list(program.label_map)}, "
                           f"not {list(label_map.source_to_target)}")
-    return evaluate(
-        program.theta, model, label_map, dataset, basis=program.source_basis
-    )
+    if basis is not None:
+        model = replace(model, embeddings=basis)
+    return evaluate(program.theta, model, label_map, dataset)
 
 
 def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
@@ -204,8 +209,8 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
     """Sparse coding once, then gradient descent on theta over its support.
 
     The initial theta is coded once over the source embedding dictionary
-    (`ksvd_run`); under dictionary update the learned atoms become the
-    basis for the rest of the run. Each outer iteration then takes one
+    (`ksvd_run`); under dictionary update the learned atoms are the model's
+    table for the rest of the run. Each outer iteration then takes one
     mini-batch gradient step through the frozen model, masked to the
     support of that coding: theta keeps at most `max_atoms` non-zeros per
     column, and the saved program is the coding refit on its own support.
@@ -224,6 +229,9 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
     """
     if len(train) == 0 or len(valid) == 0:
         raise ConfigError("train and valid datasets must be non-empty")
+    if (valid.vocab.index_to_token, valid.class_names) != (train.vocab.index_to_token,
+                                                            train.class_names):
+        raise ConfigError("valid and train splits differ in target tokens or class names")
     _check_classes(label_map, model, train)
     _check_classes(label_map, model, valid)
 
@@ -233,7 +241,8 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
                                              cfg.ksvd)
     theta = dictionary.fold_codes(codes)
     support = theta != 0
-    basis = dictionary.atoms if cfg.ksvd.update_dictionary else None
+    if cfg.ksvd.update_dictionary:
+        model = replace(model, embeddings=dictionary.atoms)  # read-only, as ksvd_run leaves it
     rng = np.random.default_rng(cfg.seed)
 
     order = np.empty(0, dtype=np.intp)
@@ -248,7 +257,7 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
         batch = train.take(order[: cfg.batch_size])
         order = order[cfg.batch_size :]
 
-        loss, grad = loss_and_grad(theta, model, label_map, batch, basis=basis)
+        loss, grad = loss_and_grad(theta, model, label_map, batch)
         theta = theta - cfg.step_at(it) * np.where(support, grad, 0.0)
 
         entry = {
@@ -259,7 +268,7 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
         }
         trace.append(entry)
         if (last - it) % stride == 0:
-            valid_acc, _ = evaluate(theta, model, label_map, valid, basis)
+            valid_acc, _ = evaluate(theta, model, label_map, valid)
             entry["valid_accuracy"] = valid_acc
             if valid_acc > best_acc:
                 best_acc, best_theta = valid_acc, theta
@@ -271,7 +280,7 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
         target_tokens=train.vocab.index_to_token,
         class_names=train.class_names,
         label_map=label_map.source_to_target,
-        source_basis=None if basis is None else basis.copy(),
+        source_basis=dictionary.atoms if cfg.ksvd.update_dictionary else None,
     )
     return program, trace
 
@@ -312,6 +321,7 @@ def load_program(path) -> AdversarialProgram:
         if "source_basis" in doc:
             spec = doc["source_basis"]
             basis = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
+            basis.flags.writeable = False
         if not all(np.isfinite(arr).all() for arr in (theta, basis) if arr is not None):
             raise ValueError("non-finite theta or source_basis entry")
         tokens, class_names = tuple(doc["target_tokens"]), tuple(doc["class_names"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from reprogram.classifier import (
     ClassifierParams,
     TrainConfig,
+    _PASSES,
     _cross_entropy_grad,
     evaluate_source,
     gradient,
@@ -420,6 +421,15 @@ def source_task():
 
 
 class TestTrainSource:
+    @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn", "lstm"])
+    def test_config_accepts_the_architectures_that_load(self, architecture):
+        # TrainConfig and load_checkpoint check one list of architectures
+        if architecture in _PASSES:
+            assert TrainConfig(architecture=architecture).architecture == architecture
+        else:
+            with pytest.raises(ConfigError, match="^unknown architecture 'lstm'$"):
+                TrainConfig(architecture=architecture)
+
     def test_learns_separable_task(self, source_task):
         train, valid, _ = source_task
         model, report = train_source(train, TrainConfig(epochs=25), seed=2, valid=valid)

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reprogram import program
+from reprogram import classifier, program
 from reprogram.cli import load_config, main
 from reprogram.data import save_csv, synth_tasks
 from reprogram.errors import ConfigError, NumericError
@@ -168,6 +171,23 @@ def test_bad_config_value_exit_2(tmp_path, capsys, key, value, flags):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err
+
+
+def test_allocation_too_large_exit_3(tmp_path, capsys, monkeypatch):
+    # a hidden_dim within int64 passes the config check, and numpy's first
+    # allocation of that size fails; the failure is faked, not allocated
+    message = "Unable to allocate 233. TiB for an array with shape (1000000000000, 32)"
+
+    def init_weights(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(classifier, "_init_weights", init_weights)
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(json.dumps(_with(TINY, "train.hidden_dim", 10**12)))
+    assert main(["train-source", "--config", str(path), "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and list(out.iterdir()) == []
+    assert err.splitlines() == [f"runtime error: {message}"]
 
 
 @pytest.mark.parametrize("parts", [(0.9, 0.2, -0.1), (200, -5, 50)])
@@ -601,6 +621,28 @@ class TestPathsOfTheWrongKind:
             capsys, ["train-source", "--config", str(path), "--out", str(tmp_path / "o")],
             "latin1.csv: not valid UTF-8")
 
+    @pytest.mark.parametrize("command", ["reprogram", "eval", "sweep-data", "sweep-ksvd",
+                                         "train-source"])
+    def test_csv_source_read_only_by_train_source(self, tmp_path, source_checkpoint,
+                                                  program_path, capsys, command):
+        # only train-source uses data.source_path; the other commands read the target
+        _, target = synth_tasks(TINY["seed"], 10, TINY["data"]["target_size"])
+        save_csv(target, tmp_path / "target.csv")
+        source = tmp_path / "latin1.csv"
+        source.write_bytes(b"sequence,label\nAC\xffD,x\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "data": {"mode": "csv", "source_path": str(source),
+                                                     "target_path": str(tmp_path / "target.csv")}}))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+        if command != "train-source":
+            argv += ["--source-checkpoint", source_checkpoint]
+        argv += {"eval": ["--program", program_path], "sweep-data": ["--grid", "50"],
+                 "sweep-ksvd": ["--grid", "1"]}.get(command, [])
+        if command == "train-source":
+            _exits_2_with_one_error_line(capsys, argv, "latin1.csv: not valid UTF-8")
+        else:
+            assert main(argv) == 0
+
     def test_short_csv_row_exit_2(self, tmp_path, capsys):
         target = tmp_path / "short.csv"
         target.write_text("sequence,label\nACD,x\nKK\n")
@@ -609,3 +651,66 @@ class TestPathsOfTheWrongKind:
         _exits_2_with_one_error_line(
             capsys, ["train-source", "--config", str(path), "--out", str(tmp_path / "o")],
             "short.csv: line 3 has fewer fields than the header")
+
+
+@pytest.fixture(scope="module")
+def saved_pair(tmp_path_factory):
+    """The text of a checkpoint and of a program learned under dictionary
+    update, and an eval config over a CSV of the target they were built for."""
+    root = tmp_path_factory.mktemp("saved_pair")
+    cfg = _with(TINY, "reprogram.ksvd.update_dictionary", True)
+    (root / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["train-source", "--config", str(root / "cfg.json"), "--out", str(root)]) == 0
+    assert main(["reprogram", "--config", str(root / "cfg.json"), "--source-checkpoint",
+                 str(root / "source_checkpoint.json"), "--out", str(root)]) == 0
+    _, target = synth_tasks(TINY["seed"], 10, TINY["data"]["target_size"])
+    save_csv(target, root / "target.csv")
+    csv_cfg = {**cfg, "data": {"mode": "csv", "target_path": str(root / "target.csv")}}
+    (root / "cfg.json").write_text(json.dumps(csv_cfg))
+    return root, {name: (root / f"{name}.json").read_text()
+                  for name in ("source_checkpoint", "program")}
+
+
+def _key_paths(doc, prefix=()):
+    """Every key path of a JSON document's objects, down to the leaves."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_DELETE = object()
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(-3, 3)), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["source_checkpoint", "program"]), data=st.data())
+def test_damaged_saved_file_exits_0_2_or_3(saved_pair, name, data):
+    # one key of a saved checkpoint or program deleted or given another
+    # JSON value: eval ends with an exit code, never a traceback
+    root, texts = saved_pair
+    doc = json.loads(texts[name])
+    *parents, key = data.draw(st.sampled_from(sorted(_key_paths(doc))))
+    value = data.draw(st.one_of(st.just(_DELETE), _JSON_VALUES))
+    inner = doc
+    for parent in parents:
+        inner = inner[parent]
+    if value is _DELETE:
+        del inner[key]
+    else:
+        inner[key] = value
+    files = {other: root / f"{other}.json" for other in texts}
+    files[name] = root / "damaged.json"
+    files[name].write_text(json.dumps(doc))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["eval", "--config", str(root / "cfg.json"), "--source-checkpoint",
+                     str(files["source_checkpoint"]), "--program", str(files["program"]),
+                     "--out", str(root / "eval")])
+    assert code in (0, 2, 3)
+    assert len(stderr.getvalue().splitlines()) == (code != 0)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -418,30 +420,31 @@ class TestValidationWorker:
         {"ksvd": KsvdConfig(epsilon=1e-4, max_atoms=3, sweeps=2, update_dictionary=True)},
     ], ids=["fixed_dictionary", "update_dictionary"])
     def test_worker_equals_in_process_bitwise(self, scored_setup, overrides, monkeypatch):
-        # the loop's scores, its pick and its basis equal, bitwise, scoring
-        # the same iterates again in the caller
+        # the loop's scores, its pick and the scoring model's table equal,
+        # bitwise, scoring the same iterates again in the caller
         model, train, valid = scored_setup
         h = LabelMap((0, 1))
         cfg = base_config(outer_iterations=25, step_size=0.5, **overrides)
         assert cfg.outer_iterations < 2 * program.VALIDATIONS  # every iterate is scored
         real, scored = program.evaluate, []
 
-        def evaluate(theta, model, label_map, dataset, basis=None):
-            scored.append((theta.copy(), None if basis is None else basis.copy()))
-            return real(theta, model, label_map, dataset, basis)
+        def evaluate(theta, scoring, label_map, dataset):
+            scored.append((theta.copy(), scoring.embeddings.copy()))
+            return real(theta, scoring, label_map, dataset)
 
         monkeypatch.setattr(program, "evaluate", evaluate)
         prog, trace = reprogram_train(model, h, train, valid, cfg)
         monkeypatch.undo()
         assert len(scored) == cfg.outer_iterations
-        rescored = [real(theta, model, h, valid, basis)[0] for theta, basis in scored]
+        rescored = [real(theta, replace(model, embeddings=table), h, valid)[0]
+                    for theta, table in scored]
         accuracies = [entry["valid_accuracy"] for entry in trace]
         assert repr(accuracies) == repr(rescored)
-        best_theta, best_basis = scored[int(np.argmax(accuracies))]  # ties: the earliest
+        best_theta, best_table = scored[int(np.argmax(accuracies))]  # ties: the earliest
         assert prog.theta.tobytes() == best_theta.tobytes()
         basis = prog.source_basis
-        assert (basis is None) == (best_basis is None) == ("ksvd" not in overrides)
-        assert basis is None or basis.tobytes() == best_basis.tobytes()
+        assert (basis is None) == ("ksvd" not in overrides)
+        assert (model.embeddings if basis is None else basis).tobytes() == best_table.tobytes()
         again, again_trace = reprogram_train(model, h, train, valid, cfg)
         assert again.theta.tobytes() == prog.theta.tobytes()
         assert repr(again_trace) == repr(trace)
@@ -543,6 +546,55 @@ class TestEvaluate:
         empty = SequenceDataset.from_sequences((), (), vocab, ("neg", "pos"))
         with pytest.raises(ConfigError):
             evaluate(np.zeros((12, 1)), model, LabelMap((0, 1)), empty)
+
+
+@pytest.fixture(scope="module")
+def learned_program(training_setup):
+    """A program trained under dictionary update, so it carries a source_basis."""
+    model, train, valid = training_setup
+    ksvd = KsvdConfig(epsilon=1e-4, max_atoms=3, sweeps=2, update_dictionary=True)
+    prog, _ = reprogram_train(model, LabelMap((0, 1)), train, valid, base_config(ksvd=ksvd))
+    return prog
+
+
+class TestProgramFit:
+    """`evaluate_program` scores a program only on a model, data and label
+    map that it fits; anything else is a ConfigError naming the mismatch."""
+
+    @pytest.mark.parametrize("mismatch, message", [
+        # the same alphabet size, so every token id is in range
+        ("alphabet", "target vocabulary 'ABCD', the data has 'HIJK'"),
+        ("class_names", "target classes ['neg', 'pos'], the data has ['pos', 'neg']"),
+        ("source_vocabulary", "does not match the source model vocabulary"),
+        ("basis_shape", "source_basis does not match the source model's d x vocab"),
+    ])
+    def test_mismatch_rejected(self, training_setup, learned_program, mismatch, message):
+        model, _, valid = training_setup
+        vocab, names, table = valid.vocab, valid.class_names, model.embeddings
+        if mismatch == "alphabet":
+            vocab = Vocab.from_tokens("HIJK")
+        elif mismatch == "class_names":
+            names = names[::-1]
+        elif mismatch == "source_vocabulary":
+            table = np.ones((table.shape[0], table.shape[1] + 1))
+        else:
+            table = np.ones((table.shape[0] + 1, table.shape[1]))
+        data = SequenceDataset(valid.ids, valid.lengths, valid.labels, vocab, names)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            evaluate_program(learned_program, replace(model, embeddings=table),
+                             LabelMap((0, 1)), data)
+
+    @pytest.mark.parametrize("mismatch", ["alphabet", "class_names"])
+    def test_valid_split_of_another_target_rejected(self, training_setup, mismatch):
+        model, train, valid = training_setup
+        vocab, names = valid.vocab, valid.class_names
+        if mismatch == "alphabet":
+            vocab = Vocab.from_tokens("HIJK")
+        else:
+            names = names[::-1]
+        other = SequenceDataset(valid.ids, valid.lengths, valid.labels, vocab, names)
+        with pytest.raises(ConfigError, match="differ in target tokens or class names"):
+            reprogram_train(model, LabelMap((0, 1)), train, other, base_config())
 
 
 class TestProgramSerialization:

@@ -8,11 +8,14 @@ holding `src/` and `perfbench/`. The script runs, in subprocesses:
 - `perfbench/run.py --trace 0` on both workloads for each of `--seeds`,
   alternating which checkout goes first from seed to seed, and reports each
   metric's median per checkout and the change/parent ratio of each pair;
-- micro-timings of the model path under each checkout's `src/`: `gradient`
-  on a 64-row reprogramming batch (V = 7 target tokens) and on a 32-row
-  source batch with weight gradients (V = 200), `predict` on the target test
-  split, and `train_source` at each workload's settings; medians of repeats,
-  BLAS on one thread;
+- micro-timings of the model path and the stage split below, under each
+  checkout's `src/`, in MICRO_ROUNDS rounds that alternate which checkout
+  goes first (parent then change, then change then parent), each figure the
+  median across rounds. The micro-timings are `gradient` on a 64-row
+  reprogramming batch (V = 7 target tokens) and on a 32-row source batch
+  with weight gradients (V = 200), `predict` on the target test split, and
+  `train_source` at each workload's settings; medians of repeats, BLAS on
+  one thread;
 - a stage split of `reprogram` commands under each checkout's `src/`, on the
   seed-1 inputs of both workloads that perfbench's `set_up` writes (once, in
   the first checkout's run): medians over 8 commands of the command's wall
@@ -48,6 +51,7 @@ ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "M
 STAGES = ("program.ksvd_run", "program.loss_and_grad", "program.evaluate", "data.load_csv",
           "classifier.load_checkpoint")
 STAGE_COMMANDS = 8  # reprogram commands per workload in the stage split
+MICRO_ROUNDS = 2  # --micro subprocesses per checkout, alternating which goes first
 
 
 def seed_list(text):
@@ -133,6 +137,28 @@ def micro(tree: Path, repeats: int, scratch: Path) -> dict:
                            "--scratch", str(scratch)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
+
+
+def micro_rounds(trees, repeats: int, scratch: Path) -> dict:
+    """`micro` of each checkout per round, the order alternating from round to
+    round; each figure is its median across the rounds."""
+    runs = {name: [] for name in trees}
+    for r in range(MICRO_ROUNDS):
+        for name in list(trees) if r % 2 == 0 else list(reversed(trees)):
+            runs[name].append(micro(trees[name], repeats, scratch))
+            print(f"micro round {r + 1} {name} done", file=sys.stderr)
+    return {name: median_across(documents) for name, documents in runs.items()}
+
+
+def median_across(documents):
+    """The leaf-wise median of documents of one structure; a leaf that is not
+    a number (the numpy version) is taken from the first."""
+    first = documents[0]
+    if isinstance(first, dict):
+        return {key: median_across([doc[key] for doc in documents]) for key in first}
+    if isinstance(first, (int, float)) and not isinstance(first, bool):
+        return statistics.median(documents)
+    return first
 
 
 def median_ms(fn, repeats):
@@ -264,8 +290,8 @@ def main(argv=None) -> int:
         doc = {
             "seeds": args.seeds,
             "seconds_per_run": args.seconds,
-            "micro_ms": {name: micro(tree, args.repeats, Path(scratch))
-                         for name, tree in trees.items()},
+            "micro_rounds": MICRO_ROUNDS,
+            "micro_ms": micro_rounds(trees, args.repeats, Path(scratch)),
         }
     doc.update(end_to_end(trees, args.seeds, args.seconds))
     doc["cores"] = {"nproc": os.cpu_count(), "usable": len(os.sched_getaffinity(0))}
