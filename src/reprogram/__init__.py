@@ -15,8 +15,7 @@ from .program import (
     AdversarialProgram,
     LabelMap,
     ReprogramConfig,
-    evaluate,
-    loss_and_grad,
+    evaluate_program,
     map_output,
     reprogram_train,
 )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import read_document
+from .data import read_array, read_document
 from .errors import ConfigError, NumericError, ShapeError
 from .numerics import softmax
 
@@ -232,10 +232,6 @@ def _cross_entropy_grad(logits, labels):
     return loss, p
 
 
-def _all_finite(table, weights) -> bool:
-    return all(np.isfinite(arr).all() for arr in (table, *weights.values()))
-
-
 def _read_only(arr) -> np.ndarray:
     arr = arr.copy()
     arr.flags.writeable = False
@@ -286,7 +282,7 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
                 for name in weights:
                     weights[name] -= scale * grads[name]
                 table -= scale * dtable
-        if not (np.isfinite(loss) and _all_finite(table, weights)):
+        if not all(np.isfinite(arr).all() for arr in (loss, table, *weights.values())):
             raise NumericError(f"source training diverged in epoch {epoch}: non-finite loss, "
                                f"embedding or weight (learning_rate {lr:g})")
 
@@ -337,28 +333,23 @@ def save_checkpoint(model: FrozenClassifier, path) -> None:
 def load_checkpoint(path) -> FrozenClassifier:
     """Read a `save_checkpoint` file; a malformed one is a DataFormatError naming it.
 
-    The weights must have the names and shapes `_init_weights` builds for the
-    architecture, d, hidden size and class count, and every value must be finite.
+    Each array must hold its recorded sizes' worth of finite values
+    (`read_array`), and the weights must have the names and shapes
+    `_init_weights` builds for the architecture, d, hidden size and class count.
     """
     with read_document(path, "checkpoint", FORMAT_VERSION) as doc:
         architecture = doc["architecture"]
         if architecture not in _PASSES:
             raise ValueError(f"unknown architecture {architecture!r}")
-        table = np.array(doc["embeddings"], dtype=np.float64).reshape(
-            doc["d"], doc["vocab_size"]
-        )
-        weights = {
-            name: np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
-            for name, spec in doc["weights"].items()
-        }
+        table = read_array(doc["embeddings"], (doc["d"], doc["vocab_size"]))
+        weights = {name: read_array(spec["data"], spec["shape"])
+                   for name, spec in doc["weights"].items()}
         first = next(iter(_weight_shapes(architecture, 0, 0, 0)))  # hidden x d
         hidden = len(weights[first])
         expected = _weight_shapes(architecture, doc["d"], hidden, doc["num_classes"])
         shapes = {name: arr.shape for name, arr in weights.items()}
         if shapes != expected:
             raise ValueError(f"weight shapes {shapes}, expected {expected}")
-        if not _all_finite(table, weights):
-            raise ValueError("non-finite embedding or weight")
         params = ClassifierParams(
             architecture=architecture,
             weights=weights,

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -132,11 +133,11 @@ def _train_config(cfg):
     return classifier.TrainConfig(**cfg["train"])
 
 
-def _reprogram_config(cfg, seed):
+def _reprogram_config(cfg):
     r = dict(cfg["reprogram"])
     r.pop("label_map")
     ksvd = KsvdConfig(**r.pop("ksvd"))
-    return program.ReprogramConfig(ksvd=ksvd, seed=seed, **r)
+    return program.ReprogramConfig(ksvd=ksvd, seed=cfg["seed"], **r)
 
 
 def _label_map(cfg, target):
@@ -176,20 +177,19 @@ def cmd_train_source(cfg, out_dir) -> int:
     return 0
 
 
-def _run_reprogram(cfg, model, label_map, splits):
+def _run_reprogram(rcfg, model, label_map, splits):
     train, valid, test = splits
-    rcfg = _reprogram_config(cfg, cfg["seed"])
     prog, trace = program.reprogram_train(model, label_map, train, valid, rcfg)
     test_acc, confusion = program.evaluate_program(prog, model, label_map, test)
-    return prog, trace, test_acc, confusion, rcfg
+    return prog, trace, test_acc, confusion
 
 
 def cmd_reprogram(cfg, source_checkpoint, out_dir) -> int:
     model = classifier.load_checkpoint(source_checkpoint)
     splits = _target_splits(cfg)
-    prog, trace, test_acc, confusion, rcfg = _run_reprogram(
-        cfg, model, _label_map(cfg, splits[0]), splits
-    )
+    label_map = _label_map(cfg, splits[0])
+    rcfg = _reprogram_config(cfg)
+    prog, trace, test_acc, confusion = _run_reprogram(rcfg, model, label_map, splits)
     program.save_program(prog, os.path.join(out_dir, "program.json"))
     program.trace_to_csv(trace, os.path.join(out_dir, "trace.csv"))
     summary = {
@@ -224,10 +224,10 @@ def cmd_sweep_data(cfg, grid, source_checkpoint, out_dir) -> int:
     if max(grid) > len(train):
         raise ConfigError(f"grid entry {max(grid)} exceeds training size {len(train)}")
     label_map = _label_map(cfg, train)
+    rcfg = _reprogram_config(cfg)
     rows = []
     for n in grid:
         subset = data.subsample(train, n, cfg["seed"])
-        rcfg = _reprogram_config(cfg, cfg["seed"])
         prog, _ = program.reprogram_train(model, label_map, subset, valid, rcfg)
         rp_acc, _ = program.evaluate_program(prog, model, label_map, test)
         scratch_model, _ = classifier.train_source(
@@ -255,12 +255,12 @@ def cmd_sweep_ksvd(cfg, grid, source_checkpoint, out_dir) -> int:
         print("sweep-ksvd: update_dictionary is false, so every sweep count codes "
               "against the same fixed dictionary and the rows cannot differ",
               file=sys.stderr)
+    rcfg = _reprogram_config(cfg)
     rows = []
     for sweeps in grid:
         if not (fixed and rows):  # a fixed dictionary's run is trained once
-            run_cfg = json.loads(json.dumps(cfg))
-            run_cfg["reprogram"]["ksvd"]["sweeps"] = sweeps
-            prog, trace, test_acc, _, _ = _run_reprogram(run_cfg, model, label_map, splits)
+            run_cfg = replace(rcfg, ksvd=replace(rcfg.ksvd, sweeps=sweeps))
+            prog, trace, test_acc, _ = _run_reprogram(run_cfg, model, label_map, splits)
             train_acc, _ = program.evaluate_program(prog, model, label_map, splits[0])
             final_error = trace[0]["coding_error"]
         rows.append((sweeps, train_acc, test_acc, final_error))

@@ -9,6 +9,7 @@ reads the arrays, and a subset made by `take` slices them.
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -160,6 +161,19 @@ def read_document(path, kind: str, version: int):
         raise DataFormatError(
             f"{path}: malformed {kind} ({type(exc).__name__}: {exc})"
         ) from exc
+
+
+def read_array(values, shape) -> np.ndarray:
+    """A read-only float64 array of `shape` from a saved file's flat list of finite
+    values. The sizes' product must be the list's length, so none is inferred."""
+    array = np.array(values, dtype=np.float64)
+    if array.shape != (math.prod(shape),):
+        raise ValueError(f"{array.size} values for shape {list(shape)}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"non-finite value for shape {list(shape)}")
+    array = array.reshape(shape)  # numpy rejects a size that is negative or not an integer
+    array.flags.writeable = False
+    return array
 
 
 def load_csv(path, sequence_column="sequence", label_column="label") -> SequenceDataset:

@@ -11,6 +11,8 @@ Loss, gradient and evaluation hand the classifier's padded-batch path one
 vocabulary embedding E = table @ theta (d x |V_T|) over the model's table
 (under dictionary update, the learned atoms) and a target dataset's padded
 `ids` and `lengths`; the gradient with respect to theta is table^T @ dE.
+They trust their inputs: the entries `reprogram_train` and `evaluate_program`
+check once that theta, model, label map and data fit and the data is non-empty.
 """
 
 import csv
@@ -20,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .classifier import FrozenClassifier, gradient, predict
-from .data import read_document
+from .data import read_array, read_document
 from .errors import ConfigError, ShapeError
 from .numerics import as_matrix, softmax
 from .sparse_coding import Dictionary, KsvdConfig, ksvd_run
@@ -108,16 +110,6 @@ def initial_theta(source_vocab_size: int, target_vocab_size: int, seed: int) -> 
     return rng.uniform(-0.01, 0.01, size=(source_vocab_size, target_vocab_size))
 
 
-def _embedding(theta, model: FrozenClassifier, dataset):
-    """Check theta against the source and target vocabularies: E = table @ theta."""
-    theta = as_matrix(theta)
-    if theta.shape[0] != model.embeddings.shape[1]:
-        raise ShapeError("theta rows must match source vocabulary size")
-    if theta.shape[1] != len(dataset.vocab):
-        raise ShapeError("theta columns must match target vocabulary size")
-    return model.embeddings @ theta
-
-
 def _check_classes(label_map: LabelMap, model: FrozenClassifier, dataset) -> None:
     """Reject a label map that misses a source class, or a dataset with more
     classes than the map maps onto."""
@@ -151,25 +143,19 @@ def _mapped_loss_dlogits(logits, label_map: LabelMap, labels):
 def loss_and_grad(theta, model, label_map: LabelMap, batch):
     """Mean mapped cross-entropy over a batch and its gradient with respect to theta.
 
-    `batch` is a non-empty target dataset, such as `train.take(rows)`.
+    `batch` is a non-empty target dataset, such as `train.take(rows)`, that
+    fits theta, model and label map, as `reprogram_train` checked.
     """
-    if len(batch) == 0:
-        raise ConfigError("batch must be non-empty")
-    _check_classes(label_map, model, batch)
-    embedding = _embedding(theta, model, batch)
     loss_grad = lambda logits, y: _mapped_loss_dlogits(logits, label_map, y)
-    loss, dembedding, _ = gradient(model.params, embedding, batch.ids, batch.lengths,
-                                   batch.labels, loss_grad)
+    loss, dembedding, _ = gradient(model.params, model.embeddings @ theta, batch.ids,
+                                   batch.lengths, batch.labels, loss_grad)
     return loss / len(batch), (model.embeddings.T @ dembedding) / len(batch)
 
 
 def evaluate(theta, model, label_map: LabelMap, dataset):
-    """Argmax accuracy and target-class confusion counts (rows = true class)."""
-    if len(dataset) == 0:
-        raise ConfigError("cannot evaluate on an empty dataset")
-    _check_classes(label_map, model, dataset)
-    embedding = _embedding(theta, model, dataset)
-    logits = predict(model.params, embedding, dataset.ids, dataset.lengths)
+    """Argmax accuracy and target-class confusion counts (rows = true class),
+    over inputs that `evaluate_program` or `reprogram_train` checked."""
+    logits = predict(model.params, model.embeddings @ theta, dataset.ids, dataset.lengths)
     predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
     n = label_map.num_target_classes
     confusion = np.bincount(dataset.labels * n + predicted,
@@ -181,7 +167,9 @@ def evaluate_program(program: AdversarialProgram, model, label_map, dataset):
     """`evaluate` the program's theta over its own basis, if it fits.
 
     A model of another source vocabulary or basis shape, data of other
-    target tokens or class names, and another label map are a ConfigError.
+    target tokens or class names, another label map and an empty dataset are
+    a ConfigError; a theta that is not a finite matrix with one column per
+    target token is a NumericError or ShapeError.
     """
     _check_classes(label_map, model, dataset)  # a map that misses a class is named so
     basis = program.source_basis
@@ -199,9 +187,14 @@ def evaluate_program(program: AdversarialProgram, model, label_map, dataset):
     if label_map.source_to_target != program.label_map:
         raise ConfigError(f"program was trained with label map {list(program.label_map)}, "
                           f"not {list(label_map.source_to_target)}")
+    if len(dataset) == 0:
+        raise ConfigError("cannot evaluate on an empty dataset")
+    theta = as_matrix(program.theta)
+    if theta.shape[1] != len(dataset.vocab):
+        raise ShapeError("theta columns must match target vocabulary size")
     if basis is not None:
         model = replace(model, embeddings=basis)
-    return evaluate(program.theta, model, label_map, dataset)
+    return evaluate(theta, model, label_map, dataset)
 
 
 def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
@@ -226,14 +219,17 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
     None. Returns the scored iterate with the best validation accuracy
     (ties: earliest iteration) and the full metrics trace; `evaluate_program`
     on the validation split reproduces the best `valid_accuracy` of the trace.
+
+    Inputs are checked once, here: empty splits, splits of other target
+    tokens or class names, and a label map that does not fit are a
+    ConfigError; a step that left a NaN or Inf in theta is a NumericError.
     """
     if len(train) == 0 or len(valid) == 0:
         raise ConfigError("train and valid datasets must be non-empty")
     if (valid.vocab.index_to_token, valid.class_names) != (train.vocab.index_to_token,
                                                             train.class_names):
         raise ConfigError("valid and train splits differ in target tokens or class names")
-    _check_classes(label_map, model, train)
-    _check_classes(label_map, model, valid)
+    _check_classes(label_map, model, train)  # and so valid, of the same class names
 
     table = model.embeddings
     theta = initial_theta(table.shape[1], len(train.vocab), cfg.seed)
@@ -272,6 +268,7 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
             entry["valid_accuracy"] = valid_acc
             if valid_acc > best_acc:
                 best_acc, best_theta = valid_acc, theta
+    as_matrix(theta)  # a step that left a NaN or Inf leaves one in every later iterate
     trace[0]["coding_error"] = ksvd_trace[-1]
 
     program = AdversarialProgram(
@@ -308,22 +305,18 @@ def save_program(program: AdversarialProgram, path) -> None:
 def load_program(path) -> AdversarialProgram:
     """Read a `save_program` file; a malformed one is a DataFormatError naming it.
 
-    Every theta and source_basis entry must be finite, as `load_checkpoint`
-    requires of the model it is scored with, and there must be one target
+    Theta and source_basis must hold their recorded sizes' worth of finite
+    values (`read_array`), as `load_checkpoint` requires of the model they
+    are scored with, and there must be one target
     token per theta column, each a string, as are the class names; the
     label map's entries must be integers.
     """
     with read_document(path, "program", PROGRAM_FORMAT_VERSION) as doc:
-        theta = np.array(doc["theta"], dtype=np.float64).reshape(
-            doc["source_vocab_size"], doc["target_vocab_size"]
-        )
+        theta = read_array(doc["theta"], (doc["source_vocab_size"], doc["target_vocab_size"]))
         basis = None
         if "source_basis" in doc:
             spec = doc["source_basis"]
-            basis = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
-            basis.flags.writeable = False
-        if not all(np.isfinite(arr).all() for arr in (theta, basis) if arr is not None):
-            raise ValueError("non-finite theta or source_basis entry")
+            basis = read_array(spec["data"], spec["shape"])
         tokens, class_names = tuple(doc["target_tokens"]), tuple(doc["class_names"])
         label_map = tuple(doc["label_map"])
         if len(tokens) != theta.shape[1]:

@@ -240,6 +240,15 @@ class TestReprogram:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "program.json").read_bytes() == (out2 / "program.json").read_bytes()
 
+    def test_empty_test_split_exit_2(self, tmp_path, capsys, source_checkpoint):
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(dict(TINY, split={"train": 0.8, "valid": 0.2, "test": 0.0})))
+        capsys.readouterr()
+        assert main(_reprogram_argv(path, source_checkpoint, tmp_path)) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.splitlines() == ["error: cannot evaluate on an empty dataset"]
+
 
 class TestEval:
     def test_confusion_sums_to_dataset(self, tmp_path, config_path, source_checkpoint):
@@ -411,8 +420,12 @@ class TestMalformedInputs:
         lambda doc: {**doc, "weights": {**doc["weights"],
                                         "w1": {"shape": [32, 31], "data": [0.0] * 32 * 31}}},
         lambda doc: {**doc, "embeddings": [float("nan"), *doc["embeddings"][1:]]},
+        # reshape would infer a size of -1 from the data
+        lambda doc: {**doc, "vocab_size": -1},
+        lambda doc: {**doc, "weights": {**doc["weights"],
+                                        "b1": {**doc["weights"]["b1"], "shape": [-1]}}},
     ], ids=["not_an_object", "no_embeddings", "unknown_architecture", "no_w1", "w1_shape",
-            "nan_embedding"])
+            "nan_embedding", "vocab_size_minus_one", "b1_shape_minus_one"])
     def test_malformed_checkpoint_exit_2(self, tmp_path, config_path, source_checkpoint,
                                          capsys, damage):
         bad = tmp_path / "bad_checkpoint.json"
@@ -430,7 +443,7 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("damage", ["short_theta", "nan_theta", "overflow_theta",
                                         "nan_basis", "short_tokens", "numeric_class",
-                                        "string_label_map"])
+                                        "string_label_map", "source_vocab_size_minus_one"])
     def test_malformed_program_exit_2(self, tmp_path, config_path, source_checkpoint,
                                       program_path, capsys, damage):
         doc = json.loads(Path(program_path).read_text())
@@ -442,6 +455,8 @@ class TestMalformedInputs:
             doc["class_names"][0] = 0
         elif damage == "string_label_map":
             doc["label_map"] = "01"
+        elif damage == "source_vocab_size_minus_one":
+            doc["source_vocab_size"] = -1
         elif damage == "nan_basis":
             checkpoint = json.loads(Path(source_checkpoint).read_text())
             basis = [float("nan"), *checkpoint["embeddings"][1:]]

@@ -6,6 +6,7 @@ from reprogram.data import (
     SplitSpec,
     Vocab,
     load_csv,
+    read_array,
     save_csv,
     split,
     subsample,
@@ -274,3 +275,25 @@ class TestTake:
     def test_out_of_range_index_raises(self):
         with pytest.raises(IndexError):
             self.dataset().take([0, 5])
+
+
+class TestReadArray:
+    def test_reads_a_read_only_array_of_the_shape(self):
+        array = read_array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [2, 3])
+        assert array.dtype == np.float64 and array.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert not array.flags.writeable
+
+    # reshape would infer a -1; a product other than the list's length is
+    # rejected first, and numpy's reshape rejects the others
+    @pytest.mark.parametrize("shape", [[-1, 6], [2, -1], [-2, -3], [2, 2], [2.0, 3], [True, 6],
+                                       [6, 0]],
+                             ids=["minus_one_first", "minus_one_last", "two_negatives", "too_few",
+                                  "float", "bool", "zero"])
+    def test_sizes_that_are_not_the_lists_rejected(self, shape):
+        with pytest.raises((TypeError, ValueError)):
+            read_array([0.0] * 6, shape)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            read_array([0.0, value], [2])

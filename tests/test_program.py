@@ -73,6 +73,12 @@ def as_batch(pairs, vocab_size=4):
                                           [label for _, label in pairs], vocab, ("neg", "pos"))
 
 
+def program_for(theta, dataset, label_map=(0, 1)):
+    """A program whose theta embeds `dataset`'s tokens, built for its class names."""
+    return AdversarialProgram(theta=theta, config={}, target_tokens=dataset.vocab.index_to_token,
+                              class_names=dataset.class_names, label_map=label_map)
+
+
 def sequence_logits(model, embedded):
     """The 1 x C logits of an embedded sequence (d x L), a batch of one whose
     vocabulary embedding E is the sequence itself."""
@@ -165,22 +171,29 @@ class TestLoss:
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_empty_batch_rejected(self):
+        # loss_and_grad trusts its batch; reprogram_train rejects an empty
+        # train split, whose batches would be empty, and an empty valid split
         rng = np.random.default_rng(8)
-        model = small_model(rng)
-        with pytest.raises(ConfigError):
-            loss_and_grad(np.zeros((12, 4)), model, LabelMap((0, 1)), as_batch([]))
+        model, data = small_model(rng), target_dataset(rng)
+        for train, valid in ((as_batch([]), data), (data, as_batch([]))):
+            with pytest.raises(ConfigError, match="^train and valid datasets must be non-empty$"):
+                reprogram_train(model, LabelMap((0, 1)), train, valid, base_config())
 
     def test_token_out_of_range(self):
         # theta has one column per target token: a dataset over 5 tokens has
-        # one with no embedding, and over 3 tokens its ids mean other tokens
+        # one with no embedding, and over 3 tokens its ids mean other tokens.
+        # evaluate_program rejects data of other tokens than the program's,
+        # and a program whose theta has another number of columns
         rng = np.random.default_rng(3)
         model = small_model(rng)
+        built_for_four = program_for(np.zeros((12, 4)), as_batch([], 4))
         for vocab_size in (5, 3):
             dataset = as_batch([((0, vocab_size - 1), 1)], vocab_size)
-            with pytest.raises(ShapeError):
-                loss_and_grad(np.zeros((12, 4)), model, LabelMap((0, 1)), dataset)
-            with pytest.raises(ShapeError):
-                evaluate(np.zeros((12, 4)), model, LabelMap((0, 1)), dataset)
+            with pytest.raises(ConfigError, match="built for target vocabulary 'ABCD'"):
+                evaluate_program(built_for_four, model, LabelMap((0, 1)), dataset)
+            with pytest.raises(ShapeError, match="theta columns must match"):
+                evaluate_program(program_for(np.zeros((12, 4)), dataset), model,
+                                 LabelMap((0, 1)), dataset)
 
     def test_dataset_classes_beyond_label_map_rejected(self):
         # 3 classes in the data, a 2-class map: without the check numpy
@@ -194,9 +207,9 @@ class TestLoss:
         theta, label_map = initial_theta(12, 4, 0), LabelMap((0, 1))
         cfg = ReprogramConfig(outer_iterations=2, batch_size=4,
                               ksvd=KsvdConfig(epsilon=0.1, max_atoms=2, update_dictionary=False))
-        for call in (lambda: loss_and_grad(theta, model, label_map, dataset),
-                     lambda: evaluate(theta, model, label_map, dataset),
-                     lambda: reprogram_train(model, label_map, dataset, dataset, cfg)):
+        for call in (lambda: reprogram_train(model, label_map, dataset, dataset, cfg),
+                     lambda: evaluate_program(program_for(theta, dataset), model, label_map,
+                                              dataset)):
             with pytest.raises(ConfigError, match="maps onto 2 target classes, but the data has 3"):
                 call()
 
@@ -296,6 +309,15 @@ class TestReprogramTrain:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ConfigError):
             base_config(outer_iterations=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
+    def test_diverging_step_rejected(self, training_setup):
+        # at step 1e308 theta overflows within 40 iterations; the NaN or Inf
+        # it leaves stays in every later iterate, and the loop's end names it
+        model, train, valid = training_setup
+        cfg = base_config(step_size=1e308, outer_iterations=40)
+        with pytest.raises(NumericError, match="^matrix contains NaN or Inf$"):
+            reprogram_train(model, LabelMap((0, 1)), train, valid, cfg)
 
     def test_deterministic(self, training_setup):
         model, train, valid = training_setup
@@ -536,16 +558,22 @@ class TestEvaluate:
     def test_label_map_missing_source_classes_rejected(self):
         rng = np.random.default_rng(18)
         model = small_model(rng)
-        with pytest.raises(ConfigError, match="does not cover the source classes"):
-            evaluate(np.zeros((12, 4)), model, LabelMap((0, 1, 0)), target_dataset(rng))
+        dataset, label_map = target_dataset(rng), LabelMap((0, 1, 0))
+        for call in (lambda: evaluate_program(program_for(np.zeros((12, 4)), dataset,
+                                                          label_map.source_to_target),
+                                              model, label_map, dataset),
+                     lambda: reprogram_train(model, label_map, dataset, dataset, base_config())):
+            with pytest.raises(ConfigError, match="does not cover the source classes"):
+                call()
 
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(15)
         model = small_model(rng)
         vocab = Vocab.from_tokens(["A"])
         empty = SequenceDataset.from_sequences((), (), vocab, ("neg", "pos"))
-        with pytest.raises(ConfigError):
-            evaluate(np.zeros((12, 1)), model, LabelMap((0, 1)), empty)
+        with pytest.raises(ConfigError, match="^cannot evaluate on an empty dataset$"):
+            evaluate_program(program_for(np.zeros((12, 1)), empty), model, LabelMap((0, 1)),
+                             empty)
 
 
 @pytest.fixture(scope="module")

@@ -22,8 +22,7 @@ holding `src/` and `perfbench/`. The script runs, in subprocesses:
   time and of the time spent in `program.ksvd_run`, `program.loss_and_grad`,
   `program.evaluate` (the loop's validations and the test split's score),
   `data.load_csv` and `classifier.load_checkpoint`, each wrapped from outside
-  the package, and of the rest. A checkout that validates in a forked worker
-  counts there only its test score;
+  the package, and of the rest;
 - with `--accuracy-seeds`, one `perfbench/run.py --seconds 0` per seed and
   checkout, for the test accuracy of the program and the source checkpoint's
   valid accuracy.
