@@ -1,17 +1,17 @@
 """Dataset ingestion, splits, subsampling, and synthetic task generation.
 
-Target-task files are tokenized at the character level. A dataset is its
-three read-only arrays, padded token `ids`, `lengths` and `labels`, with the
-vocabulary and class names they index. `SequenceDataset.from_sequences`
-checks and pads token sequences once, when a dataset is built; every consumer
-reads the arrays, and a subset made by `take` slices them.
+Target-task files are tokenized at the character level, in one pass over
+the file. A dataset is its three read-only arrays, padded token `ids`,
+`lengths` and `labels`, with the vocabulary and class names they index.
+`SequenceDataset.from_tokens` checks and pads flat token ids once, when a
+dataset is built; every consumer reads the arrays, and `take` slices them.
 """
 
 import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -21,18 +21,16 @@ from .errors import ConfigError, DataFormatError
 
 @dataclass(frozen=True)
 class Vocab:
-    """Bijection between token strings and dense indices from 0."""
+    """Distinct token strings, indexed densely from 0."""
 
     index_to_token: tuple
-    token_to_index: dict = field(compare=False)
 
     @classmethod
     def from_tokens(cls, tokens) -> "Vocab":
         ordered = tuple(tokens)
-        mapping = {tok: i for i, tok in enumerate(ordered)}
-        if len(mapping) != len(ordered):
+        if len(set(ordered)) != len(ordered):
             raise DataFormatError("duplicate token in vocabulary")
-        return cls(index_to_token=ordered, token_to_index=mapping)
+        return cls(index_to_token=ordered)
 
     def __len__(self) -> int:
         return len(self.index_to_token)
@@ -41,7 +39,7 @@ class Vocab:
 @dataclass(frozen=True, eq=False)
 class SequenceDataset:
     """Read-only padded `ids` (N x L_max, int32), `lengths` (N) and `labels`
-    (N, int32); `from_sequences` checks and pads, and `take` slices."""
+    (N, int32); `from_tokens` checks and pads, and `take` slices."""
 
     ids: np.ndarray
     lengths: np.ndarray
@@ -54,24 +52,28 @@ class SequenceDataset:
             array.flags.writeable = False
 
     @classmethod
-    def from_sequences(cls, sequences, labels, vocab, class_names) -> "SequenceDataset":
-        """Right-pad the token sequences with 0s after checking every token,
-        length and label against the vocabulary and class names."""
-        if len(sequences) != len(labels):
+    def from_tokens(cls, tokens, lengths, labels, vocab, class_names) -> "SequenceDataset":
+        """Check the flat token ids, lengths and labels; right-pad rows of `lengths` with 0s."""
+        lengths, labels = np.asarray(lengths, dtype=np.intp), np.asarray(labels, dtype=np.int32)
+        if lengths.size != labels.size:
             raise DataFormatError("sequences and labels differ in length")
-        lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
-        # every dataset keeps its ids, and int32 halves the memory they hold
-        ids = np.zeros((lengths.size, lengths.max(initial=0)), dtype=np.int32)
-        ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
-            chain.from_iterable(sequences), dtype=np.int32, count=lengths.sum())
-        labels = np.asarray(labels, dtype=np.int32)
         for name, values, lo, hi in (("sequence length", lengths, 1, np.inf),
-                                     ("token index", ids, 0, len(vocab)),
+                                     ("token index", tokens, 0, len(vocab)),
                                      ("label", labels, 0, len(class_names))):
             bad = values[(values < lo) | (values >= hi)]
             if bad.size:
                 raise DataFormatError(f"{name} {bad[0]} out of range")
+        # every dataset keeps its ids, and int32 halves the memory they hold
+        ids = np.zeros((lengths.size, lengths.max(initial=0)), dtype=np.int32)
+        ids[np.arange(ids.shape[1]) < lengths[:, None]] = tokens
         return cls(ids, lengths, labels, vocab, class_names)
+
+    @classmethod
+    def from_sequences(cls, sequences, labels, vocab, class_names) -> "SequenceDataset":
+        """`from_tokens` over a list of token sequences."""
+        lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
+        tokens = np.fromiter(chain.from_iterable(sequences), np.int32, lengths.sum())
+        return cls.from_tokens(tokens, lengths, labels, vocab, class_names)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -115,21 +117,6 @@ class SplitSpec:
         n_train = min(n_train, size)
         n_valid = min(n_valid, size - n_train)
         return n_train, n_valid, size - n_train - n_valid
-
-
-def _build_dataset(rows):
-    """rows: list of (sequence_string, label_string) in file order."""
-    chars = sorted({c for seq, _ in rows for c in seq})
-    vocab = Vocab.from_tokens(chars)
-    class_names = []
-    labels = []
-    for _, label in rows:
-        if label not in class_names:
-            class_names.append(label)
-        labels.append(class_names.index(label))
-    index = vocab.token_to_index.__getitem__  # every character is in the vocabulary
-    sequences = [list(map(index, seq)) for seq, _ in rows]
-    return SequenceDataset.from_sequences(sequences, labels, vocab, tuple(class_names))
 
 
 def read_json(path):
@@ -177,33 +164,45 @@ def read_array(values, shape) -> np.ndarray:
 
 
 def load_csv(path, sequence_column="sequence", label_column="label") -> SequenceDataset:
-    """Character-tokenized dataset from a headered UTF-8 CSV file."""
+    """Character-tokenized dataset from a headered UTF-8 CSV file, read in one pass;
+    a repeated column name means its last column, and an error names its physical line."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DataFormatError(f"{path}: empty file")
+            columns = {name: i for i, name in enumerate(header)}
             for col in (sequence_column, label_column):
-                if col not in reader.fieldnames:
+                if col not in columns:
                     raise DataFormatError(f"{path}: missing column {col!r}")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                seq = row[sequence_column]
-                label = row[label_column]
-                if seq is None or label is None:
+            seq_at, label_at = columns[sequence_column], columns[label_column]
+            width = max(seq_at, label_at) + 1
+            sequences, labels, classes = [], [], {}
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
                     raise DataFormatError(
-                        f"{path}: line {lineno} has fewer fields than the header")
-                if not seq:
-                    raise DataFormatError(f"{path}: empty sequence at line {lineno}")
-                rows.append((seq, label))
+                        f"{path}: line {reader.line_num} has fewer fields than the header")
+                if not row[seq_at]:
+                    raise DataFormatError(f"{path}: empty sequence at line {reader.line_num}")
+                sequences.append(row[seq_at])
+                labels.append(classes.setdefault(row[label_at], len(classes)))
         except UnicodeDecodeError as exc:
             raise DataFormatError(
                 f"{path}: not valid UTF-8 (byte {exc.object[exc.start]:#04x})") from exc
         except csv.Error as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
-    if not rows:
+    if not sequences:
         raise DataFormatError(f"{path}: no data rows")
-    return _build_dataset(rows)
+    # the vocabulary in code-point order; searchsorted needs a third of return_inverse's memory
+    points = np.frombuffer("".join(sequences).encode("utf-32-le"), dtype=np.uint32)
+    alphabet = np.unique(points)
+    tokens = np.searchsorted(alphabet, points)
+    lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
+    vocab = Vocab.from_tokens(map(chr, alphabet.tolist()))
+    return SequenceDataset.from_tokens(tokens, lengths, labels, vocab, tuple(classes))
 
 
 def save_csv(dataset: SequenceDataset, path, sequence_column="sequence", label_column="label"):

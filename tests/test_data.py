@@ -1,5 +1,9 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reprogram.data import (
     SequenceDataset,
@@ -88,6 +92,126 @@ class TestLoadCsv:
     def test_loader_deterministic(self, tmp_path):
         path = write(tmp_path / "d.csv", "sequence,label\nABBA,x\nBAB,y\n")
         assert_same(load_csv(path), load_csv(path))
+
+    def test_error_after_blank_lines_names_the_physical_line(self, tmp_path):
+        path = write(tmp_path / "d.csv", "sequence,label\n\nAA,x\n\n,y\n")
+        with pytest.raises(DataFormatError, match="empty sequence at line 5"):
+            load_csv(path)
+
+    def test_error_after_a_two_line_field_names_the_physical_line(self, tmp_path):
+        path = write(tmp_path / "short.csv", 'sequence,label\n"A\nA",x\nGG\n')
+        with pytest.raises(DataFormatError,
+                           match=r"short\.csv: line 4 has fewer fields than the header"):
+            load_csv(path)
+
+    def test_repeated_column_name_reads_its_last_column(self, tmp_path):
+        path = write(tmp_path / "d.csv", "sequence,label,sequence\nAA,x,CG\nAT,y,G\n")
+        ds = load_csv(path)
+        assert ds.vocab.index_to_token == ("C", "G")
+        assert sequences(ds) == [(0, 1), (1,)]
+
+    def test_labels_differing_by_a_trailing_nul_are_two_classes(self, tmp_path):
+        path = write(tmp_path / "d.csv", "sequence,label\nAA,x\nAA,x\x00\nA\x00,x\n")
+        ds = load_csv(path)
+        assert ds.class_names == ("x", "x\x00") and ds.labels.tolist() == [0, 1, 0]
+        assert ds.vocab.index_to_token == ("\x00", "A")
+
+    def test_characters_beyond_the_bmp_are_in_code_point_order(self, tmp_path):
+        # UTF-16 would put the emoji's surrogates before the fullwidth A
+        path = write(tmp_path / "d.csv", "sequence,label\n\U0001F600\uFF21A,x\n\u00e9,y\n")
+        ds = load_csv(path)
+        assert ds.vocab.index_to_token == ("A", "\u00e9", "\uFF21", "\U0001F600")
+        assert sequences(ds) == [(3, 2, 0), (1,)]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write(tmp_path / "d.csv", "sequence,label\n\nAC,x\n\n\nCA,y\n\n")
+        ds = load_csv(path)
+        assert sequences(ds) == [(0, 1), (1, 0)] and ds.labels.tolist() == [0, 1]
+
+
+def dictreader_load(path):
+    """The loader as a `csv.DictReader` pass, errors naming the physical line:
+    (ids, lengths, labels, vocabulary, class names) of a headered CSV file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DataFormatError(f"{path}: empty file")
+            for col in ("sequence", "label"):
+                if col not in reader.fieldnames:
+                    raise DataFormatError(f"{path}: missing column {col!r}")
+            rows = []
+            for row in reader:
+                line = reader.reader.line_num  # reader.line_num misses skipped blank lines
+                if row["sequence"] is None or row["label"] is None:
+                    raise DataFormatError(f"{path}: line {line} has fewer fields than the header")
+                if not row["sequence"]:
+                    raise DataFormatError(f"{path}: empty sequence at line {line}")
+                rows.append((row["sequence"], row["label"]))
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    vocab = sorted({c for seq, _ in rows for c in seq})
+    class_names = []
+    for _, label in rows:
+        if label not in class_names:
+            class_names.append(label)
+    index = {c: i for i, c in enumerate(vocab)}
+    width = max(len(seq) for seq, _ in rows)
+    ids = np.array([[index[c] for c in seq] + [0] * (width - len(seq)) for seq, _ in rows],
+                   dtype=np.int32)
+    lengths = np.array([len(seq) for seq, _ in rows], dtype=np.intp)
+    labels = np.array([class_names.index(label) for _, label in rows], dtype=np.int32)
+    return ids, lengths, labels, tuple(vocab), tuple(class_names)
+
+
+# ASCII, Latin-1, a fullwidth letter, an astral emoji, NUL, and what CSV quotes
+_CHARS = 'AB,"\n\r \u00e9\uFF21\U0001F600\x00'
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV file's text: a header that may lack or repeat a column, rows of
+    any width (width 0 is a blank line) and a tail of raw characters."""
+    names = ["sequence", "label"]
+    columns = draw(st.sampled_from([names] * 4 + [names[:1], names[1:], [], None]))
+    if columns is None:
+        return draw(st.sampled_from(["", "\n"]))
+    extra = st.lists(st.sampled_from(names + ["x"]), max_size=2)
+    header = draw(st.permutations(columns + draw(extra)))
+    n = len(header)
+    field = st.text(_CHARS, min_size=1, max_size=4) | st.text(_CHARS, max_size=4)
+    widths = st.sampled_from([n] * 4 + [0, max(n - 1, 0), n + 1])
+    rows = draw(st.lists(widths.flatmap(lambda w: st.lists(field, min_size=w, max_size=w)),
+                         min_size=1, max_size=6))
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [header] + rows)
+    return out.getvalue() + draw(st.just("") | st.text(_CHARS, max_size=6))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.csv"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=csv_texts())
+def test_load_csv_matches_the_dictreader_loader(fuzz_path, text):
+    with open(fuzz_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        expected = dictreader_load(str(fuzz_path))
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as got:
+            load_csv(str(fuzz_path))
+        assert str(got.value) == str(exc) and "\n" not in str(exc)
+        return
+    ds = load_csv(str(fuzz_path))
+    for array, want in zip((ds.ids, ds.lengths, ds.labels), expected):
+        assert array.dtype == want.dtype and np.array_equal(array, want)
+    assert (ds.vocab.index_to_token, ds.class_names) == expected[3:]
 
 
 @pytest.fixture
@@ -194,8 +318,11 @@ class TestVocab:
     def test_bijection(self):
         v = Vocab.from_tokens(["a", "b", "c"])
         assert len(v) == 3
-        assert v.token_to_index == {"a": 0, "b": 1, "c": 2}
-        assert all(v.index_to_token[i] == tok for tok, i in v.token_to_index.items())
+        assert v.index_to_token == ("a", "b", "c")
+
+    def test_duplicate_token_rejected(self):
+        with pytest.raises(DataFormatError, match="duplicate token"):
+            Vocab.from_tokens(["a", "b", "a"])
 
     def test_dataset_rejects_out_of_range_tokens(self):
         v = Vocab.from_tokens(["a", "b"])
@@ -257,10 +384,11 @@ class TestTake:
     def test_taken_rows_are_not_padded_again(self, monkeypatch):
         ds = self.dataset()
 
-        def from_sequences(cls, *args):
+        def pad(cls, *args):
             raise AssertionError("a subset was padded again")
 
-        monkeypatch.setattr(SequenceDataset, "from_sequences", classmethod(from_sequences))
+        for constructor in ("from_tokens", "from_sequences"):
+            monkeypatch.setattr(SequenceDataset, constructor, classmethod(pad))
         subset = ds.take(np.array([3, 1]))
         assert subset.ids.tolist() == [[1, 1, 1], [1, 0, 0]]
         split(ds, SplitSpec(0.6, 0.2, 0.2, seed=1))

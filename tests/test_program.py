@@ -218,10 +218,11 @@ class TestLoss:
         model = small_model(rng)
         batch, dataset = target_dataset(rng, n=8), target_dataset(rng, n=40)
 
-        def from_sequences(cls, *args):
+        def pad(cls, *args):
             raise AssertionError("a built dataset was padded again")
 
-        monkeypatch.setattr(SequenceDataset, "from_sequences", classmethod(from_sequences))
+        for constructor in ("from_tokens", "from_sequences"):
+            monkeypatch.setattr(SequenceDataset, constructor, classmethod(pad))
         theta = initial_theta(12, 4, 0)
         loss_and_grad(theta, model, LabelMap((0, 1)), batch)
         evaluate(theta, model, LabelMap((0, 1)), dataset)
