@@ -12,11 +12,12 @@ Two architectures:
 
 Each architecture has one pass. A token reaches the model only through its
 first layer, so `predict` folds that layer into a V x h table over a
-vocabulary embedding E and runs the right-padded token ids of a batch or a
-whole split (padded once, in `data`) through it, with no padding mask and
-nothing kept. `gradient` runs the same pass, keeping what the walk back
-needs, and walks back through the same table to dE, plus weight gradients
-only for source training. These two are the frozen model's whole interface.
+vocabulary embedding E and runs a dataset, a batch or a whole split, through
+it: `bag_mlp` its per-row token counts and `birnn` its right-padded token ids
+(both built once, in `data`), with no padding mask and nothing kept.
+`gradient` runs the same pass, keeping what the walk back needs, and walks
+back through the same table to dE, plus weight gradients only for source
+training. These two are the frozen model's whole interface.
 """
 
 import json
@@ -89,33 +90,22 @@ def _init_weights(architecture, d, hidden, num_classes, rng):
     return {name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes.items()}
 
 
-def _predict_bag_mlp(w, vocab_embedding, ids, lengths, keep=False):
+def _predict_bag_mlp(w, vocab_embedding, dataset, keep=False):
     table = vocab_embedding.T @ w["w1"].T  # row v: w1 @ E[:, v]
-    (n, width), (vocab, hidden) = ids.shape, table.shape
-    logits = np.empty((n, len(w["b2"])))
-    # a block's rows x V counts fit in N x h, or in the V x h table itself, so a
-    # training batch pools in one block; `gradient` blocks as `predict` does
-    rows = max(hidden, n * hidden // vocab)
-    counts, states = [], []
+    counts, lengths = dataset.counts, dataset.lengths
+    (n, vocab), hidden = counts.shape, table.shape[1]
+    h, logits = np.empty((n, hidden)), np.empty((n, len(w["b2"])))
+    # a block's counts, cast to float64, fit in N x h or in the V x h table, so
+    # a batch, or a split over a small vocabulary, pools in one block; the head
+    # runs per block too, as BLAS can round its rows otherwise at another size
+    rows = max(hidden, n * hidden // max(vocab, 1))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        count = len(lengths[block])
-        token = ids[block][np.arange(width) < lengths[block, None]]
-        if token.max(initial=0) >= vocab:  # it would count as a token of the next row
-            raise IndexError(f"token id {token.max()} out of range for {vocab} tokens")
-        # one bin for each (row, token) pair
-        slots = token + vocab * np.repeat(np.arange(count), lengths[block])
-        freq = np.bincount(slots, minlength=count * vocab).reshape(count, vocab)
-        h = freq @ table
-        h /= lengths[block, None]
-        h += w["b1"]
-        logits[block] = np.tanh(h, out=h) @ w["w2"].T + w["b2"]
-        if keep:
-            counts.append(freq)
-            states.append(h)
-    if not keep:
-        return logits, None
-    return logits, (np.concatenate(counts), lengths, np.concatenate(states))
+        state = np.matmul(counts[block], table, out=h[block])
+        state /= lengths[block, None]
+        state += w["b1"]
+        logits[block] = np.tanh(state, out=state) @ w["w2"].T + w["b2"]
+    return logits, (counts, lengths, h) if keep else None
 
 
 def _backprop_bag_mlp(w, vocab_embedding, saved, dlogits, weight_grads):
@@ -129,7 +119,8 @@ def _backprop_bag_mlp(w, vocab_embedding, saved, dlogits, weight_grads):
                     "w1": dtable.T @ vocab_embedding.T, "b1": da1.sum(axis=0)}
 
 
-def _predict_birnn(w, vocab_embedding, ids, lengths, keep=False):
+def _predict_birnn(w, vocab_embedding, dataset, keep=False):
+    ids, lengths = dataset.ids, dataset.lengths
     # rows sorted longest first, so the rows live at step k are the first live[k];
     # the backward direction reads each row's ids from its last one
     order = np.argsort(-lengths, kind="stable")
@@ -192,33 +183,33 @@ _PASSES = {"bag_mlp": (_predict_bag_mlp, _backprop_bag_mlp),
            "birnn": (_predict_birnn, _backprop_birnn)}
 
 
-def predict(params: ClassifierParams, vocab_embedding, ids, lengths) -> np.ndarray:
-    """Logits (N x C) of right-padded token ids (N x L) under an embedding E (d x V).
+def predict(params: ClassifierParams, vocab_embedding, dataset) -> np.ndarray:
+    """Logits (N x C) of a dataset's rows under a vocabulary embedding E (d x V).
 
     Token v embeds as E[:, v]; slots past a sequence's length never reach its
     logits. A token reaches the model only through its first layer, so that
-    layer is folded into a V x h table once. `bag_mlp` pools it through
-    per-row token counts, in blocks of rows whose counts fit in N x h or in
-    the V x h table; `birnn` steps the rows longest first, so each step
-    updates only the leading rows still live. Memory stays the table and a
-    few N x h arrays, never N x L x d.
+    layer is folded into a V x h table once. `bag_mlp` pools it through the
+    dataset's per-row token `counts`, in blocks of rows whose counts fit in
+    N x h or in the V x h table; `birnn` steps the padded `ids` longest row
+    first, so each step updates only the leading rows still live. Memory
+    stays the table and a few N x h arrays, never N x L x d.
     """
-    return _PASSES[params.architecture][0](params.weights, vocab_embedding, ids, lengths)[0]
+    return _PASSES[params.architecture][0](params.weights, vocab_embedding, dataset)[0]
 
 
-def gradient(params: ClassifierParams, vocab_embedding, ids, lengths, labels, loss_grad,
+def gradient(params: ClassifierParams, vocab_embedding, dataset, loss_grad,
              weight_grads=False):
-    """Summed loss, dE and (if asked) weight gradients of a padded batch.
+    """Summed loss, dE and (if asked) weight gradients of a dataset, such as a batch.
 
     The forward half is `predict`'s pass, bit for bit, keeping what the walk
-    back needs: `bag_mlp` its token counts and hidden states, `birnn` each
-    step's live states (L x N x h per direction). `loss_grad(logits, labels)`
-    gives the batch's summed loss and its gradient with respect to the logits.
-    Both halves go through the folded table, so dE = W^T dtable^T.
+    back needs: `bag_mlp` its hidden states, `birnn` each step's live states
+    (L x N x h per direction). `loss_grad(logits, labels)` gives the summed
+    loss at the dataset's labels and its gradient with respect to the
+    logits. Both halves go through the folded table, so dE = W^T dtable^T.
     """
     forward, backprop = _PASSES[params.architecture]
-    logits, saved = forward(params.weights, vocab_embedding, ids, lengths, keep=True)
-    loss, dlogits = loss_grad(logits, labels)
+    logits, saved = forward(params.weights, vocab_embedding, dataset, keep=True)
+    loss, dlogits = loss_grad(logits, dataset.labels)
     dvocab, grads = backprop(params.weights, vocab_embedding, saved, dlogits, weight_grads)
     return loss, dvocab, grads
 
@@ -264,8 +255,6 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
     params = ClassifierParams(
         architecture=config.architecture, weights=weights, num_classes=num_classes
     )
-    ids, lengths, labels = train.ids, train.lengths, train.labels
-
     n = len(train)
     lr = config.learning_rate
     for epoch in range(1, config.epochs + 1):
@@ -273,9 +262,8 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
         # a step that overflows is caught once, by the check after the epoch
         with np.errstate(all="ignore"):
             for start in range(0, n, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                part, dtable, grads = gradient(params, table, ids[batch], lengths[batch],
-                                               labels[batch], _cross_entropy_grad,
+                batch = train.take(order[start : start + config.batch_size])
+                part, dtable, grads = gradient(params, table, batch, _cross_entropy_grad,
                                                weight_grads=True)
                 loss += part
                 scale = lr / len(batch)
@@ -305,7 +293,7 @@ def evaluate_source(model: FrozenClassifier, dataset) -> float:
         raise ConfigError("cannot evaluate on an empty dataset")
     if len(dataset.vocab) != model.embeddings.shape[1]:
         raise ShapeError("dataset vocabulary size does not match the model's")
-    logits = predict(model.params, model.embeddings, dataset.ids, dataset.lengths)
+    logits = predict(model.params, model.embeddings, dataset)
     predicted = logits.argmax(axis=1)
     return int(np.count_nonzero(predicted == dataset.labels)) / len(dataset)
 

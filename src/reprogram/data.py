@@ -1,10 +1,11 @@
 """Dataset ingestion, splits, subsampling, and synthetic task generation.
 
 Target-task files are tokenized at the character level, in one pass over
-the file. A dataset is its three read-only arrays, padded token `ids`,
-`lengths` and `labels`, with the vocabulary and class names they index.
-`SequenceDataset.from_tokens` checks and pads flat token ids once, when a
-dataset is built; every consumer reads the arrays, and `take` slices them.
+the file. A dataset is its four read-only arrays, padded token `ids`,
+`lengths`, `labels` and per-row token `counts`, with the vocabulary and class
+names they index. `SequenceDataset.from_tokens` checks, pads and counts flat
+token ids once, when a dataset is built; every consumer reads the arrays, and
+`take` slices them.
 """
 
 import csv
@@ -17,6 +18,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
+
+_COUNT_BLOCK = 2**14  # entries in each temporary of one block of `from_tokens`'s counting
 
 
 @dataclass(frozen=True)
@@ -38,22 +41,27 @@ class Vocab:
 
 @dataclass(frozen=True, eq=False)
 class SequenceDataset:
-    """Read-only padded `ids` (N x L_max, int32), `lengths` (N) and `labels`
-    (N, int32); `from_tokens` checks and pads, and `take` slices."""
+    """Read-only padded `ids` (N x L_max, int32), `lengths` (N), `labels`
+    (N, int32) and `counts` (N x |V|): counts[i, v] is how often token v occurs
+    in row i, in the smallest unsigned type that holds the longest row.
+    `from_tokens` checks, pads and counts, and `take` slices."""
 
     ids: np.ndarray
     lengths: np.ndarray
     labels: np.ndarray
+    counts: np.ndarray
     vocab: Vocab
     class_names: tuple
 
     def __post_init__(self):
-        for array in (self.ids, self.lengths, self.labels):
+        for array in (self.ids, self.lengths, self.labels, self.counts):
             array.flags.writeable = False
 
     @classmethod
     def from_tokens(cls, tokens, lengths, labels, vocab, class_names) -> "SequenceDataset":
-        """Check the flat token ids, lengths and labels; right-pad rows of `lengths` with 0s."""
+        """Check the flat token ids, lengths and labels; right-pad rows of `lengths`
+        with 0s and count each row's tokens."""
+        tokens = np.asarray(tokens)
         lengths, labels = np.asarray(lengths, dtype=np.intp), np.asarray(labels, dtype=np.int32)
         if lengths.size != labels.size:
             raise DataFormatError("sequences and labels differ in length")
@@ -63,10 +71,27 @@ class SequenceDataset:
             bad = values[(values < lo) | (values >= hi)]
             if bad.size:
                 raise DataFormatError(f"{name} {bad[0]} out of range")
+        if tokens.shape != (lengths.sum(),):
+            raise DataFormatError(f"{tokens.size} token ids, but the sequence lengths "
+                                  f"sum to {lengths.sum()}")
+        n, width, vocab_size = lengths.size, lengths.max(initial=0), len(vocab)
         # every dataset keeps its ids, and int32 halves the memory they hold
-        ids = np.zeros((lengths.size, lengths.max(initial=0)), dtype=np.int32)
-        ids[np.arange(ids.shape[1]) < lengths[:, None]] = tokens
-        return cls(ids, lengths, labels, vocab, class_names)
+        ids = np.zeros((n, width), dtype=np.int32)
+        ids[np.arange(width) < lengths[:, None]] = tokens
+        counts = np.zeros((n, vocab_size), dtype=np.min_scalar_type(width))
+        # one bin per (row, token) pair over the padded ids, a block of rows at
+        # a time so that a block's slots and bins stay within _COUNT_BLOCK
+        # entries; the padding, all token 0, is then taken off column 0
+        rows = max(1, _COUNT_BLOCK // max(vocab_size, width, 1))
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            size = len(ids[block])
+            slots = ids[block] + np.arange(0, size * vocab_size, vocab_size)[:, None]
+            bins = np.bincount(slots.ravel(), minlength=size * vocab_size)
+            bins = bins.reshape(size, vocab_size)
+            bins[:, 0] -= width - lengths[block]
+            counts[block] = bins
+        return cls(ids, lengths, labels, counts, vocab, class_names)
 
     @classmethod
     def from_sequences(cls, sequences, labels, vocab, class_names) -> "SequenceDataset":
@@ -88,9 +113,10 @@ class SequenceDataset:
         """The rows at `indices`, sliced from this dataset's checked arrays;
         their ids are trimmed to the subset's own longest row."""
         rows = np.asarray(indices, dtype=np.intp)
-        lengths = self.lengths[rows]
-        return type(self)(self.ids[rows, : lengths.max(initial=0)], lengths,
-                          self.labels[rows], self.vocab, self.class_names)
+        lengths = self.lengths.take(rows)
+        return type(self)(self.ids.take(rows, axis=0)[:, : lengths.max(initial=0)], lengths,
+                          self.labels.take(rows), self.counts.take(rows, axis=0), self.vocab,
+                          self.class_names)
 
 
 @dataclass(frozen=True)

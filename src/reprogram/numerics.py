@@ -28,6 +28,7 @@ def softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] == 0:
         raise ShapeError(f"softmax needs a 2-D matrix with non-empty rows, got shape {z.shape}")
-    z = z - np.max(z, axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e

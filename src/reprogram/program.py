@@ -7,10 +7,13 @@ then takes mini-batch gradient steps through the frozen source classifier,
 each masked to the support that coding chose, so the saved theta has at
 most `max_atoms` non-zeros per column.
 
-Loss, gradient and evaluation hand the classifier's padded-batch path one
-vocabulary embedding E = table @ theta (d x |V_T|) over the model's table
-(under dictionary update, the learned atoms) and a target dataset's padded
-`ids` and `lengths`; the gradient with respect to theta is table^T @ dE.
+Loss, gradient and evaluation hand the classifier one vocabulary embedding
+E = table @ theta (d x |V_T|) over the model's table (under dictionary
+update, the learned atoms) and a target dataset, whose token counts and
+padded ids were built once, when it was loaded; the gradient with respect to
+theta is table^T @ dE. The loss reads each row's target probability from the
+source classes that map to its label, without building the mapped
+distribution.
 They trust their inputs: the entries `reprogram_train` and `evaluate_program`
 check once that theta, model, label map and data fit and the data is non-empty.
 """
@@ -54,6 +57,20 @@ class LabelMap:
     @property
     def num_target_classes(self) -> int:
         return max(self.source_to_target) + 1
+
+    def loss_grad(self, logits, labels):
+        """Summed cross-entropy of the mapped distributions at the target `labels`,
+        and its gradient with respect to the source logits.
+
+        A row's target probability sums the source classes that map to its
+        label (its hits) in source order, as `map_output` does, so the two
+        agree bit for bit.
+        """
+        p = softmax(logits)
+        hits = np.array(self.source_to_target) == labels[:, None]
+        target = np.where(hits, p, 0.0).cumsum(axis=1)[:, -1]
+        dlogits = p - np.where(hits, p / target[:, None], 0.0)
+        return float(-np.log(target).sum()), dlogits
 
 
 @dataclass(frozen=True)
@@ -131,31 +148,21 @@ def map_output(label_map: LabelMap, source_probs) -> np.ndarray:
     return out
 
 
-def _mapped_loss_dlogits(logits, label_map: LabelMap, labels):
-    """Summed cross-entropy of the mapped distributions and its gradient wrt the logits."""
-    p = softmax(logits)
-    target = map_output(label_map, p)[np.arange(len(labels)), labels]
-    hits = np.array(label_map.source_to_target) == labels[:, None]
-    dlogits = p - np.where(hits, p / target[:, None], 0.0)
-    return float(-np.log(target).sum()), dlogits
-
-
 def loss_and_grad(theta, model, label_map: LabelMap, batch):
     """Mean mapped cross-entropy over a batch and its gradient with respect to theta.
 
     `batch` is a non-empty target dataset, such as `train.take(rows)`, that
     fits theta, model and label map, as `reprogram_train` checked.
     """
-    loss_grad = lambda logits, y: _mapped_loss_dlogits(logits, label_map, y)
-    loss, dembedding, _ = gradient(model.params, model.embeddings @ theta, batch.ids,
-                                   batch.lengths, batch.labels, loss_grad)
+    loss, dembedding, _ = gradient(model.params, model.embeddings @ theta, batch,
+                                   label_map.loss_grad)
     return loss / len(batch), (model.embeddings.T @ dembedding) / len(batch)
 
 
 def evaluate(theta, model, label_map: LabelMap, dataset):
     """Argmax accuracy and target-class confusion counts (rows = true class),
     over inputs that `evaluate_program` or `reprogram_train` checked."""
-    logits = predict(model.params, model.embeddings @ theta, dataset.ids, dataset.lengths)
+    logits = predict(model.params, model.embeddings @ theta, dataset)
     predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
     n = label_map.num_target_classes
     confusion = np.bincount(dataset.labels * n + predicted,
@@ -260,7 +267,7 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
             "iteration": it,
             "loss": loss,
             "valid_accuracy": None,
-            "mean_support": float(np.mean(np.count_nonzero(theta, axis=0))),
+            "mean_support": float(np.count_nonzero(theta) / theta.shape[1]),
         }
         trace.append(entry)
         if (last - it) % stride == 0:

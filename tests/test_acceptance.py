@@ -59,10 +59,13 @@ def random_bag_model(rng, d=5, vocab=12, hidden=4, classes=2):
     return _freeze(table, ClassifierParams("bag_mlp", weights, classes), seed=0)
 
 
-def one_sequence(embedded):
-    """An embedded sequence (d x L) as a padded batch of one whose vocabulary
-    embedding E is the sequence itself, so that dE is the input gradient."""
-    return embedded, np.arange(embedded.shape[1])[None, :], np.array([embedded.shape[1]])
+def one_sequence(embedded, target=0):
+    """An embedded sequence (d x L) labelled `target`, as a dataset of one row
+    whose vocabulary embedding E is the sequence itself, so that dE is the
+    input gradient."""
+    length = embedded.shape[1]
+    return embedded, SequenceDataset.from_tokens(np.arange(length), [length], [target],
+                                                 Vocab.from_tokens(range(length)), ("a", "b"))
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +139,8 @@ def test_criterion_3_gradient_fidelity():
         model = random_bag_model(rng)
         embedded = rng.normal(size=(5, int(rng.integers(1, 6))))
         target = int(rng.integers(2))
-        batch = one_sequence(embedded)
-        analytic = gradient(model.params, *batch, np.array([target]), _cross_entropy_grad)[1]
+        analytic = gradient(model.params, *one_sequence(embedded, target),
+                            _cross_entropy_grad)[1]
         h = 1e-6
         fd = np.zeros_like(embedded)
         for i in range(embedded.shape[0]):

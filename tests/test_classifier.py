@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,10 +36,20 @@ def make_model(rng, d=6, vocab=10, hidden=5, classes=2, architecture="bag_mlp"):
     return _freeze(table, params, seed=0)
 
 
+def as_dataset(ids, lengths, vocab, labels=None):
+    """A dataset of the live slots of padded `ids` rows over `vocab` tokens,
+    labelled 0 unless `labels` are given."""
+    ids, lengths = np.asarray(ids), np.asarray(lengths)
+    labels = np.zeros(len(lengths), dtype=np.int32) if labels is None else np.asarray(labels)
+    classes = tuple(range(max(2, int(labels.max(initial=0)) + 1)))
+    return SequenceDataset.from_tokens(ids[np.arange(ids.shape[1]) < lengths[:, None]], lengths,
+                                       labels, Vocab.from_tokens(range(vocab)), classes)
+
+
 def token_logits(model, tokens):
     """Logits of one source-token sequence, a batch of one over the model's table."""
-    ids, lengths = np.array([tokens]), np.array([len(tokens)])
-    return predict(model.params, model.embeddings, ids, lengths)[0]
+    row = as_dataset([tokens], [len(tokens)], model.embeddings.shape[1])
+    return predict(model.params, model.embeddings, row)[0]
 
 
 def pooled_logits(model, tokens):
@@ -51,10 +62,12 @@ def pooled_logits(model, tokens):
     return (h @ w["w2"].T + w["b2"])[0]
 
 
-def one_sequence(embedded):
-    """An embedded sequence (d x L) as a padded batch of one whose vocabulary
-    embedding E is the sequence itself, so that dE is the input gradient."""
-    return embedded, np.arange(embedded.shape[1])[None, :], np.array([embedded.shape[1]])
+def one_sequence(embedded, target=0):
+    """An embedded sequence (d x L) labelled `target`, as a dataset of one row
+    whose vocabulary embedding E is the sequence itself, so that dE is the
+    input gradient."""
+    length = embedded.shape[1]
+    return embedded, as_dataset(np.arange(length)[None, :], [length], length, [target])
 
 
 def sequence_logits(params, embedded):
@@ -63,8 +76,7 @@ def sequence_logits(params, embedded):
 
 def input_gradient(model, embedded, target):
     """`gradient` of the cross-entropy at `target` with respect to the embedded sequence."""
-    return gradient(model.params, *one_sequence(embedded), np.array([target]),
-                    _cross_entropy_grad)[1]
+    return gradient(model.params, *one_sequence(embedded, target), _cross_entropy_grad)[1]
 
 
 def model_digest(model):
@@ -116,10 +128,12 @@ class TestForward:
             assert np.array_equal(token_logits(model, seq), pooled_logits(model, seq))
 
     def test_token_out_of_range(self):
+        # a dataset of 100 tokens has counts the model's 10-token table cannot pool
         rng = np.random.default_rng(3)
         model = make_model(rng)
-        with pytest.raises(IndexError):
-            token_logits(model, [0, 99])
+        row = as_dataset([[0, 99]], [2], 100)
+        with pytest.raises(ValueError, match="mismatch"):
+            predict(model.params, model.embeddings, row)
 
     def test_evaluate_source_rejects_empty_or_foreign_dataset(self):
         rng = np.random.default_rng(3)
@@ -180,17 +194,15 @@ class TestInputGradient:
             assert relative_error(analytic, fd) <= 1e-5
         # dE of a summed cross-entropy over the batches of `batch_cases`
         model = make_model(rng, architecture=architecture)
-        for vocab_embedding, ids, lengths in batch_cases(rng, model):
-            labels = rng.integers(2, size=len(lengths))
-            rows = np.arange(len(lengths))
+        for vocab_embedding, batch in batch_cases(rng, model):
+            rows = np.arange(len(batch))
 
             def loss():
-                p = softmax(predict(model.params, vocab_embedding, ids, lengths))
-                return -np.log(p[rows, labels]).sum()
+                p = softmax(predict(model.params, vocab_embedding, batch))
+                return -np.log(p[rows, batch.labels]).sum()
 
-            dvocab = gradient(model.params, vocab_embedding, ids, lengths, labels,
-                              _cross_entropy_grad)[1]
-            assert_absent_tokens_zero(dvocab, ids, lengths)
+            dvocab = gradient(model.params, vocab_embedding, batch, _cross_entropy_grad)[1]
+            assert_absent_tokens_zero(dvocab, batch)
             vocab = model.embeddings.shape[1]
             fd = central_difference(loss, vocab_embedding[:, :vocab])
             assert relative_error(dvocab[:, :vocab], fd) <= 1e-5
@@ -230,9 +242,9 @@ class TestInputGradient:
 
 
 def mixed_length_batch(rng, model, lengths=(3, 1, 5, 2, 4), pads=4, used=None):
-    """Padded ids over E = [table | pads columns of large values]; padded slots
-    select only the extra columns, which no live slot uses. Live slots draw
-    from the first `used` tokens of the table (all of them by default)."""
+    """A two-class dataset over E = [table | pads columns of large values],
+    whose extra tokens no live slot uses. Live slots draw from the first
+    `used` tokens of the table (all of them by default)."""
     d, vocab = model.embeddings.shape
     extra = rng.normal(scale=1e3, size=(d, pads))
     vocab_embedding = np.hstack([model.embeddings, extra])
@@ -240,7 +252,8 @@ def mixed_length_batch(rng, model, lengths=(3, 1, 5, 2, 4), pads=4, used=None):
     ids = rng.integers(vocab, vocab + pads, size=(len(lengths), lengths.max()))
     for n, length in enumerate(lengths):
         ids[n, :length] = rng.integers(0, used or vocab, size=length)
-    return vocab_embedding, ids, lengths
+    labels = rng.integers(2, size=len(lengths))
+    return vocab_embedding, as_dataset(ids, lengths, vocab + pads, labels)
 
 
 def batch_cases(rng, model):
@@ -253,9 +266,9 @@ def batch_cases(rng, model):
             mixed_length_batch(rng, model, lengths, used=vocab - 2)]
 
 
-def assert_absent_tokens_zero(dvocab, ids, lengths):
+def assert_absent_tokens_zero(dvocab, batch):
     """dE is exactly zero in the column of every token no live slot holds."""
-    live = ids[np.arange(ids.shape[1]) < lengths[:, None]]
+    live = batch.ids[np.arange(batch.ids.shape[1]) < batch.lengths[:, None]]
     absent = np.setdiff1d(np.arange(dvocab.shape[1]), live)
     assert absent.size and not dvocab[:, absent].any()
 
@@ -265,44 +278,43 @@ class TestPaddedBatch:
     def test_padding_invariance(self, architecture):
         rng = np.random.default_rng(11)
         model = make_model(rng, architecture=architecture)
-        vocab_embedding, ids, lengths = mixed_length_batch(rng, model)
-        logits = predict(model.params, vocab_embedding, ids, lengths)
-        for n, length in enumerate(lengths):
-            single = sequence_logits(model.params, vocab_embedding[:, ids[n, :length]])
+        vocab_embedding, batch = mixed_length_batch(rng, model)
+        logits = predict(model.params, vocab_embedding, batch)
+        for n, length in enumerate(batch.lengths):
+            single = sequence_logits(model.params, vocab_embedding[:, batch.ids[n, :length]])
             assert np.max(np.abs(logits[n] - single)) <= 1e-12
 
     @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
     def test_padded_slots_are_never_read(self, architecture):
         rng = np.random.default_rng(15)
         model = make_model(rng, architecture=architecture)
-        _, ids, lengths = mixed_length_batch(rng, model)
-        pads = np.arange(ids.shape[1]) >= lengths[:, None]
-        args = model.params, model.embeddings
+        vocab_embedding, batch = mixed_length_batch(rng, model)
+        pads = np.arange(batch.ids.shape[1]) >= batch.lengths[:, None]
+        args = model.params, vocab_embedding
         # an id out of range anywhere but a live slot is never looked up
-        assert np.array_equal(predict(*args, np.where(pads, 10**6, ids), lengths),
-                              predict(*args, np.where(pads, 0, ids), lengths))
+        assert np.array_equal(predict(*args, replace(batch, ids=np.where(pads, 10**6, batch.ids))),
+                              predict(*args, batch))
 
     @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
     def test_weight_gradients_match_finite_differences(self, architecture):
         rng = np.random.default_rng(12)
         model = make_model(rng, architecture=architecture)
         vocab = model.embeddings.shape[1]
-        for vocab_embedding, ids, lengths in batch_cases(rng, model):
+        for vocab_embedding, batch in batch_cases(rng, model):
             weights = {name: arr.copy() for name, arr in model.params.weights.items()}
             params = ClassifierParams(architecture, weights, model.params.num_classes)
             # loss = sum(cotangent * logits), so the walk back starts from a known dlogits
-            cotangent = rng.normal(size=(len(lengths), model.params.num_classes))
-            rows = np.arange(len(lengths))
+            cotangent = rng.normal(size=(len(batch), model.params.num_classes))
 
-            def linear(logits, picked):
-                return float(np.sum(cotangent[picked] * logits)), cotangent[picked]
+            def linear(logits, labels):
+                return float(np.sum(cotangent * logits)), cotangent
 
             def loss():
-                return gradient(params, vocab_embedding, ids, lengths, rows, linear)[0]
+                return gradient(params, vocab_embedding, batch, linear)[0]
 
-            _, dvocab, grads = gradient(params, vocab_embedding, ids, lengths, rows, linear,
+            _, dvocab, grads = gradient(params, vocab_embedding, batch, linear,
                                         weight_grads=True)
-            assert_absent_tokens_zero(dvocab, ids, lengths)
+            assert_absent_tokens_zero(dvocab, batch)
             fd = central_difference(loss, vocab_embedding[:, :vocab])
             assert relative_error(dvocab[:, :vocab], fd) <= 1e-5
             for name, arr in weights.items():
@@ -356,8 +368,9 @@ class TestPredict:
                                      rng.normal(scale=1e3, size=(model.embeddings.shape[0], 4))])
         pads = np.arange(ids.shape[1]) >= lengths[:, None]
         ids = np.where(pads, vocab + np.arange(ids.size).reshape(ids.shape) % 4, ids)
-        args = model.params, vocab_embedding, ids, lengths
-        assert np.max(np.abs(predict(*args) - masked_logits(*args))) <= 1e-12
+        logits = predict(model.params, vocab_embedding, as_dataset(ids, lengths, vocab + 4))
+        assert np.max(np.abs(logits - masked_logits(model.params, vocab_embedding, ids,
+                                                    lengths))) <= 1e-12
 
     @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
     @settings(derandomize=True, deadline=None)
@@ -372,8 +385,8 @@ class TestPredict:
             handed.append(logits.copy())
             return 0.0, np.zeros_like(logits)
 
-        args = model.params, model.embeddings, ids, lengths
-        gradient(*args, np.zeros(len(lengths), dtype=np.int64), loss_grad)
+        args = model.params, model.embeddings, as_dataset(ids, lengths, vocab)
+        gradient(*args, loss_grad)
         assert handed[0].tobytes() == predict(*args).tobytes()
 
     @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
@@ -387,8 +400,9 @@ class TestPredict:
         model = make_model(rng, vocab=vocab, architecture=architecture)
         perm = rng.permutation(len(lengths))
         args = model.params, model.embeddings
-        logits = predict(*args, ids, lengths)
-        permuted = predict(*args, ids[perm], lengths[perm])
+        dataset = as_dataset(ids, lengths, vocab)
+        logits = predict(*args, dataset)
+        permuted = predict(*args, dataset.take(perm))
         assert np.max(np.abs(permuted - logits[perm])) <= 1e-12
         assert np.array_equal(permuted.argmax(axis=1), logits[perm].argmax(axis=1))
 
@@ -403,14 +417,15 @@ class TestPredict:
         ids = rng.integers(0, vocab, size=(n, width))
         lengths = rng.integers(1, width + 1, size=n)
         lengths[0] = width
+        dataset = as_dataset(ids, lengths, vocab)
         tracemalloc.start()
         try:
-            predict(model.params, model.embeddings, ids, lengths)
+            predict(model.params, model.embeddings, dataset)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # a few N x h float64 arrays: never N x L x h, and a bag_mlp's N x V
-        # token counts no larger than its N x h state
+        # token counts, cast to float64, no larger than its N x h state
         assert peak <= 5 * n * hidden * 8
 
 

@@ -729,3 +729,60 @@ def test_damaged_saved_file_exits_0_2_or_3(saved_pair, name, data):
                      "--out", str(root / "eval")])
     assert code in (0, 2, 3)
     assert len(stderr.getvalue().splitlines()) == (code != 0)
+
+
+_CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([2**63, -2**63 - 1, 10**30]),
+    st.floats(-10, 10), st.sampled_from([math.nan, math.inf, -math.inf]), st.text(max_size=4),
+    st.lists(st.integers(-1, 2), max_size=4),
+    st.dictionaries(st.sampled_from(["mode", "train", "epsilon", "x"]), st.integers(-1, 2),
+                    max_size=2),
+)
+
+
+@st.composite
+def damaged_configs(draw, doc):
+    """The text of a config with one key deleted, given another JSON value or
+    added, or its text cut, or a character inserted. Integers stay small, so
+    a config that loads runs in moments."""
+    doc = json.loads(json.dumps(doc))
+    damage = draw(st.sampled_from(["delete", "replace", "add", "cut", "insert"]))
+    if damage in ("cut", "insert"):
+        text = json.dumps(doc)
+        at = draw(st.integers(0, len(text)))
+        if damage == "cut":
+            return text[:at] + text[at + draw(st.integers(1, 8)):]
+        return text[:at] + draw(st.sampled_from(list('{}[],:"0-.e ax'))) + text[at:]
+    *parents, key = draw(st.sampled_from(sorted(_key_paths(doc))))
+    inner = doc
+    for parent in parents:
+        inner = inner[parent]
+    if damage == "delete":
+        del inner[key]
+    elif damage == "replace":
+        inner[key] = draw(_CONFIG_VALUES)
+    elif isinstance(inner[key], dict):
+        inner[key][draw(st.sampled_from(["seed", "sweeps", "epochs", "extra"]))] = draw(
+            _CONFIG_VALUES)
+    else:
+        inner["extra"] = draw(_CONFIG_VALUES)
+    return json.dumps(doc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_damaged_config_exits_0_or_2(saved_pair, data):
+    # a damaged config ends `reprogram` with exit 0, or exit 2 and one error
+    # line; it never raises, and no value a config can hold diverges
+    root, _ = saved_pair
+    cfg = _with(json.loads((root / "cfg.json").read_text()),
+                "reprogram.ksvd.update_dictionary", False)
+    (root / "damaged_cfg.json").write_text(data.draw(damaged_configs(cfg)))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["reprogram", "--config", str(root / "damaged_cfg.json"),
+                     "--source-checkpoint", str(root / "source_checkpoint.json"),
+                     "--out", str(root / "damaged_out")])
+    assert code in (0, 2)
+    assert len(stderr.getvalue().splitlines()) == (code != 0)

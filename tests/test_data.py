@@ -1,5 +1,7 @@
 import csv
 import io
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ def sequences(ds):
 
 def assert_same(a, b):
     """Two datasets hold equal arrays of equal dtypes, vocabulary and class names."""
-    for name in ("ids", "lengths", "labels"):
+    for name in ("ids", "lengths", "labels", "counts"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y)
     assert a.vocab == b.vocab and a.class_names == b.class_names
@@ -357,6 +359,73 @@ class TestVocab:
         assert ds.labels.dtype == np.int32 and ds.labels.tolist() == [1, 0, 1]
         with pytest.raises(ValueError):
             ds.labels[0] = 0
+
+
+    @pytest.mark.parametrize("tokens", [[0, 1, 0], [0, 1, 0, 1, 1]], ids=["fewer", "more"])
+    def test_token_count_must_match_the_lengths(self, tokens):
+        v = Vocab.from_tokens(["a", "b"])
+        with pytest.raises(DataFormatError,
+                           match=rf"^{len(tokens)} token ids, but the sequence lengths sum to 4$"):
+            SequenceDataset.from_tokens(np.array(tokens), [2, 2], [0, 0], v, ("x",))
+
+
+def counter_counts(sequences, vocab_size):
+    """Each sequence's token counts over the vocabulary, by `collections.Counter`."""
+    return [[row[v] for v in range(vocab_size)] for row in map(Counter, sequences)]
+
+
+class TestCounts:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(vocab_size=st.sampled_from([1, 2, 5, 9, 200]), data=st.data())
+    def test_match_a_counter_per_row_and_take_slices_them(self, vocab_size, data):
+        # short rows over a large vocabulary are counted in many blocks of rows
+        rows = st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=12)
+        seqs = data.draw(st.lists(rows, max_size=40))
+        ds = SequenceDataset.from_sequences(seqs, [0] * len(seqs),
+                                            Vocab.from_tokens(range(vocab_size)), ("x",))
+        assert ds.counts.dtype == np.uint8
+        assert ds.counts.shape == (len(seqs), vocab_size)
+        assert ds.counts.tolist() == counter_counts(seqs, vocab_size)
+        picked = data.draw(st.lists(st.integers(0, len(seqs) - 1))) if seqs else []
+        taken = ds.take(picked)
+        assert taken.counts.dtype == ds.counts.dtype
+        assert np.array_equal(taken.counts, ds.counts[picked])
+
+    def test_padding_is_never_counted(self):
+        v = Vocab.from_tokens(["a", "b", "c"])
+        ds = SequenceDataset.from_sequences(((2, 1, 2, 2), (1,), (2, 2)), (0, 1, 0), v, ("x", "y"))
+        assert ds.ids.tolist() == [[2, 1, 2, 2], [1, 0, 0, 0], [2, 2, 0, 0]]
+        assert ds.counts.tolist() == [[0, 1, 3], [0, 1, 0], [0, 0, 2]]
+        assert ds.counts.sum(axis=1).tolist() == ds.lengths.tolist()
+
+    def test_are_read_only(self):
+        ds = TestTake().dataset()
+        for counts in (ds.counts, ds.take([2, 0]).counts):
+            with pytest.raises(ValueError):
+                counts[0, 0] = 1
+
+    def test_widen_to_hold_the_longest_row(self):
+        v = Vocab.from_tokens(["a", "b"])
+        ds = SequenceDataset.from_sequences(((1,) * 300, (0,)), (0, 0), v, ("x",))
+        assert ds.counts.dtype == np.uint16
+        assert ds.counts.tolist() == [[0, 300], [1, 0]]
+        assert ds.take([1]).counts.tolist() == [[1, 0]]
+
+    def test_leave_no_rows_by_vocabulary_intp_temporary(self):
+        rng = np.random.default_rng(5)
+        n, vocab_size = 2000, 200
+        lengths = rng.integers(1, 6, size=n)
+        tokens = rng.integers(0, vocab_size, size=lengths.sum())
+        v = Vocab.from_tokens(range(vocab_size))
+        tracemalloc.start()
+        try:
+            ds = SequenceDataset.from_tokens(tokens, lengths, np.zeros(n), v, ("x",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.counts.tolist() == counter_counts(np.split(tokens, np.cumsum(lengths)[:-1]),
+                                                    vocab_size)
+        assert peak < n * vocab_size * np.dtype(np.intp).itemsize
 
 
 class TestTake:

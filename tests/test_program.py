@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reprogram.classifier import ClassifierParams, _freeze, _init_weights, predict
 from reprogram import program
@@ -82,8 +83,10 @@ def program_for(theta, dataset, label_map=(0, 1)):
 def sequence_logits(model, embedded):
     """The 1 x C logits of an embedded sequence (d x L), a batch of one whose
     vocabulary embedding E is the sequence itself."""
-    ids, lengths = np.arange(embedded.shape[1])[None, :], np.array([embedded.shape[1]])
-    return predict(model.params, embedded, ids, lengths)
+    length = embedded.shape[1]
+    row = SequenceDataset.from_tokens(np.arange(length), [length], [0],
+                                      Vocab.from_tokens(range(length)), ("neg", "pos"))
+    return predict(model.params, embedded, row)
 
 
 def model_digest(model):
@@ -226,6 +229,39 @@ class TestLoss:
         theta = initial_theta(12, 4, 0)
         loss_and_grad(theta, model, LabelMap((0, 1)), batch)
         evaluate(theta, model, LabelMap((0, 1)), dataset)
+
+
+def map_output_loss_dlogits(logits, label_map, labels):
+    """The mapped loss and its gradient through the whole mapped distribution,
+    as `map_output` sums it."""
+    p = softmax(logits)
+    target = map_output(label_map, p)[np.arange(len(labels)), labels]
+    hits = np.array(label_map.source_to_target) == labels[:, None]
+    dlogits = p - np.where(hits, p / target[:, None], 0.0)
+    return float(-np.log(target).sum()), dlogits
+
+
+@st.composite
+def surjective_maps(draw):
+    """Label maps of 1-12 source classes onto 1-4 target classes."""
+    targets = draw(st.integers(1, 4))
+    extra = draw(st.lists(st.integers(0, targets - 1), max_size=12 - targets))
+    return LabelMap(tuple(draw(st.permutations(list(range(targets)) + extra))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(label_map=surjective_maps(), scale=st.floats(0.1, 50), rows=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+def test_mapped_loss_matches_the_map_output_reference(label_map, scale, rows, seed):
+    # each row's target probability sums its hit classes in source order, as
+    # map_output does; numpy's own sum reorders a row of 8 or more terms
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=scale, size=(rows, label_map.num_source_classes))
+    labels = rng.integers(label_map.num_target_classes, size=rows)
+    loss, dlogits = label_map.loss_grad(logits, labels)
+    want_loss, want_dlogits = map_output_loss_dlogits(logits, label_map, labels)
+    assert repr(loss) == repr(want_loss)
+    assert dlogits.tobytes() == want_dlogits.tobytes()
 
 
 class TestGradTheta:
@@ -533,8 +569,7 @@ class TestEvaluate:
         model, train, _ = training_setup
         theta = initial_theta(20, 4, 2)
         acc, _ = evaluate(theta, model, LabelMap((0, 1)), train)
-        flipped = SequenceDataset(train.ids, train.lengths, 1 - train.labels, train.vocab,
-                                  ("pos", "neg"))
+        flipped = replace(train, labels=1 - train.labels, class_names=("pos", "neg"))
         acc_flipped, _ = evaluate(theta, model, LabelMap((1, 0)), flipped)
         assert acc == acc_flipped
 
@@ -547,7 +582,7 @@ class TestEvaluate:
         dataset = target_dataset(rng, n=120, max_len=9)
         theta = rng.normal(size=(12, 4))
         embedding = model.embeddings @ theta
-        logits = predict(model.params, embedding, dataset.ids, dataset.lengths)
+        logits = predict(model.params, embedding, dataset)
         predicted = map_output(label_map, softmax(logits)).argmax(axis=1)
         expected = np.zeros((2, 2), dtype=np.int64)
         np.add.at(expected, (dataset.labels, predicted), 1)
@@ -608,7 +643,7 @@ class TestProgramFit:
             table = np.ones((table.shape[0], table.shape[1] + 1))
         else:
             table = np.ones((table.shape[0] + 1, table.shape[1]))
-        data = SequenceDataset(valid.ids, valid.lengths, valid.labels, vocab, names)
+        data = replace(valid, vocab=vocab, class_names=names)
         with pytest.raises(ConfigError, match=re.escape(message)):
             evaluate_program(learned_program, replace(model, embeddings=table),
                              LabelMap((0, 1)), data)
@@ -621,7 +656,7 @@ class TestProgramFit:
             vocab = Vocab.from_tokens("HIJK")
         else:
             names = names[::-1]
-        other = SequenceDataset(valid.ids, valid.lengths, valid.labels, vocab, names)
+        other = replace(valid, vocab=vocab, class_names=names)
         with pytest.raises(ConfigError, match="differ in target tokens or class names"):
             reprogram_train(model, LabelMap((0, 1)), train, other, base_config())
 

@@ -7,22 +7,34 @@ holding `src/` and `perfbench/`. The script runs, in subprocesses:
 
 - `perfbench/run.py --trace 0` on both workloads for each of `--seeds`,
   alternating which checkout goes first from seed to seed, and reports each
-  metric's median per checkout and the change/parent ratio of each pair;
-- micro-timings of the model path and the stage split below, under each
-  checkout's `src/`, in MICRO_ROUNDS rounds that alternate which checkout
-  goes first (parent then change, then change then parent), each figure the
-  median across rounds. The micro-timings are `gradient` on a 64-row
-  reprogramming batch (V = 7 target tokens) and on a 32-row source batch
-  with weight gradients (V = 200), `predict` on the target test split, and
-  `train_source` at each workload's settings; medians of repeats, BLAS on
-  one thread;
-- a stage split of `reprogram` commands under each checkout's `src/`, on the
-  seed-1 inputs of both workloads that perfbench's `set_up` writes (once, in
-  the first checkout's run): medians over 8 commands of the command's wall
-  time and of the time spent in `program.ksvd_run`, `program.loss_and_grad`,
-  `program.evaluate` (the loop's validations and the test split's score),
-  `data.load_csv` and `classifier.load_checkpoint`, each wrapped from outside
-  the package, and of the rest;
+  metric's median per checkout, the parent's quartiles, the change/parent
+  ratio of each pair and the pairs the change wins. It prints, per workload
+  and metric, the verdict of the rule for a claimed gain: the change wins at
+  least 9 in 10 pairs (ties count for neither), and the medians differ by
+  more than the parent's interquartile range;
+- with `--setup-pairs`, perfbench's `set_up` alone, timed in one subprocess
+  per call for each of `--seeds`, alternating which checkout goes first, and
+  reported and judged as the end-to-end metrics are (`setup_alone_s`);
+- micro-timings of the model path under each checkout's `src/`, in
+  MICRO_ROUNDS rounds that alternate which checkout goes first (parent then
+  change, then change then parent), each figure the median across rounds.
+  The micro-timings go through entry points whose signatures both
+  checkouts share: `program.loss_and_grad` on a 64-row reprogramming batch
+  (V = 7 target tokens), `program.evaluate` on the target test split, and
+  `classifier.train_source` at each workload's settings; medians of
+  repeats, BLAS on one thread;
+- a stage split of `reprogram` commands on the seed-1 inputs of both
+  workloads that perfbench's `set_up` writes first: one subprocess imports both
+  checkouts' packages side by side and runs STAGE_PAIRS pairs of commands
+  per workload, alternating which checkout goes first, so that a change of
+  load hits both alike. It reports, per checkout, medians of the command's
+  wall time and of the self time (its time less that of the stages it
+  calls) of `program.reprogram_train` (the loop's own bookkeeping),
+  `program.ksvd_run`, `program.loss_and_grad`, `program.evaluate` (the
+  loop's validations and the test split's score), `data.load_csv` and
+  `classifier.load_checkpoint`, each wrapped from outside the package, and
+  of the rest; `step_us` is `loss_and_grad` plus the loop's bookkeeping per
+  outer iteration, and `step_ratio` the change/parent ratio of each pair's;
 - with `--accuracy-seeds`, one `perfbench/run.py --seconds 0` per seed and
   checkout, for the test accuracy of the program and the source checkpoint's
   valid accuracy.
@@ -34,6 +46,7 @@ import argparse
 import contextlib
 import gc
 import importlib
+import io
 import json
 import os
 import statistics
@@ -47,9 +60,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bag_fixed_dict", "birnn_fixed_dict")
 ARCHITECTURES = {"bag_mlp": (1.0, 20), "birnn": (0.3, 10)}  # source lr, epochs per workload
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-STAGES = ("program.ksvd_run", "program.loss_and_grad", "program.evaluate", "data.load_csv",
-          "classifier.load_checkpoint")
-STAGE_COMMANDS = 8  # reprogram commands per workload in the stage split
+STAGES = ("program.reprogram_train", "program.ksvd_run", "program.loss_and_grad",
+          "program.evaluate", "data.load_csv", "classifier.load_checkpoint")
+STAGE_PAIRS = 12  # alternated pairs of reprogram commands per workload in the stage split
 MICRO_ROUNDS = 2  # --micro subprocesses per checkout, alternating which goes first
 
 
@@ -74,6 +87,44 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return document
 
 
+def directions() -> dict:
+    """'lower' or 'higher' per end-to-end metric, as BENCHMARK.json declares."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    return {metric["name"]: metric["better"] for metric in declared}
+
+
+def compare(before, after, better) -> dict:
+    """Medians, the parent's quartiles, pair ratios and wins of paired runs,
+    and whether the change's gain passes the rule: it wins at least 9 in 10
+    pairs, ties counting for neither, and the medians differ by more than the
+    parent's interquartile range."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (b - a) > 0 for a, b in zip(after, before))
+    quartiles = statistics.quantiles(before, n=4) if len(before) > 1 else [before[0]] * 3
+    iqr = quartiles[2] - quartiles[0]
+    gap = sign * (statistics.median(before) - statistics.median(after))
+    return {
+        "parent_median": statistics.median(before),
+        "change_median": statistics.median(after),
+        "parent_quartiles": quartiles,
+        "parent_iqr": iqr,
+        "pair_ratios": [a / b if b else None for a, b in zip(after, before)],
+        "better": better,
+        "change_wins": wins,
+        "pairs": len(before),
+        "gain": wins >= 0.9 * len(before) and gap > iqr,
+    }
+
+
+def print_verdicts(summary) -> None:
+    for w, entry in summary.items():
+        for metric, c in entry["metrics"].items():
+            print(f"{w} {metric}: parent {c['parent_median']:.6g} change {c['change_median']:.6g} "
+                  f"({c['better']} is better); change wins {c['change_wins']}/{c['pairs']} pairs; "
+                  f"parent IQR {c['parent_iqr']:.3g}; gain {'MET' if c['gain'] else 'not met'}",
+                  file=sys.stderr)
+
+
 def metrics_of(document) -> dict:
     return {name: m["value"] for name, m in document["result"]["metrics"].items()}
 
@@ -94,23 +145,54 @@ def end_to_end(trees, seeds, seconds) -> dict:
                                           attempted=document["result"]["attempted"]))
                 print(f"{w} seed {seed} {name}: run_s {runs[name][w][-1]['run_s']:.3f} "
                       f"setup_s {runs[name][w][-1]['setup_s']:.3f}", file=sys.stderr)
-    summary = {}
+    summary, better = {}, directions()
     for w in WORKLOADS:
         parent, change = runs["parent"][w], runs["change"][w]
-        per_metric = {}
-        for metric in parent[0]:
-            if metric in ("seed", "failed", "attempted"):
-                continue
-            before = [run[metric] for run in parent]
-            after = [run[metric] for run in change]
-            per_metric[metric] = {
-                "parent_median": statistics.median(before),
-                "change_median": statistics.median(after),
-                "parent_quartiles": statistics.quantiles(before, n=4) if len(before) > 1 else None,
-                "pair_ratios": [a / b if b else None for a, b in zip(after, before)],
-            }
+        per_metric = {metric: compare([run[metric] for run in parent],
+                                      [run[metric] for run in change], better[metric])
+                      for metric in better}
         summary[w] = {"metrics": per_metric, "runs": {"parent": parent, "change": change}}
+    print_verdicts(summary)
     return {"environment": environment, "sources": sources, "workloads": summary}
+
+
+SET_UP = """
+import json, sys, time
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import run
+start = time.perf_counter()
+run.set_up(run.WORKLOADS[sys.argv[2]], run.ACCEPTANCE, int(sys.argv[3]), Path(sys.argv[4]))
+print(json.dumps(time.perf_counter() - start))
+"""
+
+
+def set_up(tree: Path, workload: str, seed: int, dest: Path) -> float:
+    """Seconds that perfbench's `set_up` takes alone, in a subprocess under
+    tree/src, writing the workload's inputs for `seed` to dest."""
+    done = subprocess.run(
+        [sys.executable, "-c", SET_UP, str(tree / "perfbench"), workload, str(seed), str(dest)],
+        env=dict(os.environ, PYTHONPATH=str(tree / "src")), cwd=tree,
+        capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def setup_pairs(trees, seeds) -> dict:
+    """perfbench's `set_up` alone, one subprocess per call, alternating which
+    checkout goes first; compared as the end-to-end metrics are."""
+    summary = {}
+    for w in WORKLOADS:
+        times = {name: [] for name in trees}
+        for i, seed in enumerate(seeds):
+            for name in list(trees) if i % 2 == 0 else list(reversed(trees)):
+                with tempfile.TemporaryDirectory() as dest:
+                    times[name].append(set_up(trees[name], w, seed, Path(dest)))
+                print(f"{w} seed {seed} {name}: set_up {times[name][-1]:.3f} s", file=sys.stderr)
+        summary[w] = {"metrics": {"setup_alone_s": compare(times["parent"], times["change"],
+                                                           "lower")},
+                      "runs": times}
+    print_verdicts(summary)
+    return summary
 
 
 def per_seed_accuracy(trees, seeds) -> dict:
@@ -129,22 +211,21 @@ def per_seed_accuracy(trees, seeds) -> dict:
     return table
 
 
-def micro(tree: Path, repeats: int, scratch: Path) -> dict:
+def micro(tree: Path, repeats: int) -> dict:
     """Micro-timings under tree/src, from this script's --micro mode in a subprocess."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **ONE_THREAD)
-    done = subprocess.run([sys.executable, __file__, "--micro", "--repeats", str(repeats),
-                           "--scratch", str(scratch)],
+    done = subprocess.run([sys.executable, __file__, "--micro", "--repeats", str(repeats)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
-def micro_rounds(trees, repeats: int, scratch: Path) -> dict:
+def micro_rounds(trees, repeats: int) -> dict:
     """`micro` of each checkout per round, the order alternating from round to
     round; each figure is its median across the rounds."""
     runs = {name: [] for name in trees}
     for r in range(MICRO_ROUNDS):
         for name in list(trees) if r % 2 == 0 else list(reversed(trees)):
-            runs[name].append(micro(trees[name], repeats, scratch))
+            runs[name].append(micro(trees[name], repeats))
             print(f"micro round {r + 1} {name} done", file=sys.stderr)
     return {name: median_across(documents) for name, documents in runs.items()}
 
@@ -169,99 +250,131 @@ def median_ms(fn, repeats):
     return 1e3 * statistics.median(times)
 
 
-def stage_split(inputs: Path) -> dict:
-    """Median milliseconds per `reprogram` command and per stage, for each workload."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import run as perfbench
-    from reprogram import cli
+def load_package(src: Path) -> dict:
+    """The modules of the `reprogram` package under src, imported apart from
+    any other copy: none of them stays in `sys.modules`."""
+    sys.path.insert(0, str(src))
+    try:
+        importlib.import_module("reprogram.cli")
+    finally:
+        sys.path.remove(str(src))
+    modules = {name: module for name, module in sys.modules.items()
+               if name.partition(".")[0] == "reprogram"}
+    for name in modules:
+        del sys.modules[name]
+    return modules
 
-    totals = dict.fromkeys(STAGES, 0.0)
+
+def stage_split(sources, inputs: Path) -> dict:
+    """Per workload and checkout, median milliseconds per `reprogram` command
+    and per stage (self time), over commands of the two checkouts' packages
+    alternated in this one process; and the change/parent ratio of each
+    pair's `step_us`."""
+    packages = {name: load_package(src) for name, src in sources.items()}
+    totals = dict.fromkeys(STAGES, 0.0)  # self seconds per stage
+    inside = []  # per open stage call, the seconds of the stage calls it made
 
     def timed(stage, real):
         def wrapper(*args, **kwargs):
+            inside.append(0.0)
             start = time.perf_counter()
             try:
                 return real(*args, **kwargs)
             finally:
-                totals[stage] += time.perf_counter() - start
+                elapsed = time.perf_counter() - start
+                totals[stage] += elapsed - inside.pop()
+                if inside:
+                    inside[-1] += elapsed
         return wrapper
 
-    reals = []
-    for stage in STAGES:
-        module, name = stage.split(".")
-        module = importlib.import_module(f"reprogram.{module}")
-        reals.append((module, name, getattr(module, name)))
-        setattr(module, name, timed(stage, getattr(module, name)))
+    for modules in packages.values():
+        for stage in STAGES:
+            module, name = stage.split(".")
+            module = modules[f"reprogram.{module}"]
+            setattr(module, name, timed(stage, getattr(module, name)))
     split = {}
-    try:
-        for w in WORKLOADS:
-            dest = inputs / w
-            if not (dest / "config.json").exists():  # set_up writes the config last
-                perfbench.set_up(perfbench.WORKLOADS[w], perfbench.ACCEPTANCE, 1, dest)
-            argv = ["reprogram", "--config", str(dest / "config.json"), "--source-checkpoint",
-                    str(dest / "source_checkpoint.json"), "--out", str(dest / "out")]
-            rows = []
-            for _ in range(STAGE_COMMANDS):
+    for w in WORKLOADS:
+        dest = inputs / w
+        iterations = json.loads((dest / "config.json").read_text())["reprogram"]["outer_iterations"]
+        argv = ["reprogram", "--config", str(dest / "config.json"), "--source-checkpoint",
+                str(dest / "source_checkpoint.json"), "--out", str(dest / "out")]
+        rows = {name: [] for name in packages}
+        for r in range(STAGE_PAIRS + 1):  # the first pair warms up and is not kept
+            for name in list(packages) if r % 2 == 0 else list(reversed(packages)):
                 totals.update(dict.fromkeys(STAGES, 0.0))
                 gc.collect()
-                with contextlib.redirect_stdout(sys.stderr):
+                with contextlib.redirect_stdout(io.StringIO()):
                     start = time.perf_counter()
-                    code = cli.main(argv)
+                    code = packages[name]["reprogram.cli"].main(argv)
                     wall = time.perf_counter() - start
                 if code != 0:
                     raise RuntimeError(f"reprogram exited {code} on {w}")
-                rows.append(dict(totals, command=wall, rest=wall - sum(totals.values())))
-            split[w] = {key: 1e3 * statistics.median(row[key] for row in rows)
-                        for key in ("command", *STAGES, "rest")}
-            split[w]["commands"] = len(rows)
-    finally:
-        for module, name, real in reals:
-            setattr(module, name, real)
+                step = (totals["program.loss_and_grad"] + totals["program.reprogram_train"])
+                if r:
+                    rows[name].append(dict(totals, command=wall,
+                                           rest=wall - sum(totals.values()),
+                                           step_us=1e6 * step / iterations))
+        split[w] = {name: {key: statistics.median(row[key] for row in runs)
+                           * (1 if key == "step_us" else 1e3) for key in runs[0]}
+                    for name, runs in rows.items()}
+        ratios = [c["step_us"] / p["step_us"] for p, c in zip(rows["parent"], rows["change"])]
+        split[w]["step_ratio"] = {"median": statistics.median(ratios),
+                                  "quartiles": statistics.quantiles(ratios, n=4),
+                                  "change_wins": sum(ratio < 1 for ratio in ratios),
+                                  "pairs": len(ratios)}
+        print(f"{w} step_us: parent {split[w]['parent']['step_us']:.1f} change "
+              f"{split[w]['change']['step_us']:.1f}; pair ratio median "
+              f"{split[w]['step_ratio']['median']:.3f}, change wins "
+              f"{split[w]['step_ratio']['change_wins']}/{len(ratios)}", file=sys.stderr)
     return split
 
 
-def run_micro(repeats: int, scratch: Path) -> dict:
+def stage_pairs(trees, scratch: Path) -> dict:
+    """`stage_split` of both checkouts, from this script's --stages mode in a
+    subprocess, over seed-1 inputs that the change's `set_up` writes in one
+    subprocess per workload first: run in the stage split's own process,
+    source training left the heap in a state that slowed the change's
+    `birnn` steps there by 12-16%, and the parent's not."""
+    for w in WORKLOADS:
+        set_up(trees["change"], w, 1, scratch / w)
+    done = subprocess.run([sys.executable, __file__, "--stages", "--scratch", str(scratch),
+                           "--parent", str(trees["parent"]), "--change", str(trees["change"])],
+                          env=dict(os.environ, **ONE_THREAD), capture_output=True, text=True)
+    sys.stderr.write(done.stderr)
+    done.check_returncode()
+    return json.loads(done.stdout)
+
+
+def run_micro(repeats: int) -> dict:
     """Timings of the imported `reprogram` package on seed-1 synthetic data."""
     import numpy as np
-    from reprogram import classifier, data
+    from reprogram import classifier, data, program
 
     source, target = data.synth_tasks(1, 2000, 6500)
     s_train, s_valid, _ = data.split(source, data.SplitSpec(0.8, 0.1, 0.1, seed=1))
     t_train, _, t_test = data.split(target, data.SplitSpec(0.78, 0.06, 0.16, seed=1))
-    stages = stage_split(scratch / "perfbench_inputs")
     rng = np.random.default_rng(1)
     theta = rng.uniform(-0.01, 0.01, size=(len(source.vocab), len(target.vocab)))
+    label_map = program.LabelMap((0, 1))
     timings = {}
     for architecture, (lr, epochs) in ARCHITECTURES.items():
         weights = classifier._init_weights(architecture, 32, 32, 2, rng)
         params = classifier.ClassifierParams(architecture, weights, 2)
         table = rng.uniform(-0.1, 0.1, size=(32, len(source.vocab)))
-        embedding = table @ theta
-        loss_grad = classifier._cross_entropy_grad
+        model = classifier.FrozenClassifier(table, params, 1)
         reprogram_batch = t_train.take(rng.choice(len(t_train), 64, replace=False))
-        source_batch = s_train.take(rng.choice(len(s_train), 32, replace=False))
-
-        def reprogram_step():
-            classifier.gradient(params, embedding, reprogram_batch.ids, reprogram_batch.lengths,
-                                reprogram_batch.labels, loss_grad)
-
-        def source_step():
-            classifier.gradient(params, table, source_batch.ids, source_batch.lengths,
-                                source_batch.labels, loss_grad, weight_grads=True)
-
-        def score_test():
-            classifier.predict(params, embedding, t_test.ids, t_test.lengths)
-
         config = classifier.TrainConfig(architecture=architecture, epochs=epochs,
                                         learning_rate=lr)
         timings[architecture] = {
-            "gradient_reprogram_batch64_ms": median_ms(reprogram_step, 50 * repeats),
-            "gradient_source_batch32_weights_ms": median_ms(source_step, 50 * repeats),
-            "predict_target_test_ms": median_ms(score_test, 5 * repeats),
+            "loss_and_grad_batch64_ms": median_ms(
+                lambda: program.loss_and_grad(theta, model, label_map, reprogram_batch),
+                50 * repeats),
+            "evaluate_target_test_ms": median_ms(
+                lambda: program.evaluate(theta, model, label_map, t_test), 5 * repeats),
             "train_source_ms": median_ms(
                 lambda: classifier.train_source(s_train, config, 1, valid=s_valid), repeats),
         }
-    return {"numpy": np.__version__, "timings": timings, "stage_split_ms": stages,
+    return {"numpy": np.__version__, "timings": timings,
             "sizes": {"target_test_rows": len(t_test), "source_train_rows": len(s_train)}}
 
 
@@ -272,27 +385,37 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-6"))
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--accuracy-seeds", type=seed_list)
+    parser.add_argument("--setup-pairs", action="store_true",
+                        help="also time perfbench's set_up alone, in alternated pairs")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_model_path.json")
     parser.add_argument("--micro", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--stages", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--scratch", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.micro:
-        if args.scratch is None:
-            parser.error("--micro needs --scratch")
-        print(json.dumps(run_micro(args.repeats, args.scratch)))
+        print(json.dumps(run_micro(args.repeats)))
         return 0
     if args.parent is None:
         parser.error("--parent is required")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.stages:
+        if args.scratch is None:
+            parser.error("--stages needs --scratch")
+        sources = {name: tree / "src" for name, tree in trees.items()}
+        print(json.dumps(stage_split(sources, args.scratch)))
+        return 0
     with tempfile.TemporaryDirectory() as scratch:
         doc = {
             "seeds": args.seeds,
             "seconds_per_run": args.seconds,
             "micro_rounds": MICRO_ROUNDS,
-            "micro_ms": micro_rounds(trees, args.repeats, Path(scratch)),
+            "micro_ms": micro_rounds(trees, args.repeats),
+            "stage_split_ms": stage_pairs(trees, Path(scratch)),
         }
     doc.update(end_to_end(trees, args.seeds, args.seconds))
+    if args.setup_pairs:
+        doc["setup_alone"] = setup_pairs(trees, args.seeds)
     doc["cores"] = {"nproc": os.cpu_count(), "usable": len(os.sched_getaffinity(0))}
     if args.accuracy_seeds:
         doc["per_seed_accuracy"] = per_seed_accuracy(trees, args.accuracy_seeds)
