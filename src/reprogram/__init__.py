@@ -19,12 +19,6 @@ from .program import (
     map_output,
     reprogram_train,
 )
-from .sparse_coding import (
-    Dictionary,
-    KsvdConfig,
-    batch_encode,
-    ksvd_dictionary_update,
-    ksvd_run,
-)
+from .sparse_coding import Dictionary, KsvdConfig, ksvd_run
 
 __version__ = "0.1.0"

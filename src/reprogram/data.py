@@ -121,7 +121,7 @@ class SequenceDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/valid/test fractions (floats summing to 1) or absolute counts."""
+    """Train/valid/test fractions: non-negative numbers summing to 1."""
 
     train: float
     valid: float
@@ -129,13 +129,10 @@ class SplitSpec:
     seed: int = 0
 
     def counts(self, size: int):
+        """Row counts of the three parts of a dataset of `size` rows."""
         parts = (self.train, self.valid, self.test)
         if min(parts) < 0:
             raise ConfigError(f"split parts must be non-negative, got {parts}")
-        if all(isinstance(p, int) for p in parts):
-            if sum(parts) > size:
-                raise ConfigError(f"split counts {parts} exceed dataset size {size}")
-            return parts
         if abs(sum(parts) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
         n_train = int(round(self.train * size))

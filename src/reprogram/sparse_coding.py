@@ -2,23 +2,20 @@
 
 Signals are coded greedily against a unit-norm dictionary until either the
 residual's l1 norm drops to epsilon or the atom budget is exhausted; the
-dictionary-update stage replaces each atom and its coefficient row with the
-leading singular pair of the atom's restricted residual.
+dictionary-update stage replaces each used atom and its coefficient row with
+the leading singular pair of the atom's restricted residual, and each unused
+atom with a poorly coded signal (K-SVD: Aharon, Elad & Bruckstein, 2006).
 
-Each signal is coded on its own; a refit solves over its support's block
-of the Gram matrix G = atoms^T atoms, formed once per call.
+Inputs are checked once, at the module's entry: `Dictionary.from_matrix`
+checks the atoms and `ksvd_run` the signals and the atom budget. The steps
+it runs each sweep, `batch_encode` and `ksvd_dictionary_update`, trust it.
 
 Update mode (`KsvdConfig.update_dictionary`) decides whether the dictionary
 itself is learned: off, the signals are coded once against the fixed
 initial atoms, since every further sweep would repeat that coding exactly;
-on, each sweep codes and then runs one k-SVD update, so the
-returned atoms may drift away from the initial ones and the codes are only
-meaningful over the returned dictionary. An atom that no signal uses is,
-as in K-SVD (Aharon, Elad & Bruckstein, 2006), replaced by the normalised
-least-represented signal: only signals whose l1 residual exceeds epsilon
-qualify, the worst goes first, and no signal fills two atoms. When no
-qualifying signal is left the atom is kept, so a dictionary that already
-codes every signal within epsilon is a fixed point of the update.
+on, each sweep codes and then runs one k-SVD update, so the returned atoms
+may drift away from the initial ones and the codes are only meaningful over
+the returned dictionary.
 """
 
 from dataclasses import dataclass
@@ -42,12 +39,15 @@ class Dictionary:
 
     @classmethod
     def from_matrix(cls, columns) -> "Dictionary":
+        """Normalize the columns of a finite matrix; a column whose norm is 0 or overflows
+        is a NumericError."""
         cols = as_matrix(columns)
         if cols.shape[0] < 1 or cols.shape[1] < 1:
             raise ShapeError("dictionary needs at least one row and one column")
-        norms = np.linalg.norm(cols, axis=0)
-        if np.any(norms == 0.0):
-            raise NumericError("dictionary has a zero column")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(cols, axis=0)
+        if not np.all((norms > 0.0) & np.isfinite(norms)):
+            raise NumericError("dictionary has a column whose norm is 0 or overflows")
         atoms = cols / norms
         atoms.flags.writeable = False
         norms.flags.writeable = False
@@ -74,8 +74,8 @@ class KsvdConfig:
     signals count as unrepresented when an unused atom is replaced.
     `update_dictionary` turns the k-SVD update on (learned atoms) or off (the
     initial atoms stay fixed). `sweeps` counts k-SVD sweeps, so it means
-    nothing over a fixed dictionary: `ksvd_run` codes once and repeats that
-    coding error for each sweep.
+    nothing over a fixed dictionary: `ksvd_run` codes once and records that
+    one coding error.
     """
 
     epsilon: float
@@ -152,17 +152,10 @@ def batch_encode(dictionary: Dictionary, signals, cfg: KsvdConfig) -> np.ndarray
     Gram block), and the refit shrinks the l2 residual. A column stops when
     the l1 norm of its residual is within cfg.epsilon, when cfg.max_atoms
     atoms are active, or when it rejects its trial atom and keeps its code.
+
+    Trusts `ksvd_run`, its one caller, to have checked `signals` and cfg.
     """
     atoms = dictionary.atoms
-    signals = as_matrix(signals)
-    if signals.shape[0] != dictionary.dim:
-        raise ShapeError(
-            f"signal length {signals.shape[0]} != dictionary dim {dictionary.dim}"
-        )
-    if cfg.max_atoms > dictionary.num_atoms:
-        raise ConfigError(f"max_atoms {cfg.max_atoms} exceeds the dictionary's "
-                          f"{dictionary.num_atoms} atoms")
-
     gram = atoms.T @ atoms
     codes = np.zeros((dictionary.num_atoms, signals.shape[1]))
     # one contiguous row per signal, as BLAS takes a vector
@@ -192,14 +185,10 @@ def ksvd_dictionary_update(dictionary: Dictionary, signals, codes, epsilon: floa
     default tolerance of 0 lets any imperfectly coded signal qualify;
     `ksvd_run` passes the coding epsilon, so signals already coded within it
     are never used as replacements.
+
+    Trusts `ksvd_run`, its one caller, for `signals` and the `codes` it built.
     """
-    signals = as_matrix(signals)
-    codes = as_matrix(codes)
     atoms = dictionary.atoms.copy()
-    if signals.shape[0] != atoms.shape[0]:
-        raise ShapeError("signals and dictionary disagree on dimension")
-    if codes.shape != (atoms.shape[1], signals.shape[1]):
-        raise ShapeError("codes shape inconsistent with dictionary and signals")
     codes = codes.copy()
 
     # Kept current as atoms change; replacing an unused atom leaves it as is
@@ -253,17 +242,23 @@ def ksvd_run(signals, init_dict: Dictionary, cfg: KsvdConfig):
     Returns the final dictionary, the final dense codes, and the Frobenius
     reconstruction error recorded after each sweep. With a fixed dictionary
     every sweep would code the same signals against the same atoms, so the
-    signals are coded once and that error stands for all cfg.sweeps sweeps.
+    signals are coded once and the trace holds that one coding's error.
+
+    Signals that are not a finite matrix of the dictionary's dim are a
+    ShapeError or NumericError, and cfg.max_atoms above the atom count is a
+    ConfigError; the per-sweep steps check nothing again.
     """
     signals = as_matrix(signals)
-    dictionary = init_dict
-    error_trace: list[float] = []
+    if signals.shape[0] != init_dict.dim:
+        raise ShapeError(f"signal length {signals.shape[0]} != dictionary dim {init_dict.dim}")
+    if cfg.max_atoms > init_dict.num_atoms:
+        raise ConfigError(f"max_atoms {cfg.max_atoms} exceeds the dictionary's "
+                          f"{init_dict.num_atoms} atoms")
+    dictionary, error_trace = init_dict, []
     for _ in range(cfg.sweeps if cfg.update_dictionary else 1):
         codes = batch_encode(dictionary, signals, cfg)
         if cfg.update_dictionary:
             dictionary, codes = ksvd_dictionary_update(dictionary, signals, codes,
                                                        epsilon=cfg.epsilon)
-        error = float(np.linalg.norm(signals - dictionary.atoms @ codes))
-        error_trace.append(error)
-    error_trace += error_trace[-1:] * (cfg.sweeps - len(error_trace))
+        error_trace.append(float(np.linalg.norm(signals - dictionary.atoms @ codes)))
     return dictionary, codes, error_trace

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,19 @@ class TestEval:
         total = sum(sum(row) for row in summary["confusion"])
         assert total == summary["num_samples"] > 0
 
+    def test_integer_split_fractions_score_every_row(self, tmp_path, source_checkpoint,
+                                                     program_path):
+        # JSON integers are fractions too: 0 / 0 / 1 puts every row in the test split
+        summaries = []
+        for parts in ((0, 0, 1), (0.0, 0.0, 1.0)):
+            path, out = tmp_path / f"{parts}.json", tmp_path / f"eval{parts}"
+            split = dict(zip(("train", "valid", "test"), parts))
+            path.write_text(json.dumps(dict(TINY, split=split)))
+            assert main(_eval_argv(str(path), source_checkpoint, program_path, out)) == 0
+            summaries.append((out / "e" / "eval_summary.json").read_text())
+        assert summaries[0] == summaries[1]
+        assert json.loads(summaries[0])["num_samples"] == TINY["data"]["target_size"]
+
 
 class TestSweeps:
     def test_sweep_data_csv(self, tmp_path, config_path, source_checkpoint):
@@ -433,6 +447,27 @@ class TestMalformedInputs:
         _exits_2_with_one_error_line(capsys, _reprogram_argv(config_path, bad, tmp_path),
                                      "bad_checkpoint.json")
 
+    @pytest.mark.parametrize("damage", [
+        # finite entries whose squared norms overflow: divided by inf norms, they give zero atoms
+        lambda e, v: [1e308 if i % 7 == 0 else x for i, x in enumerate(e)],
+        lambda e, v: [0.0 if i % v == 3 else x for i, x in enumerate(e)],  # token 3's column
+    ], ids=["overflowing_norms", "zero_column"])
+    def test_unusable_embedding_dictionary_exit_3(self, tmp_path, config_path,
+                                                  source_checkpoint, capsys, damage):
+        doc = json.loads(Path(source_checkpoint).read_text())
+        doc["embeddings"] = damage(doc["embeddings"], doc["vocab_size"])
+        bad = tmp_path / "bad_checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(_reprogram_argv(config_path, bad, tmp_path)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "runtime error: dictionary has a column whose norm is 0 or overflows"]
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "r" / "program.json").exists()
+
     def test_truncated_program_exit_2(self, tmp_path, config_path, source_checkpoint,
                                       capsys):
         cut = tmp_path / "cut_program.json"
@@ -568,7 +603,8 @@ class TestMalformedInputs:
 
     def test_label_map_missing_source_classes_exit_2(self, tmp_path, source_checkpoint,
                                                        program_path, capsys):
-        # three entries for a 2-class checkpoint; eval exited 3 from map_output
+        # three entries for a 2-class checkpoint: both commands check the map
+        # against the checkpoint's classes before they code or score anything
         cfg = json.loads(json.dumps(TINY))
         cfg["reprogram"]["label_map"] = [0, 1, 0]
         path = tmp_path / "cfg.json"

@@ -230,13 +230,10 @@ class TestSplit:
         train, valid, test = split(dataset, SplitSpec(1.0, 0.0, 0.0, seed=0))
         assert len(train) == 40 and len(valid) == 0 and len(test) == 0
 
-    def test_absolute_counts(self, dataset):
-        train, valid, test = split(dataset, SplitSpec(30, 5, 5, seed=0))
-        assert (len(train), len(valid), len(test)) == (30, 5, 5)
-
-    def test_counts_exceeding_size_rejected(self, dataset):
-        with pytest.raises(ConfigError):
-            split(dataset, SplitSpec(39, 5, 5, seed=0))
+    @pytest.mark.parametrize("parts, sizes", [((0, 0, 1), (0, 0, 40)), ((1, 0, 0), (40, 0, 0))])
+    def test_integer_parts_are_fractions(self, dataset, parts, sizes):
+        train, valid, test = split(dataset, SplitSpec(*parts, seed=0))
+        assert (len(train), len(valid), len(test)) == sizes
 
     def test_same_seed_same_partition(self, dataset):
         a = split(dataset, SplitSpec(0.6, 0.2, 0.2, seed=5))
@@ -260,7 +257,7 @@ class TestSplit:
     @pytest.mark.parametrize("parts", [(0.9, 0.2, -0.1), (1.1, -0.1, 0.0), (20, -5, 10),
                                        (-1, 0, 0)])
     def test_negative_parts_rejected(self, dataset, parts):
-        # fractions summing to 1, or counts within the size, are no excuse
+        # fractions summing to 1, or integer parts, are no excuse
         with pytest.raises(ConfigError, match="must be non-negative"):
             SplitSpec(*parts).counts(len(dataset))
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,16 @@ class TestDictionary:
         cols[:, 1] = 0.0
         with pytest.raises(NumericError):
             Dictionary.from_matrix(cols)
+
+    def test_overflowing_column_norm_rejected_without_a_warning(self):
+        # finite entries whose squares overflow: divided by an inf norm, they give a zero atom
+        cols = np.eye(3)
+        cols[:, 2] = [1e308, 1e308, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="^dictionary has a column whose norm is 0 or overflows$"):
+                Dictionary.from_matrix(cols)
 
     def test_fold_codes_recovers_raw_combination(self):
         rng = np.random.default_rng(1)
@@ -144,17 +156,19 @@ class TestOmpEncode:
             code, support = encode_one(dic, signal, cfg)
             assert residual_l1(dic, signal, code) <= 0.05 or support.size == 4
 
+    # signals are checked at the entry, ksvd_run, not by each coding step
     def test_signal_length_mismatch(self):
         rng = np.random.default_rng(8)
         dic = random_dictionary(rng, 6, 6)
-        with pytest.raises(ShapeError):
-            encode_one(dic, np.ones(5), KsvdConfig(epsilon=0.1, max_atoms=2))
+        with pytest.raises(ShapeError, match="^signal length 5 != dictionary dim 6$"):
+            ksvd_run(np.ones((5, 1)), dic, KsvdConfig(epsilon=0.1, max_atoms=2))
 
     def test_nonfinite_signal_rejected(self):
         rng = np.random.default_rng(9)
         dic = random_dictionary(rng, 4, 4)
         with pytest.raises(NumericError):
-            encode_one(dic, np.array([np.nan, 0, 0, 0]), KsvdConfig(epsilon=0.1, max_atoms=2))
+            ksvd_run(np.array([[np.nan], [0], [0], [0]]), dic,
+                     KsvdConfig(epsilon=0.1, max_atoms=2))
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
@@ -720,12 +734,6 @@ class TestKsvdDictionaryUpdate:
         picks = {int(np.argmax(unit.T @ new_dic.atoms[:, k])) for k in np.flatnonzero(changed)}
         assert len(picks) == 7
 
-    def test_shape_mismatch(self):
-        rng = np.random.default_rng(18)
-        dic = random_dictionary(rng, 6, 4)
-        with pytest.raises(ShapeError):
-            ksvd_dictionary_update(dic, np.ones((6, 8)), np.ones((3, 8)))
-
     def test_sign_convention(self):
         rng = np.random.default_rng(19)
         dic = random_dictionary(rng, 7, 4)
@@ -769,8 +777,7 @@ class TestKsvdRun:
         out_dic, codes, trace = ksvd_run(signals, dic, cfg)
         assert len(calls) == 1
         assert out_dic is dic
-        assert len(trace) == 5 and len(set(trace)) == 1
-        assert trace[0] == np.linalg.norm(signals - dic.atoms @ codes)
+        assert trace == [np.linalg.norm(signals - dic.atoms @ codes)]
 
     def test_dictionary_update_codes_every_sweep(self, monkeypatch):
         rng = np.random.default_rng(28)
@@ -780,6 +787,13 @@ class TestKsvdRun:
         calls = self.count_batch_encode(monkeypatch)
         _, _, trace = ksvd_run(signals, dic, cfg)
         assert len(calls) == 4 and len(trace) == 4
+
+    def test_max_atoms_beyond_the_dictionary_rejected(self):
+        rng = np.random.default_rng(29)
+        dic = random_dictionary(rng, 8, 10)
+        cfg = KsvdConfig(epsilon=0.05, max_atoms=11)
+        with pytest.raises(ConfigError, match="^max_atoms 11 exceeds the dictionary's 10 atoms$"):
+            ksvd_run(rng.normal(size=(8, 6)), dic, cfg)
 
     def test_planted_signals_converge(self):
         rng = np.random.default_rng(21)

@@ -36,14 +36,23 @@ holding `src/` and `perfbench/`. The script runs, in subprocesses:
   of the rest; `step_us` is `loss_and_grad` plus the loop's bookkeeping per
   outer iteration, and `step_ratio` the change/parent ratio of each pair's;
 - with `--accuracy-seeds`, one `perfbench/run.py --seconds 0` per seed and
-  checkout, for the test accuracy of the program and the source checkpoint's
-  valid accuracy.
+  checkout. From the run's `program.json`, `summary.json` and `trace.csv`
+  (under `perfbench/work/<workload>-seed<seed>-trace0/command0/`) it reports
+  per seed and checkout the test accuracy of the returned program, the range
+  of the scored validation accuracies and the non-zeros per θ column, beside
+  the source checkpoint's valid accuracy; and per seed the share of θ
+  columns whose support is equal in both checkouts and the largest
+  |θ change − θ parent| relative to the parent's largest |θ|. The test
+  accuracy of the last iterate is not reported: the run's outputs do not
+  hold it. It then applies the accuracy gate per workload (`accuracy_gate`),
+  stores the verdict, and the script exits 1 if a workload fails it.
 
 perfbench writes its artifacts to each checkout's `perfbench/work/`.
 """
 
 import argparse
 import contextlib
+import csv
 import gc
 import importlib
 import io
@@ -64,6 +73,7 @@ STAGES = ("program.reprogram_train", "program.ksvd_run", "program.loss_and_grad"
           "program.evaluate", "data.load_csv", "classifier.load_checkpoint")
 STAGE_PAIRS = 12  # alternated pairs of reprogram commands per workload in the stage split
 MICRO_ROUNDS = 2  # --micro subprocesses per checkout, alternating which goes first
+MIN_TEST_ACCURACY = {"bag_fixed_dict": 0.85}  # perfbench's own output check
 
 
 def seed_list(text):
@@ -195,20 +205,82 @@ def setup_pairs(trees, seeds) -> dict:
     return summary
 
 
+def read_run(out: Path):
+    """A `reprogram` output directory's test accuracy, scored validation
+    accuracies and θ (source tokens x target tokens)."""
+    import numpy as np
+
+    doc = json.loads((out / "program.json").read_text())
+    theta = np.array(doc["theta"]).reshape(doc["source_vocab_size"], doc["target_vocab_size"])
+    with open(out / "trace.csv", newline="") as fh:
+        valid = [float(row["valid_accuracy"]) for row in csv.DictReader(fh)
+                 if row["valid_accuracy"]]
+    return json.loads((out / "summary.json").read_text())["test_accuracy"], valid, theta
+
+
 def per_seed_accuracy(trees, seeds) -> dict:
+    """Per workload, each seed's accuracies and θ of both checkouts, compared."""
+    import numpy as np
+
     table = {}
     for w in WORKLOADS:
         rows = []
         for seed in seeds:
-            row = {"seed": seed}
+            row, thetas = {"seed": seed}, {}
             for name, tree in trees.items():
                 document = perfbench(tree, w, seed, 0)
-                row[name] = {"test_accuracy": metrics_of(document)["test_accuracy"],
+                out = tree / "perfbench" / "work" / f"{w}-seed{seed}-trace0" / "command0"
+                accuracy, valid, theta = read_run(out)
+                thetas[name] = theta
+                row[name] = {"test_accuracy": accuracy,
+                             "valid_accuracy_range": [min(valid), max(valid)],
+                             "nnz_per_column": int(np.count_nonzero(theta)) / theta.shape[1],
                              "source_valid_accuracy": document["source_valid_accuracy"]}
+            parent, change = thetas["parent"], thetas["change"]
+            equal = ((parent != 0) == (change != 0)).all(axis=0)
+            scale = np.abs(parent).max() or 1.0  # an all-zero parent θ: absolute difference
+            row["equal_support_share"] = float(equal.mean())
+            row["max_relative_theta_diff"] = float(np.abs(change - parent).max() / scale)
             rows.append(row)
             print(f"{w} seed {seed}: {row}", file=sys.stderr)
-        table[w] = rows
+        table[w] = {"seeds": rows, "gate": accuracy_gate(w, rows)}
     return table
+
+
+def accuracy_gate(w: str, rows) -> dict:
+    """The accuracy gate over one workload's seeds: no seed below the workload's
+    MIN_TEST_ACCURACY; the change's median test accuracy at least the parent's
+    minus 0.005 and its minimum at least the parent's minus 0.01; its median
+    non-zeros per column within 5% above the parent's, or lower."""
+    def values(name, key):
+        return [row[name][key] for row in rows]
+
+    accuracy = {name: values(name, "test_accuracy") for name in ("parent", "change")}
+    nnz = {name: statistics.median(values(name, "nnz_per_column")) for name in accuracy}
+    floor = MIN_TEST_ACCURACY.get(w)
+    checks = {
+        "no_seed_below_floor": floor is None or min(accuracy["change"]) >= floor,
+        "median_accuracy": (statistics.median(accuracy["change"])
+                            >= statistics.median(accuracy["parent"]) - 0.005),
+        "min_accuracy": min(accuracy["change"]) >= min(accuracy["parent"]) - 0.01,
+        "median_nnz_per_column": nnz["change"] <= 1.05 * nnz["parent"],
+    }
+    gate = {
+        "floor": floor,
+        "median_test_accuracy": {name: statistics.median(a) for name, a in accuracy.items()},
+        "min_test_accuracy": {name: min(a) for name, a in accuracy.items()},
+        "median_nnz_per_column": nnz,
+        "equal_support_share": statistics.mean(row["equal_support_share"] for row in rows),
+        "max_relative_theta_diff": max(row["max_relative_theta_diff"] for row in rows),
+        "checks": checks,
+        "passed": all(checks.values()),
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    print(f"{w} accuracy gate: {'PASSED' if gate['passed'] else 'FAILED ' + ', '.join(failed)}; "
+          f"median {gate['median_test_accuracy']}, min {gate['min_test_accuracy']}, "
+          f"nnz/column {nnz}, equal supports {gate['equal_support_share']:.1%}, "
+          f"largest relative θ difference {gate['max_relative_theta_diff']:.3g}", file=sys.stderr)
+    return gate
 
 
 def micro(tree: Path, repeats: int) -> dict:
@@ -417,10 +489,12 @@ def main(argv=None) -> int:
     if args.setup_pairs:
         doc["setup_alone"] = setup_pairs(trees, args.seeds)
     doc["cores"] = {"nproc": os.cpu_count(), "usable": len(os.sched_getaffinity(0))}
+    passed = True
     if args.accuracy_seeds:
         doc["per_seed_accuracy"] = per_seed_accuracy(trees, args.accuracy_seeds)
+        passed = all(entry["gate"]["passed"] for entry in doc["per_seed_accuracy"].values())
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return 0
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
