@@ -15,9 +15,12 @@ first layer, so `predict` folds that layer into a V x h table over a
 vocabulary embedding E and runs a dataset, a batch or a whole split, through
 it: `bag_mlp` its per-row token counts and `birnn` its right-padded token ids
 (both built once, in `data`), with no padding mask and nothing kept.
-`gradient` runs the same pass, keeping what the walk back needs, and walks
-back through the same table to dE, plus weight gradients only for source
-training. These two are the frozen model's whole interface.
+`gradient` runs the same arithmetic, keeping what the walk back needs, and
+walks back through the same table to dE, plus weight gradients only for
+source training. `birnn` scores one direction after the other, but keeps by
+stepping both directions together, time-major, over their stacked tables;
+each product and sum is the one that scoring computes, so the two agree bit
+for bit. These two are the frozen model's whole interface.
 """
 
 import json
@@ -121,61 +124,99 @@ def _backprop_bag_mlp(w, vocab_embedding, saved, dlogits, weight_grads):
 
 def _predict_birnn(w, vocab_embedding, dataset, keep=False):
     ids, lengths = dataset.ids, dataset.lengths
-    # rows sorted longest first, so the rows live at step k are the first live[k];
-    # the backward direction reads each row's ids from its last one
+    # rows sorted longest first, so the rows live at step k are the first live[k]
     order = np.argsort(-lengths, kind="stable")
     live = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0).tolist()
-    flat, first = ids.ravel(), order * ids.shape[1]
-    final, sides = [], []
-    for side, start, step in (("f", first, 1), ("b", first + lengths[order] - 1, -1)):
-        table = vocab_embedding.T @ w[f"wx_{side}"].T + w[f"b_{side}"]  # input terms
-        wh = w[f"wh_{side}"]
-        h = np.zeros((len(ids), len(wh)))
-        # kept: tokens[k, :n] and states[k + 1, :n] hold the live rows' token
-        # and state at step k; dead rows keep token 0 and state 0
-        tokens = np.zeros((len(live), len(ids)), dtype=ids.dtype) if keep else None
-        states = np.zeros((len(live) + 1, *h.shape)) if keep else None
-        for k, n in enumerate(live):
-            token = flat[start[:n] + step * k]
-            state = h[:n] @ wh.T
-            state += table.take(token, axis=0)
-            np.tanh(state, out=h[:n])
-            if keep:
-                tokens[k, :n] = token
-                states[k + 1, :n] = h[:n]
-        final.append(h)
-        sides.append((side, tokens, states))
-    final = np.concatenate(final, axis=1)
+    tables = [vocab_embedding.T @ w[f"wx_{side}"].T + w[f"b_{side}"] for side in "fb"]
+    if keep:
+        final, saved = _kept_birnn(w, tables, ids, lengths, order, live)
+    else:
+        final, saved = _scored_birnn(w, tables, ids, lengths, order, live), None
     logits = np.empty((len(ids), len(w["b_out"])))
     logits[order] = final @ w["w_out"].T + w["b_out"]
-    return logits, (order, live, final, sides) if keep else None
+    return logits, saved
+
+
+def _scored_birnn(w, tables, ids, lengths, order, live):
+    """Both directions' final states (N x 2h), one direction after the other,
+    gathering each step's tokens as it goes; the backward direction reads each
+    row's ids from its last one. Stepping the directions together, as the
+    kept pass does, would hold more than a few N x h arrays here, and at the
+    row counts scoring sees a step costs arithmetic, not calls."""
+    flat, first = ids.ravel(), order * ids.shape[1]
+    final = []
+    for table, wh, start, step in zip(tables, (w["wh_f"], w["wh_b"]),
+                                      (first, first + lengths[order] - 1), (1, -1)):
+        h = np.zeros((len(ids), len(wh)))
+        for k, n in enumerate(live):
+            state = h[:n] @ wh.T
+            state += table.take(flat[start[:n] + step * k], axis=0)
+            np.tanh(state, out=h[:n])
+        final.append(h)
+    return np.concatenate(final, axis=1)
+
+
+def _kept_birnn(w, tables, ids, lengths, order, live):
+    """Both directions stepped together, keeping what the walk back reads.
+
+    The tables stack into one (2V + 1) x h input-term table: row 0 is zero,
+    forward token v is row 1 + v and backward token v row 1 + V + v, so a
+    token past E's columns indexes past the table, as in scoring. `tokens`
+    (2 x L x N, time-major, rows longest first) holds each step's row of it,
+    the zero row at a dead slot. `states[:, k + 1, :n]` holds the live rows'
+    states after step k; states[:, 0] and dead slots stay 0.
+    """
+    vocab, hidden = len(tables[0]), len(w["wh_f"])
+    table = np.concatenate([np.zeros((1, hidden)), *tables])
+    lengths = lengths[order]
+    steps = np.arange(len(live))[:, None]
+    back = lengths - 1 - steps  # L x N, the backward direction's slot; < 0 when dead
+    flat, first = ids.ravel(), order * ids.shape[1]
+    tokens = np.stack([flat.take(first + steps) + 1,
+                       flat.take(first + np.maximum(back, 0)) + 1 + vocab])
+    tokens[:, back < 0] = 0
+    states = np.zeros((2, len(live) + 1, len(ids), hidden))
+    np.tanh(table.take(tokens[:, 0], axis=0), out=states[:, 1])  # step 0 starts from state 0
+    wh = np.stack([w["wh_f"], w["wh_b"]])
+    # each wh.T stays a transposed view: a contiguous copy rounds otherwise
+    wh_t = wh.transpose(0, 2, 1)
+    for k, n in enumerate(live[1:], 1):
+        state = np.matmul(states[:, k, :n], wh_t, out=states[:, k + 1, :n])
+        state += table.take(tokens[:, k, :n], axis=0)
+        np.tanh(state, out=state)
+    final = np.concatenate(states[:, lengths, np.arange(len(ids))], axis=1)
+    return final, (order, live, final, tokens, states, wh)
 
 
 def _backprop_birnn(w, vocab_embedding, saved, dlogits, weight_grads):
-    order, live, final, sides = saved
+    order, live, final, tokens, states, wh = saved
     dlogits = dlogits[order]  # rows longest first, as the states
-    alive = (np.arange(len(order)) < np.array(live)[:, None])[:, :, None]  # step x row x 1
-    vocab, dvocab, grads = vocab_embedding.shape[1], 0.0, {}
-    for dh, (side, tokens, states) in zip(np.hsplit(dlogits @ w["w_out"], 2), sides):
-        wh, hidden, dh = w[f"wh_{side}"], states.shape[2], dh.copy()
-        # pre-activation gradients: tanh' at each live step's state, times dh
-        da = np.square(states[1:])
-        np.subtract(1.0, da, out=da)
-        da *= alive
-        for k, n in reversed(list(enumerate(live))):
-            da[k, :n] *= dh[:n]
-            np.matmul(da[k, :n], wh, out=dh[:n])
-        # scatter-add each step into its token's row of the input-term table
-        slots = (tokens[:, :, None] * hidden + np.arange(hidden)).ravel()
-        dtable = np.bincount(slots, weights=da.ravel(),
-                             minlength=vocab * hidden).reshape(vocab, hidden)
-        dvocab = dvocab + w[f"wx_{side}"].T @ dtable.T
-        if weight_grads:
-            grads[f"wx_{side}"] = dtable.T @ vocab_embedding.T
-            grads[f"wh_{side}"] = np.tensordot(da, states[:-1], axes=([0, 1], [0, 1]))
-            grads[f"b_{side}"] = dtable.sum(axis=0)
+    vocab, hidden = vocab_embedding.shape[1], states.shape[3]
+    dh = (dlogits @ w["w_out"]).reshape(-1, 2, hidden).transpose(1, 0, 2).copy()
+    # pre-activation gradients: tanh' at each live step's state, times dh; the
+    # product at step 0 would feed a step that does not exist
+    da = np.square(states[:, 1:])
+    np.subtract(1.0, da, out=da)
+    for k in range(len(live) - 1, 0, -1):
+        n = live[k]
+        da[:, k, :n] *= dh[:, :n]
+        np.matmul(da[:, k, :n], wh, out=dh[:, :n])
+    da[:, 0] *= dh
+    # scatter-add each step into its token's row of the stacked input-term
+    # table; dead slots land in the zero row, which is dropped
+    size = (2 * vocab + 1) * hidden
+    slots = np.arange(size).reshape(-1, hidden).take(tokens, axis=0)
+    dtable = np.bincount(slots.ravel(), weights=da.ravel(), minlength=size).reshape(-1, hidden)
+    dtables = dtable[1:vocab + 1], dtable[vocab + 1:]
+    dvocab = w["wx_f"].T @ dtables[0].T + w["wx_b"].T @ dtables[1].T
     if not weight_grads:
         return dvocab, None
+    da[tokens == 0] = 0.0  # tensordot reads every slot
+    grads = {}
+    for side, dtable, da_side, states_side in zip("fb", dtables, da, states):
+        grads[f"wx_{side}"] = dtable.T @ vocab_embedding.T
+        grads[f"wh_{side}"] = np.tensordot(da_side, states_side[:-1], axes=([0, 1], [0, 1]))
+        grads[f"b_{side}"] = dtable.sum(axis=0)
     return dvocab, {**grads, "w_out": dlogits.T @ final, "b_out": dlogits.sum(axis=0)}
 
 
@@ -191,8 +232,9 @@ def predict(params: ClassifierParams, vocab_embedding, dataset) -> np.ndarray:
     layer is folded into a V x h table once. `bag_mlp` pools it through the
     dataset's per-row token `counts`, in blocks of rows whose counts fit in
     N x h or in the V x h table; `birnn` steps the padded `ids` longest row
-    first, so each step updates only the leading rows still live. Memory
-    stays the table and a few N x h arrays, never N x L x d.
+    first, one direction after the other, so each step updates only the
+    leading rows still live. Memory stays the table and a few N x h arrays,
+    never N x L x d.
     """
     return _PASSES[params.architecture][0](params.weights, vocab_embedding, dataset)[0]
 
@@ -202,8 +244,9 @@ def gradient(params: ClassifierParams, vocab_embedding, dataset, loss_grad,
     """Summed loss, dE and (if asked) weight gradients of a dataset, such as a batch.
 
     The forward half is `predict`'s pass, bit for bit, keeping what the walk
-    back needs: `bag_mlp` its hidden states, `birnn` each step's live states
-    (L x N x h per direction). `loss_grad(logits, labels)` gives the summed
+    back needs: `bag_mlp` its hidden states, `birnn` each step's states
+    (2 x L x N x h, longest row first), both directions stepped together and
+    walked back together. `loss_grad(logits, labels)` gives the summed
     loss at the dataset's labels and its gradient with respect to the
     logits. Both halves go through the folded table, so dE = W^T dtable^T.
     """

@@ -135,6 +135,16 @@ class TestForward:
         with pytest.raises(ValueError, match="mismatch"):
             predict(model.params, model.embeddings, row)
 
+    def test_birnn_token_without_a_column_rejected(self):
+        # a token past E's columns is never read as some other token's terms
+        rng = np.random.default_rng(3)
+        model = make_model(rng, vocab=5, architecture="birnn")
+        row = as_dataset([[0, 5, 1]], [3], 6)
+        with pytest.raises(IndexError):
+            predict(model.params, model.embeddings, row)
+        with pytest.raises(IndexError):
+            gradient(model.params, model.embeddings, row, _cross_entropy_grad)
+
     def test_evaluate_source_rejects_empty_or_foreign_dataset(self):
         rng = np.random.default_rng(3)
         model = make_model(rng)
@@ -427,6 +437,98 @@ class TestPredict:
         # a few N x h float64 arrays: never N x L x h, and a bag_mlp's N x V
         # token counts, cast to float64, no larger than its N x h state
         assert peak <= 5 * n * hidden * 8
+
+
+def reference_birnn_gradient(w, vocab_embedding, dataset, loss_grad, weight_grads):
+    """`gradient` of a `birnn` one direction at a time, as the package once
+    computed it: each step gathers its tokens and copies its states, and the
+    walk back masks dead slots and scatters them into token 0 as zeros."""
+    ids, lengths = dataset.ids, dataset.lengths
+    order = np.argsort(-lengths, kind="stable")
+    live = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0).tolist()
+    flat, first = ids.ravel(), order * ids.shape[1]
+    final, sides = [], []
+    for side, start, step in (("f", first, 1), ("b", first + lengths[order] - 1, -1)):
+        table = vocab_embedding.T @ w[f"wx_{side}"].T + w[f"b_{side}"]
+        wh = w[f"wh_{side}"]
+        h = np.zeros((len(ids), len(wh)))
+        tokens = np.zeros((len(live), len(ids)), dtype=ids.dtype)
+        states = np.zeros((len(live) + 1, *h.shape))
+        for k, n in enumerate(live):
+            token = flat[start[:n] + step * k]
+            state = h[:n] @ wh.T
+            state += table.take(token, axis=0)
+            np.tanh(state, out=h[:n])
+            tokens[k, :n] = token
+            states[k + 1, :n] = h[:n]
+        final.append(h)
+        sides.append((side, tokens, states))
+    final = np.concatenate(final, axis=1)
+    logits = np.empty((len(ids), len(w["b_out"])))
+    logits[order] = final @ w["w_out"].T + w["b_out"]
+    loss, dlogits = loss_grad(logits, dataset.labels)
+
+    dlogits = dlogits[order]
+    alive = (np.arange(len(order)) < np.array(live)[:, None])[:, :, None]
+    vocab, dvocab, grads = vocab_embedding.shape[1], 0.0, {}
+    for dh, (side, tokens, states) in zip(np.hsplit(dlogits @ w["w_out"], 2), sides):
+        wh, hidden, dh = w[f"wh_{side}"], states.shape[2], dh.copy()
+        da = np.square(states[1:])
+        np.subtract(1.0, da, out=da)
+        da *= alive
+        for k, n in reversed(list(enumerate(live))):
+            da[k, :n] *= dh[:n]
+            np.matmul(da[k, :n], wh, out=dh[:n])
+        slots = (tokens[:, :, None] * hidden + np.arange(hidden)).ravel()
+        dtable = np.bincount(slots, weights=da.ravel(),
+                             minlength=vocab * hidden).reshape(vocab, hidden)
+        dvocab = dvocab + w[f"wx_{side}"].T @ dtable.T
+        if weight_grads:
+            grads[f"wx_{side}"] = dtable.T @ vocab_embedding.T
+            grads[f"wh_{side}"] = np.tensordot(da, states[:-1], axes=([0, 1], [0, 1]))
+            grads[f"b_{side}"] = dtable.sum(axis=0)
+    if not weight_grads:
+        return loss, dvocab, None
+    return loss, dvocab, {**grads, "w_out": dlogits.T @ final, "b_out": dlogits.sum(axis=0)}
+
+
+@st.composite
+def birnn_batches(draw):
+    """1-100 rows of 1 to `longest` tokens over V = 1-8 or 200 tokens, lengths
+    tying whenever there are more than `longest` rows (at `longest` 1, every
+    row is a single token); sometimes a batch cut from them by `take`."""
+    n, longest = draw(st.integers(1, 100)), draw(st.integers(1, 9))
+    vocab = draw(st.one_of(st.integers(1, 8), st.just(200)))
+    lengths = draw(st.lists(st.integers(1, longest), min_size=n, max_size=n))
+    total = sum(lengths)
+    tokens = draw(st.lists(st.integers(0, vocab - 1), min_size=total, max_size=total))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    dataset = SequenceDataset.from_tokens(tokens, lengths, labels,
+                                          Vocab.from_tokens(range(vocab)), (0, 1))
+    rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    return dataset if rows is None else dataset.take(rows)
+
+
+class TestKeptPass:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(dataset=birnn_batches(), seed=st.integers(0, 2**32 - 1))
+    def test_gradient_equals_the_per_direction_reference(self, dataset, seed):
+        # both directions stepped together give the same bits as one at a time
+        rng = np.random.default_rng(seed)
+        model = make_model(rng, vocab=len(dataset.vocab), architecture="birnn")
+        args = model.params, model.embeddings, dataset, _cross_entropy_grad
+        for weight_grads in (False, True):
+            loss, dvocab, grads = gradient(*args, weight_grads=weight_grads)
+            ref_loss, ref_dvocab, ref_grads = reference_birnn_gradient(
+                model.params.weights, *args[1:], weight_grads)
+            assert loss == ref_loss
+            assert dvocab.tobytes() == ref_dvocab.tobytes()
+            if weight_grads:
+                assert list(grads) == list(ref_grads)
+                for name, ref in ref_grads.items():
+                    assert grads[name].tobytes() == ref.tobytes(), name
+            else:
+                assert grads is None
 
 
 @pytest.fixture(scope="module")

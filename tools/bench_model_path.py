@@ -11,7 +11,9 @@ holding `src/` and `perfbench/`. The script runs, in subprocesses:
   ratio of each pair and the pairs the change wins. It prints, per workload
   and metric, the verdict of the rule for a claimed gain: the change wins at
   least 9 in 10 pairs (ties count for neither), and the medians differ by
-  more than the parent's interquartile range;
+  more than the parent's interquartile range. Beside each checkout's HEAD
+  commit and source digest it records whether its `src/` differs from that
+  HEAD, as a change not yet committed does;
 - with `--setup-pairs`, perfbench's `set_up` alone, timed in one subprocess
   per call for each of `--seeds`, alternating which checkout goes first, and
   reported and judged as the end-to-end metrics are (`setup_alone_s`);
@@ -139,6 +141,15 @@ def metrics_of(document) -> dict:
     return {name: m["value"] for name, m in document["result"]["metrics"].items()}
 
 
+def src_differs_from_head(tree: Path):
+    """Whether tree's `src/` holds edits or untracked files against that
+    checkout's HEAD, which perfbench's `git_commit` names either way; None
+    where git cannot say."""
+    done = subprocess.run(["git", "-C", str(tree), "status", "--porcelain", "--", "src"],
+                          capture_output=True, text=True)
+    return bool(done.stdout.strip()) if done.returncode == 0 else None
+
+
 def end_to_end(trees, seeds, seconds) -> dict:
     runs = {name: {w: [] for w in WORKLOADS} for name in trees}
     environment, sources = None, {}
@@ -155,6 +166,8 @@ def end_to_end(trees, seeds, seconds) -> dict:
                                           attempted=document["result"]["attempted"]))
                 print(f"{w} seed {seed} {name}: run_s {runs[name][w][-1]['run_s']:.3f} "
                       f"setup_s {runs[name][w][-1]['setup_s']:.3f}", file=sys.stderr)
+    for name, tree in trees.items():
+        sources[name]["src_differs_from_head"] = src_differs_from_head(tree)
     summary, better = {}, directions()
     for w in WORKLOADS:
         parent, change = runs["parent"][w], runs["change"][w]
