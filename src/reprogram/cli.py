@@ -195,7 +195,7 @@ def cmd_reprogram(cfg, source_checkpoint, out_dir) -> int:
     summary = {
         "test_accuracy": test_acc,
         "confusion": confusion.tolist(),
-        "ksvd_iterations": rcfg.ksvd.sweeps,
+        "ksvd_iterations": rcfg.ksvd.codings,
         "epsilon": rcfg.ksvd.epsilon,
         "seed": cfg["seed"],
     }

@@ -75,7 +75,7 @@ class KsvdConfig:
     `update_dictionary` turns the k-SVD update on (learned atoms) or off (the
     initial atoms stay fixed). `sweeps` counts k-SVD sweeps, so it means
     nothing over a fixed dictionary: `ksvd_run` codes once and records that
-    one coding error.
+    one coding error (`codings`).
     """
 
     epsilon: float
@@ -90,6 +90,12 @@ class KsvdConfig:
             raise ConfigError("max_atoms must be non-negative")
         if self.sweeps < 1:
             raise ConfigError("sweeps must be at least 1")
+
+    @property
+    def codings(self) -> int:
+        """How many times `ksvd_run` codes the signals: once per sweep when the
+        dictionary is learned, once in all over a fixed one."""
+        return self.sweeps if self.update_dictionary else 1
 
 
 # A trial atom whose Schur complement s (its squared sine to the support's
@@ -197,26 +203,17 @@ def ksvd_dictionary_update(dictionary: Dictionary, signals, codes, epsilon: floa
     supports = codes != 0
     in_use = supports.any(axis=1)
     taken = np.zeros(signals.shape[1], dtype=bool)
-    # The residual norms (taken signals at -inf), and whether none of them
-    # qualifies, hold until a used atom's update moves the residual.
-    errors, exhausted = None, False
     for k in range(atoms.shape[1]):
         if not in_use[k]:
-            if exhausted:
-                continue
-            if errors is None:
-                errors = np.sum(np.abs(residual), axis=0)
-                errors[taken] = -np.inf
+            errors = np.sum(np.abs(residual), axis=0)
+            errors[taken] = -np.inf
             worst = int(np.argmax(errors))
-            if not errors[worst] > epsilon:
-                exhausted = True
-                continue
-            taken[worst] = True
-            errors[worst] = -np.inf
-            column = signals[:, worst]
-            norm = np.linalg.norm(column)
-            if norm > 0:
-                atoms[:, k] = column / norm
+            if errors[worst] > epsilon:
+                taken[worst] = True
+                column = signals[:, worst]
+                norm = np.linalg.norm(column)
+                if norm > 0:
+                    atoms[:, k] = column / norm
             continue
         used = np.flatnonzero(supports[k])
         # Residual with atom k removed, restricted to the signals that use it.
@@ -255,7 +252,7 @@ def ksvd_run(signals, init_dict: Dictionary, cfg: KsvdConfig):
         raise ConfigError(f"max_atoms {cfg.max_atoms} exceeds the dictionary's "
                           f"{init_dict.num_atoms} atoms")
     dictionary, error_trace = init_dict, []
-    for _ in range(cfg.sweeps if cfg.update_dictionary else 1):
+    for _ in range(cfg.codings):
         codes = batch_encode(dictionary, signals, cfg)
         if cfg.update_dictionary:
             dictionary, codes = ksvd_dictionary_update(dictionary, signals, codes,

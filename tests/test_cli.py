@@ -241,6 +241,18 @@ class TestReprogram:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "program.json").read_bytes() == (out2 / "program.json").read_bytes()
 
+    @pytest.mark.parametrize("update, codings",
+                             [(False, 1), (True, TINY["reprogram"]["ksvd"]["sweeps"])])
+    def test_ksvd_iterations_counts_the_codings(self, tmp_path, source_checkpoint,
+                                                update, codings):
+        """A fixed dictionary is coded once whatever `sweeps` says; a learned
+        one once per sweep."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_with(TINY, "reprogram.ksvd.update_dictionary", update)))
+        assert main(_reprogram_argv(path, source_checkpoint, tmp_path)) == 0
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert summary["ksvd_iterations"] == codings
+
     def test_empty_test_split_exit_2(self, tmp_path, capsys, source_checkpoint):
         path, out = tmp_path / "cfg.json", tmp_path / "out"
         path.write_text(json.dumps(dict(TINY, split={"train": 0.8, "valid": 0.2, "test": 0.0})))
