@@ -301,11 +301,11 @@ def train_source(train, config: TrainConfig, seed: int, valid=None):
     n = len(train)
     lr = config.learning_rate
     for epoch in range(1, config.epochs + 1):
-        order, loss = rng.permutation(n), 0.0
+        shuffled, loss = train.take(rng.permutation(n)), 0.0
         # a step that overflows is caught once, by the check after the epoch
         with np.errstate(all="ignore"):
             for start in range(0, n, config.batch_size):
-                batch = train.take(order[start : start + config.batch_size])
+                batch = shuffled.take(slice(start, start + config.batch_size))
                 part, dtable, grads = gradient(params, table, batch, _cross_entropy_grad,
                                                weight_grads=True)
                 loss += part
@@ -358,7 +358,7 @@ def save_checkpoint(model: FrozenClassifier, path) -> None:
         },
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))  # dumps, unlike dump, uses the C encoder
 
 
 def load_checkpoint(path) -> FrozenClassifier:

@@ -110,12 +110,16 @@ class SequenceDataset:
         return float(np.max(counts)) / len(self)
 
     def take(self, indices) -> "SequenceDataset":
-        """The rows at `indices`, sliced from this dataset's checked arrays;
-        their ids are trimmed to the subset's own longest row."""
-        rows = np.asarray(indices, dtype=np.intp)
-        lengths = self.lengths.take(rows)
-        return type(self)(self.ids.take(rows, axis=0)[:, : lengths.max(initial=0)], lengths,
-                          self.labels.take(rows), self.counts.take(rows, axis=0), self.vocab,
+        """The rows at `indices`, an index array or a slice, from this dataset's
+        checked arrays; their ids are trimmed to the subset's own longest row.
+        A slice is a view of these arrays, an index array a copy."""
+        arrays = (self.ids, self.lengths, self.labels, self.counts)
+        if isinstance(indices, slice):
+            ids, lengths, labels, counts = (array[indices] for array in arrays)
+        else:
+            rows = np.asarray(indices, dtype=np.intp)
+            ids, lengths, labels, counts = (array.take(rows, axis=0) for array in arrays)
+        return type(self)(ids[:, : lengths.max(initial=0)], lengths, labels, counts, self.vocab,
                           self.class_names)
 
 
@@ -219,10 +223,15 @@ def load_csv(path, sequence_column="sequence", label_column="label") -> Sequence
             raise DataFormatError(f"{path}: {exc}") from exc
     if not sequences:
         raise DataFormatError(f"{path}: no data rows")
-    # the vocabulary in code-point order; searchsorted needs a third of return_inverse's memory
+    # the vocabulary in code-point order, from a table of the code points present
+    # (at most 0x110000 bytes), and each token's id by one gather from it
     points = np.frombuffer("".join(sequences).encode("utf-32-le"), dtype=np.uint32)
-    alphabet = np.unique(points)
-    tokens = np.searchsorted(alphabet, points)
+    present = np.zeros(int(points.max()) + 1, dtype=bool)
+    present[points] = True
+    alphabet = np.flatnonzero(present)
+    lut = np.zeros(present.size, dtype=np.min_scalar_type(alphabet.size - 1))
+    lut[alphabet] = np.arange(alphabet.size)
+    tokens = lut[points]
     lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
     vocab = Vocab.from_tokens(map(chr, alphabet.tolist()))
     return SequenceDataset.from_tokens(tokens, lengths, labels, vocab, tuple(classes))

@@ -21,6 +21,7 @@ check once that theta, model, label map and data fit and the data is non-empty.
 import csv
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,11 @@ class LabelMap:
         if targets != expected:
             raise ConfigError("label map must be surjective onto 0..max target class")
 
+    @cached_property
+    def _targets(self) -> np.ndarray:
+        """`source_to_target` as an array, built once per map."""
+        return np.array(self.source_to_target)
+
     @property
     def num_source_classes(self) -> int:
         return len(self.source_to_target)
@@ -67,7 +73,7 @@ class LabelMap:
         agree bit for bit.
         """
         p = softmax(logits)
-        hits = np.array(self.source_to_target) == labels[:, None]
+        hits = self._targets == labels[:, None]
         target = np.where(hits, p, 0.0).cumsum(axis=1)[:, -1]
         dlogits = p - np.where(hits, p / target[:, None], 0.0)
         return float(-np.log(target).sum()), dlogits
@@ -248,17 +254,17 @@ def reprogram_train(model: FrozenClassifier, label_map: LabelMap, train, valid,
         model = replace(model, embeddings=dictionary.atoms)  # read-only, as ksvd_run leaves it
     rng = np.random.default_rng(cfg.seed)
 
-    order = np.empty(0, dtype=np.intp)
+    shuffled, start = train, len(train)  # each epoch's rows, permuted once
     trace = []
     best_acc = -1.0
     last = cfg.outer_iterations - 1
     stride = max(1, cfg.outer_iterations // VALIDATIONS)
 
     for it in range(cfg.outer_iterations):
-        if not order.size:
-            order = rng.permutation(len(train))
-        batch = train.take(order[: cfg.batch_size])
-        order = order[cfg.batch_size :]
+        if start >= len(train):
+            shuffled, start = train.take(rng.permutation(len(train))), 0
+        batch = shuffled.take(slice(start, start + cfg.batch_size))
+        start += cfg.batch_size
 
         loss, grad = loss_and_grad(theta, model, label_map, batch)
         theta = theta - cfg.step_at(it) * np.where(support, grad, 0.0)
@@ -306,7 +312,7 @@ def save_program(program: AdversarialProgram, path) -> None:
             "data": program.source_basis.ravel().tolist(),
         }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))  # dumps, unlike dump, uses the C encoder
 
 
 def load_program(path) -> AdversarialProgram:

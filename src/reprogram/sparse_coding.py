@@ -223,7 +223,6 @@ def ksvd_dictionary_update(dictionary: Dictionary, signals, codes, epsilon: floa
         atoms[:, k] = atom
         codes[k, used] = row
         residual[:, used] = restricted - np.outer(atom, row)
-        errors, exhausted = None, False
 
     # Every column is unit-norm already; normalising again would move kept
     # atoms in their last bits.

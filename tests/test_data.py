@@ -168,8 +168,9 @@ def dictreader_load(path):
     return ids, lengths, labels, tuple(vocab), tuple(class_names)
 
 
-# ASCII, Latin-1, a fullwidth letter, an astral emoji, NUL, and what CSV quotes
-_CHARS = 'AB,"\n\r \u00e9\uFF21\U0001F600\x00'
+# ASCII, Latin-1, a fullwidth letter, an astral emoji, the largest code point,
+# NUL, and what CSV quotes
+_CHARS = 'AB,"\n\r \u00e9\uFF21\U0001F600\U0010FFFF\x00'
 
 
 @st.composite
@@ -465,6 +466,21 @@ class TestTake:
         assert len(subset) == 0 and subset.labels.shape == (0,)
         assert subset.labels.dtype == np.int32
         assert subset.ids.shape == (0, 0) and subset.lengths.shape == (0,)
+
+    @pytest.mark.parametrize("rows", [slice(7, 7), slice(7, 8), slice(5056, 5070)])
+    def test_a_slice_equals_its_index_range(self, rows):
+        # 5070 rows, as the acceptance train split, whose last batch of 64 has
+        # 14 rows; row 0 is the longest, so a slice without it is trimmed
+        rng = np.random.default_rng(0)
+        seqs = [[0] * 20] + [rng.integers(0, 3, rng.integers(1, 11)).tolist()
+                             for _ in range(5069)]
+        ds = SequenceDataset.from_sequences(seqs, [i % 2 for i in range(5070)],
+                                            Vocab.from_tokens("abc"), ("x", "y"))
+        taken = ds.take(rows)
+        assert_same(taken, ds.take(np.arange(5070)[rows]))
+        assert taken.ids.shape[1] == taken.lengths.max(initial=0) < ds.ids.shape[1]
+        for array in (taken.ids, taken.lengths, taken.labels, taken.counts):
+            assert not array.flags.writeable
 
     def test_out_of_range_index_raises(self):
         with pytest.raises(IndexError):

@@ -13,10 +13,11 @@ holding `src/` and `perfbench/`. The script runs, in subprocesses:
   wall time and of the self time (its time less that of the stages it
   calls) of `program.reprogram_train` (the loop's own bookkeeping),
   `program.ksvd_run`, `program.loss_and_grad`, `program.evaluate` (the
-  loop's validations and the test split's score), `data.load_csv` and
-  `classifier.load_checkpoint`, each wrapped from outside the package, and
-  of the rest; `step_us` is `loss_and_grad` plus the loop's bookkeeping per
-  outer iteration, and `step_ratio` the change/parent ratio of each pair's;
+  loop's validations and the test split's score), `data.load_csv`,
+  `classifier.load_checkpoint` and `program.save_program`, each wrapped from
+  outside the package, and of the rest; `step_us` is `loss_and_grad` plus
+  the loop's bookkeeping per outer iteration, and `step_ratio` the
+  change/parent ratio of each pair's;
 - one `perfbench/run.py --trace 0` per workload, seed of `--seeds` and
   checkout, alternating which checkout goes first from seed to seed. It
   reports each metric's median per checkout, the parent's quartiles, the
@@ -65,7 +66,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bag_fixed_dict", "birnn_fixed_dict")
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 STAGES = ("program.reprogram_train", "program.ksvd_run", "program.loss_and_grad",
-          "program.evaluate", "data.load_csv", "classifier.load_checkpoint")
+          "program.evaluate", "data.load_csv", "classifier.load_checkpoint",
+          "program.save_program")
 STAGE_PAIRS = 12  # alternated pairs of reprogram commands per workload in the stage split
 
 
