@@ -58,8 +58,12 @@ def _accepts(kind, value) -> bool:
     return type(value) is kind
 
 
-def _check_keys(doc, defaults, prefix=""):
-    """Reject unknown keys and values of the wrong type by walking the defaults tree."""
+def _merge(defaults, doc, prefix=""):
+    """`defaults` filled in from a config document, with a new dict for every
+    section. `doc` is walked in document order, depth first: the first
+    unknown key or value of the wrong type met is a ConfigError."""
+    out = {key: _merge(value, {}) if isinstance(value, dict) else value
+           for key, value in defaults.items()}
     for key, value in doc.items():
         name = prefix + key
         if key not in defaults:
@@ -68,17 +72,7 @@ def _check_keys(doc, defaults, prefix=""):
         kind, null = (_NULLABLE[name], " or null") if default is None else (type(default), "")
         if not (null and value is None) and not _accepts(kind, value):
             raise ConfigError(f"config key {name!r} must be {_KINDS[kind]}{null}")
-        if isinstance(default, dict):
-            _check_keys(value, default, prefix=f"{name}.")
-
-
-def _merge(defaults, doc):
-    out = {}
-    for key, value in defaults.items():
-        if isinstance(value, dict):
-            out[key] = _merge(value, doc.get(key, {}))
-        else:
-            out[key] = doc.get(key, value)
+        out[key] = _merge(default, value, f"{name}.") if kind is dict else value
     return out
 
 
@@ -89,10 +83,8 @@ def load_config(path) -> dict:
     doc = data.read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
-    _check_keys(doc, _DEFAULTS)
     cfg = _merge(_DEFAULTS, doc)
-    for key in ("source_path", "target_path"):
-        value = cfg["data"].get(key)
+    for value in (cfg["data"]["source_path"], cfg["data"]["target_path"]):
         if value is not None and not os.path.exists(value):
             raise ConfigError(f"dataset path does not exist: {value}")
     return cfg
@@ -106,10 +98,10 @@ def _datasets(cfg, with_source=True):
         return data.synth_tasks(cfg["seed"], dcfg["source_size"], dcfg["target_size"])
     if dcfg["mode"] == "csv":
         source = None
-        if with_source and dcfg.get("source_path"):
+        if with_source and dcfg["source_path"]:
             source = data.load_csv(dcfg["source_path"], dcfg["sequence_column"],
                                    dcfg["label_column"])
-        if not dcfg.get("target_path"):
+        if not dcfg["target_path"]:
             raise ConfigError("csv mode requires data.target_path")
         target = data.load_csv(dcfg["target_path"], dcfg["sequence_column"],
                                dcfg["label_column"])
@@ -117,27 +109,15 @@ def _datasets(cfg, with_source=True):
     raise ConfigError(f"unknown data mode {dcfg['mode']!r}")
 
 
-def _split_spec(cfg):
-    s = cfg["split"]
-    return data.SplitSpec(train=s["train"], valid=s["valid"], test=s["test"],
-                          seed=s["seed"])
-
-
 def _target_splits(cfg):
     """The target's (train, valid, test) splits; the full dataset is not kept."""
     _, target = _datasets(cfg, with_source=False)
-    return data.split(target, _split_spec(cfg))
-
-
-def _train_config(cfg):
-    return classifier.TrainConfig(**cfg["train"])
+    return data.split(target, data.SplitSpec(**cfg["split"]))
 
 
 def _reprogram_config(cfg):
-    r = dict(cfg["reprogram"])
-    r.pop("label_map")
-    ksvd = KsvdConfig(**r.pop("ksvd"))
-    return program.ReprogramConfig(ksvd=ksvd, seed=cfg["seed"], **r)
+    r = {key: value for key, value in cfg["reprogram"].items() if key != "label_map"}
+    return program.ReprogramConfig(**dict(r, ksvd=KsvdConfig(**r["ksvd"]), seed=cfg["seed"]))
 
 
 def _label_map(cfg, target):
@@ -156,19 +136,28 @@ def _write_json(doc, path):
         fh.write("\n")
 
 
-def cmd_train_source(cfg, out_dir) -> int:
+def _write_table(header, rows, path):
+    """A sweep's CSV: the header, then per row its first entry and the repr of the rest."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([first, *map(repr, rest)] for first, *rest in rows)
+    print(f"wrote {path}")
+
+
+def cmd_train_source(cfg, args) -> int:
     source, _ = _datasets(cfg)
     if source is None:
         raise ConfigError("train-source needs a source dataset (data.source_path)")
-    train, valid, test = data.split(source, _split_spec(cfg))
-    model, report = classifier.train_source(train, _train_config(cfg), cfg["seed"],
-                                            valid=valid)
+    train, valid, test = data.split(source, data.SplitSpec(**cfg["split"]))
+    model, report = classifier.train_source(train, classifier.TrainConfig(**cfg["train"]),
+                                            cfg["seed"], valid=valid)
     report["test_accuracy"] = classifier.evaluate_source(model, test)
-    ckpt = os.path.join(out_dir, "source_checkpoint.json")
+    ckpt = os.path.join(args.out, "source_checkpoint.json")
     classifier.save_checkpoint(model, ckpt)
     report["checkpoint"] = os.path.basename(ckpt)
     report["seed"] = cfg["seed"]
-    _write_json(report, os.path.join(out_dir, "train_source_report.json"))
+    _write_json(report, os.path.join(args.out, "train_source_report.json"))
     print(f"train accuracy:          {report['train_accuracy']:.4f}")
     print(f"valid accuracy:          {report['valid_accuracy']:.4f}")
     print(f"test accuracy:           {report['test_accuracy']:.4f}")
@@ -184,14 +173,14 @@ def _run_reprogram(rcfg, model, label_map, splits):
     return prog, trace, test_acc, confusion
 
 
-def cmd_reprogram(cfg, source_checkpoint, out_dir) -> int:
-    model = classifier.load_checkpoint(source_checkpoint)
+def cmd_reprogram(cfg, args) -> int:
+    model = classifier.load_checkpoint(args.source_checkpoint)
     splits = _target_splits(cfg)
     label_map = _label_map(cfg, splits[0])
     rcfg = _reprogram_config(cfg)
     prog, trace, test_acc, confusion = _run_reprogram(rcfg, model, label_map, splits)
-    program.save_program(prog, os.path.join(out_dir, "program.json"))
-    program.trace_to_csv(trace, os.path.join(out_dir, "trace.csv"))
+    program.save_program(prog, os.path.join(args.out, "program.json"))
+    program.trace_to_csv(trace, os.path.join(args.out, "trace.csv"))
     summary = {
         "test_accuracy": test_acc,
         "confusion": confusion.tolist(),
@@ -199,27 +188,28 @@ def cmd_reprogram(cfg, source_checkpoint, out_dir) -> int:
         "epsilon": rcfg.ksvd.epsilon,
         "seed": cfg["seed"],
     }
-    _write_json(summary, os.path.join(out_dir, "summary.json"))
+    _write_json(summary, os.path.join(args.out, "summary.json"))
     print(f"test accuracy: {test_acc:.4f}")
     print(f"confusion: {confusion.tolist()}")
     return 0
 
 
-def cmd_eval(cfg, program_path, source_checkpoint, out_dir) -> int:
-    model = classifier.load_checkpoint(source_checkpoint)
-    prog = program.load_program(program_path)
+def cmd_eval(cfg, args) -> int:
+    model = classifier.load_checkpoint(args.source_checkpoint)
+    prog = program.load_program(args.program)
     _, _, test = _target_splits(cfg)
     accuracy, confusion = program.evaluate_program(prog, model, _label_map(cfg, test), test)
     summary = {"accuracy": accuracy, "confusion": confusion.tolist(),
                "num_samples": len(test)}
-    _write_json(summary, os.path.join(out_dir, "eval_summary.json"))
+    _write_json(summary, os.path.join(args.out, "eval_summary.json"))
     print(f"accuracy: {accuracy:.4f}")
     print(f"confusion: {confusion.tolist()}")
     return 0
 
 
-def cmd_sweep_data(cfg, grid, source_checkpoint, out_dir) -> int:
-    model = classifier.load_checkpoint(source_checkpoint)
+def cmd_sweep_data(cfg, args) -> int:
+    grid = _parse_grid(args.grid)
+    model = classifier.load_checkpoint(args.source_checkpoint)
     train, valid, test = _target_splits(cfg)
     if max(grid) > len(train):
         raise ConfigError(f"grid entry {max(grid)} exceeds training size {len(train)}")
@@ -230,24 +220,19 @@ def cmd_sweep_data(cfg, grid, source_checkpoint, out_dir) -> int:
         subset = data.subsample(train, n, cfg["seed"])
         prog, _ = program.reprogram_train(model, label_map, subset, valid, rcfg)
         rp_acc, _ = program.evaluate_program(prog, model, label_map, test)
-        scratch_model, _ = classifier.train_source(
-            subset, _train_config(cfg), cfg["seed"], valid=valid
-        )
+        scratch_model, _ = classifier.train_source(subset, classifier.TrainConfig(**cfg["train"]),
+                                                   cfg["seed"], valid=valid)
         scratch_acc = classifier.evaluate_source(scratch_model, test)
         rows.append((n, rp_acc, scratch_acc))
         print(f"n={n}: reprogram={rp_acc:.4f} scratch={scratch_acc:.4f}")
-    path = os.path.join(out_dir, "sweep_data.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "reprogram_accuracy", "scratch_accuracy"])
-        for n, a, b in rows:
-            writer.writerow([n, repr(a), repr(b)])
-    print(f"wrote {path}")
+    _write_table(["n", "reprogram_accuracy", "scratch_accuracy"], rows,
+                 os.path.join(args.out, "sweep_data.csv"))
     return 0
 
 
-def cmd_sweep_ksvd(cfg, grid, source_checkpoint, out_dir) -> int:
-    model = classifier.load_checkpoint(source_checkpoint)
+def cmd_sweep_ksvd(cfg, args) -> int:
+    grid = _parse_grid(args.grid)
+    model = classifier.load_checkpoint(args.source_checkpoint)
     splits = _target_splits(cfg)
     label_map = _label_map(cfg, splits[0])
     fixed = not cfg["reprogram"]["ksvd"]["update_dictionary"]
@@ -266,14 +251,8 @@ def cmd_sweep_ksvd(cfg, grid, source_checkpoint, out_dir) -> int:
         rows.append((sweeps, train_acc, test_acc, final_error))
         print(f"sweeps={sweeps}: train={train_acc:.4f} test={test_acc:.4f} "
               f"coding_error={final_error:.6f}")
-    path = os.path.join(out_dir, "sweep_ksvd.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ksvd_sweeps", "train_accuracy", "test_accuracy",
-                         "final_coding_error"])
-        for sweeps, tr, te, err in rows:
-            writer.writerow([sweeps, repr(tr), repr(te), repr(err)])
-    print(f"wrote {path}")
+    _write_table(["ksvd_sweeps", "train_accuracy", "test_accuracy", "final_coding_error"],
+                 rows, os.path.join(args.out, "sweep_ksvd.csv"))
     return 0
 
 
@@ -288,37 +267,31 @@ def _parse_grid(text):
     return grid
 
 
+_CHECKPOINT = ("--source-checkpoint", None)
+# Per command: name, function, help, and its required flags besides --config, with their help.
+_COMMANDS = (
+    ("train-source", cmd_train_source, "train and freeze the source classifier", ()),
+    ("reprogram", cmd_reprogram, "learn an adversarial program", (_CHECKPOINT,)),
+    ("eval", cmd_eval, "evaluate a saved program", (_CHECKPOINT, ("--program", None))),
+    ("sweep-data", cmd_sweep_data, "restricted-training-size sweep",
+     (_CHECKPOINT, ("--grid", "comma-separated sizes, ascending"))),
+    ("sweep-ksvd", cmd_sweep_ksvd, "k-SVD iteration sweep",
+     (_CHECKPOINT, ("--grid", "comma-separated sweep counts"))),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="reprogram",
                                      description="Sparse-coding reprogramming experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, run, text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default="out", help="output directory")
-
-    p = sub.add_parser("train-source", help="train and freeze the source classifier")
-    common(p)
-
-    p = sub.add_parser("reprogram", help="learn an adversarial program")
-    common(p)
-    p.add_argument("--source-checkpoint", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a saved program")
-    common(p)
-    p.add_argument("--source-checkpoint", required=True)
-    p.add_argument("--program", required=True)
-
-    p = sub.add_parser("sweep-data", help="restricted-training-size sweep")
-    common(p)
-    p.add_argument("--source-checkpoint", required=True)
-    p.add_argument("--grid", required=True, help="comma-separated sizes, ascending")
-
-    p = sub.add_parser("sweep-ksvd", help="k-SVD iteration sweep")
-    common(p)
-    p.add_argument("--source-checkpoint", required=True)
-    p.add_argument("--grid", required=True, help="comma-separated sweep counts")
+        for flag, flag_help in flags:
+            p.add_argument(flag, required=True, help=flag_help)
+        p.set_defaults(run=run)
     return parser
 
 
@@ -332,19 +305,7 @@ def main(argv=None) -> int:
             if seed < 0:
                 raise ConfigError(f"{name} must be non-negative, got {seed}")
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "train-source":
-            return cmd_train_source(cfg, args.out)
-        if args.command == "reprogram":
-            return cmd_reprogram(cfg, args.source_checkpoint, args.out)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.program, args.source_checkpoint, args.out)
-        if args.command == "sweep-data":
-            return cmd_sweep_data(cfg, _parse_grid(args.grid),
-                                  args.source_checkpoint, args.out)
-        if args.command == "sweep-ksvd":
-            return cmd_sweep_ksvd(cfg, _parse_grid(args.grid),
-                                  args.source_checkpoint, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(cfg, args)
     except (ConfigError, DataFormatError, FileNotFoundError, FileExistsError,
             IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -147,11 +147,12 @@ class SplitSpec:
 
 
 def read_json(path):
-    """Parse a JSON file; a file that is not valid JSON is a DataFormatError naming it."""
+    """Parse a JSON file; a file that is not valid JSON, or nests too deeply for
+    the parser, is a DataFormatError naming it."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -161,7 +162,7 @@ def read_document(path, kind: str, version: int):
 
     Invalid JSON, a document that is not an object, and a structure error
     raised while the with-block reads it (a missing key, a value of the wrong
-    type or shape) are a DataFormatError naming the file; another format
+    type, shape or range) are a DataFormatError naming the file; another format
     version is a ConfigError.
     """
     doc = read_json(path)
@@ -171,7 +172,7 @@ def read_document(path, kind: str, version: int):
         raise ConfigError(f"unsupported {kind} version {doc.get('format_version')}")
     try:
         yield doc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(
             f"{path}: malformed {kind} ({type(exc).__name__}: {exc})"
         ) from exc
@@ -179,12 +180,15 @@ def read_document(path, kind: str, version: int):
 
 def read_array(values, shape) -> np.ndarray:
     """A read-only float64 array of `shape` from a saved file's flat list of finite
-    values. The sizes' product must be the list's length, so none is inferred."""
+    JSON numbers (never a string or a boolean, which numpy would convert). The
+    sizes' product must be the list's length, so none is inferred."""
     array = np.array(values, dtype=np.float64)
     if array.shape != (math.prod(shape),):
         raise ValueError(f"{array.size} values for shape {list(shape)}")
     if not np.isfinite(array).all():
         raise ValueError(f"non-finite value for shape {list(shape)}")
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"a value that is not a number for shape {list(shape)}")
     array = array.reshape(shape)  # numpy rejects a size that is negative or not an integer
     array.flags.writeable = False
     return array

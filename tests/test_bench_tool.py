@@ -136,3 +136,28 @@ class TestSeedList:
             bench.main(["--parent", ".", "--seeds", text])
         assert exit_info.value.code == 2
         assert "--seeds" in capsys.readouterr().err
+
+
+class TestSrcLines:
+    @staticmethod
+    def _tree(root, modules):
+        package = root / "src" / "reprogram"
+        package.mkdir(parents=True)
+        for name, text in modules.items():
+            (package / name).write_text(text)
+        return root
+
+    def test_newlines_per_module_and_in_total(self, tmp_path):
+        tree = self._tree(tmp_path, {"cli.py": "a\nb\n\n", "data.py": "x\ny",  # no last newline
+                                     "notes.txt": "1\n2\n"})
+        (tree / "src" / "reprogram" / "sub").mkdir()
+        (tree / "src" / "reprogram" / "sub" / "deep.py").write_text("z\n")
+        assert bench.src_lines(tree) == {"modules": {"cli.py": 3, "data.py": 1}, "total": 4}
+
+    def test_the_net_change_is_printed(self, tmp_path, capsys):
+        trees = {"parent": self._tree(tmp_path / "p", {"a.py": "1\n" * 10}),
+                 "change": self._tree(tmp_path / "c", {"a.py": "1\n" * 6, "b.py": "1\n"})}
+        sources = {name: {"src_lines": bench.src_lines(tree)} for name, tree in trees.items()}
+        bench.print_src_lines(sources)
+        assert capsys.readouterr().err == (
+            "src/reprogram/*.py: parent 10 lines, change 7, net -3\n")

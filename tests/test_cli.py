@@ -126,6 +126,61 @@ class TestConfig:
         assert out == ""
         assert err.splitlines() == ["error: unknown config key 'reprogram.projection_mode'"]
 
+    def test_a_changed_result_leaves_the_next_load_alone(self, config_path):
+        # TINY leaves out `split`, and gives `reprogram.ksvd` in part
+        first = load_config(config_path)
+        expected = json.loads(json.dumps(first))
+        for section in (first["split"], first["train"], first["reprogram"]["ksvd"],
+                        first["data"]):
+            section.clear()
+        first["reprogram"]["batch_size"] = 1
+        assert load_config(config_path) == expected
+
+    @pytest.mark.parametrize("text, name", [
+        ('{"reprogram": {"ksvd": {"sweepz": 1}}, "sede": 1}', "'reprogram.ksvd.sweepz'"),
+        ('{"sede": 1, "reprogram": {"ksvd": {"sweepz": 1}}}', "'sede'"),
+        ('{"data": {"source_size": "9"}, "sede": 1}', "'data.source_size'"),
+        ('{"split": {"seed": 1, "tran": 1}, "train": {"epochs": "9"}}', "'split.tran'"),
+    ])
+    def test_the_first_of_two_bad_keys_in_document_order_is_reported(self, tmp_path, text,
+                                                                      name):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as caught:
+            load_config(str(path))
+        assert name in str(caught.value)
+
+
+_COMMAND_FLAGS = {
+    "train-source": ["--config", "c.json"],
+    "reprogram": ["--config", "c.json", "--source-checkpoint", "s.json"],
+    "eval": ["--config", "c.json", "--source-checkpoint", "s.json", "--program", "p.json"],
+    "sweep-data": ["--config", "c.json", "--source-checkpoint", "s.json", "--grid", "1"],
+    "sweep-ksvd": ["--config", "c.json", "--source-checkpoint", "s.json", "--grid", "1"],
+}
+
+
+@pytest.mark.parametrize("command, left_out", [
+    (command, flags[i]) for command, flags in _COMMAND_FLAGS.items()
+    for i in range(0, len(flags), 2)])
+def test_a_missing_required_flag_is_an_argparse_error(tmp_path, capsys, command, left_out):
+    flags = _COMMAND_FLAGS[command]
+    at = flags.index(left_out)
+    argv = [command, *flags[:at], *flags[at + 2:], "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"the following arguments are required: {left_out}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_lists_the_five_commands_in_order(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "{train-source,reprogram,eval,sweep-data,sweep-ksvd}" in capsys.readouterr().out
+
 
 def _with(doc, dotted, value):
     """A deep copy of a config with the value at a dotted key replaced."""
@@ -450,8 +505,15 @@ class TestMalformedInputs:
         lambda doc: {**doc, "vocab_size": -1},
         lambda doc: {**doc, "weights": {**doc["weights"],
                                         "b1": {**doc["weights"]["b1"], "shape": [-1]}}},
+        # numpy would read the string and the boolean as numbers
+        lambda doc: {**doc, "embeddings": ["0.5", *doc["embeddings"][1:]]},
+        lambda doc: {**doc, "weights": {**doc["weights"], "b1": {
+            **doc["weights"]["b1"], "data": [True, *doc["weights"]["b1"]["data"][1:]]}}},
+        # an integer past the float range, which numpy cannot convert
+        lambda doc: {**doc, "embeddings": [10**400, *doc["embeddings"][1:]]},
     ], ids=["not_an_object", "no_embeddings", "unknown_architecture", "no_w1", "w1_shape",
-            "nan_embedding", "vocab_size_minus_one", "b1_shape_minus_one"])
+            "nan_embedding", "vocab_size_minus_one", "b1_shape_minus_one", "string_embedding",
+            "true_in_b1", "huge_integer_embedding"])
     def test_malformed_checkpoint_exit_2(self, tmp_path, config_path, source_checkpoint,
                                          capsys, damage):
         bad = tmp_path / "bad_checkpoint.json"
@@ -480,6 +542,18 @@ class TestMalformedInputs:
         assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "r" / "program.json").exists()
 
+    @pytest.mark.parametrize("kind", ["config", "checkpoint", "program"])
+    def test_deeply_nested_json_exit_2(self, tmp_path, config_path, source_checkpoint,
+                                       program_path, capsys, kind):
+        # the parser runs out of recursion depth before it reads the first value
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        files = {"config": config_path, "checkpoint": source_checkpoint,
+                 "program": program_path, kind: str(deep)}
+        _exits_2_with_one_error_line(
+            capsys, _eval_argv(files["config"], files["checkpoint"], files["program"], tmp_path),
+            "invalid JSON in " + str(deep))
+
     def test_truncated_program_exit_2(self, tmp_path, config_path, source_checkpoint,
                                       capsys):
         cut = tmp_path / "cut_program.json"
@@ -490,7 +564,8 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("damage", ["short_theta", "nan_theta", "overflow_theta",
                                         "nan_basis", "short_tokens", "numeric_class",
-                                        "string_label_map", "source_vocab_size_minus_one"])
+                                        "string_label_map", "source_vocab_size_minus_one",
+                                        "string_theta", "false_theta", "huge_integer_theta"])
     def test_malformed_program_exit_2(self, tmp_path, config_path, source_checkpoint,
                                       program_path, capsys, damage):
         doc = json.loads(Path(program_path).read_text())
@@ -504,6 +579,9 @@ class TestMalformedInputs:
             doc["label_map"] = "01"
         elif damage == "source_vocab_size_minus_one":
             doc["source_vocab_size"] = -1
+        elif damage in ("string_theta", "false_theta", "huge_integer_theta"):
+            doc["theta"][0] = {"string_theta": "0.5", "false_theta": False,
+                               "huge_integer_theta": 10**400}[damage]
         elif damage == "nan_basis":
             checkpoint = json.loads(Path(source_checkpoint).read_text())
             basis = [float("nan"), *checkpoint["embeddings"][1:]]

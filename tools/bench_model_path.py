@@ -26,7 +26,9 @@ holding `src/` and `perfbench/`. The script runs, in subprocesses:
   change wins at least 9 in 10 pairs (ties count for neither), and the
   medians differ by more than the parent's interquartile range. Beside each
   checkout's HEAD commit and source digest it records whether its `src/`
-  differs from that HEAD, as a change not yet committed does;
+  differs from that HEAD, as a change not yet committed does, and the
+  `wc -l` line count of its `src/reprogram/*.py`, per module and in total
+  (`src_lines`), printing the net change;
 - from the same runs, the accuracy gate. The first timed command of each run
   writes `program.json`, `summary.json` and `trace.csv` under
   `perfbench/work/<workload>-seed<seed>-trace0/command0/`. From them the
@@ -148,6 +150,19 @@ def src_differs_from_head(tree: Path):
     return bool(done.stdout.strip()) if done.returncode == 0 else None
 
 
+def src_lines(tree: Path) -> dict:
+    """The `wc -l` line count of each module of tree's `src/reprogram/*.py`, and the total."""
+    modules = {path.name: path.read_bytes().count(b"\n")
+               for path in sorted((tree / "src" / "reprogram").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
+def print_src_lines(sources) -> None:
+    parent, change = (sources[name]["src_lines"]["total"] for name in ("parent", "change"))
+    print(f"src/reprogram/*.py: parent {parent} lines, change {change}, "
+          f"net {change - parent:+d}", file=sys.stderr)
+
+
 def end_to_end(trees, seeds, seconds) -> dict:
     runs = {name: {w: [] for w in WORKLOADS} for name in trees}
     environment, sources, summary, better = None, {}, {}, directions()
@@ -177,7 +192,9 @@ def end_to_end(trees, seeds, seconds) -> dict:
         summary[w] = {"metrics": per_metric, "runs": {"parent": parent, "change": change},
                       "seeds": rows, "gate": accuracy_gate(w, rows)}
     for name, tree in trees.items():
-        sources[name]["src_differs_from_head"] = src_differs_from_head(tree)
+        sources[name].update(src_differs_from_head=src_differs_from_head(tree),
+                             src_lines=src_lines(tree))
+    print_src_lines(sources)
     print_verdicts(summary)
     return {"environment": environment, "sources": sources, "workloads": summary}
 
