@@ -7,11 +7,13 @@ the output directory. Exit codes: 0 success, 2 config/validation error,
 """
 
 import argparse
+import copy
 import csv
 import json
 import os
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
@@ -19,38 +21,43 @@ from . import classifier, data, program
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .sparse_coding import KsvdConfig
 
-_DEFAULTS = {
-    "seed": 0,
-    "data": {"mode": "synthetic", "source_size": 2000, "target_size": 2500,
-             "source_path": None, "target_path": None,
-             "sequence_column": "sequence", "label_column": "label"},
-    "split": {"train": 0.8, "valid": 0.1, "test": 0.1, "seed": 0},
-    "train": {"architecture": "bag_mlp", "embed_dim": 32, "hidden_dim": 32,
-              "epochs": 20, "batch_size": 32, "learning_rate": 1.0},
-    "reprogram": {
-        "outer_iterations": 200,
-        "step_size": 0.01,
-        "decay": None,
-        "batch_size": 64,
-        "label_map": [0, 1],
-        "ksvd": {"epsilon": 0.045, "max_atoms": 16, "sweeps": 5,
-                 "update_dictionary": False},
-    },
-}
-
-
 _KINDS = {bool: "a boolean", int: "a 64-bit integer", float: "a finite number",
           str: "a string", list: "a list", dict: "an object"}
 _INT64 = np.iinfo(np.int64)
-# The type of a key whose default is null, besides null itself.
-_NULLABLE = {"data.source_path": str, "data.target_path": str, "reprogram.decay": float}
+
+
+def _section(cls, skip=(), **cli_defaults):
+    """Dataclass `cls`'s fields but `skip` as config keys, each as (type, default), a
+    dataclass as (dict, its section); `cli_defaults` overrides a default or adds a key."""
+    hints, section = typing.get_type_hints(cls), {}
+    for field in fields(cls):
+        hint = hints[field.name]
+        if is_dataclass(hint):
+            section[field.name] = (dict, _section(hint, **cli_defaults.pop(field.name, {})))
+        elif field.name not in skip:
+            section[field.name] = (hint, cli_defaults.pop(field.name, field.default))
+    return section | {key: (type(value), value) for key, value in cli_defaults.items()}
+
+
+# Each section's keys, types and defaults are the fields of the class it is read
+# into. The CLI sets a default only where no class owns one (the seed, the label
+# map) or where it differs: the run length, the split, and the k-SVD coding, which
+# is fixed in the CLI and learned in `KsvdConfig`. `ReprogramConfig.seed` is `seed`.
+_SCHEMA = {
+    "seed": (int, 0),
+    "data": (dict, _section(data.DataSpec)),
+    "split": (dict, _section(data.SplitSpec, train=0.8, valid=0.1, test=0.1)),
+    "train": (dict, _section(classifier.TrainConfig)),
+    "reprogram": (dict, _section(
+        program.ReprogramConfig, skip=("seed",), outer_iterations=200, label_map=[0, 1],
+        ksvd={"epsilon": 0.045, "max_atoms": 16, "sweeps": 5, "update_dictionary": False})),
+}
 
 
 def _accepts(kind, value) -> bool:
-    """Whether a config value is of JSON type `kind`: an int passes for a
-    float, a bool never for a number, a number must be finite as a float
-    (`json` reads NaN, Infinity and overflowing numerals such as 1e999), and
-    an integer must fit in numpy's int64, which sizes arrays and loops."""
+    """Whether a config value is of JSON type `kind`: an int passes for a float, a
+    bool never for a number, a number must be finite as a float (`json` reads NaN,
+    Infinity and 1e999), and an integer must fit in numpy's int64, which sizes arrays."""
     if kind is float and type(value) in (int, float):
         return abs(value) <= sys.float_info.max
     if kind is int and type(value) is int:
@@ -58,18 +65,19 @@ def _accepts(kind, value) -> bool:
     return type(value) is kind
 
 
-def _merge(defaults, doc, prefix=""):
-    """`defaults` filled in from a config document, with a new dict for every
-    section. `doc` is walked in document order, depth first: the first
-    unknown key or value of the wrong type met is a ConfigError."""
-    out = {key: _merge(value, {}) if isinstance(value, dict) else value
-           for key, value in defaults.items()}
+def _merge(schema, doc, prefix=""):
+    """The `schema`'s defaults filled in from a config document, with a new dict
+    for every section. `doc` is walked in document order, depth first: the
+    first unknown key or value of the wrong type met is a ConfigError."""
+    out = {key: _merge(default, {}) if hint is dict else copy.copy(default)
+           for key, (hint, default) in schema.items()}
     for key, value in doc.items():
         name = prefix + key
-        if key not in defaults:
+        if key not in schema:
             raise ConfigError(f"unknown config key {name!r}")
-        default = defaults[key]
-        kind, null = (_NULLABLE[name], " or null") if default is None else (type(default), "")
+        hint, default = schema[key]
+        kind, *nullable = typing.get_args(hint) or (hint,)  # `float | None`: (float, None)
+        null = " or null" if nullable else ""
         if not (null and value is None) and not _accepts(kind, value):
             raise ConfigError(f"config key {name!r} must be {_KINDS[kind]}{null}")
         out[key] = _merge(default, value, f"{name}.") if kind is dict else value
@@ -77,41 +85,22 @@ def _merge(defaults, doc, prefix=""):
 
 
 def load_config(path) -> dict:
-    """Load, validate (unknown keys rejected), and default-fill a config file."""
+    """Load, validate (unknown keys rejected), and default-fill a config file; the data
+    section and the architecture are checked here, before any file is read or written."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     doc = data.read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
-    cfg = _merge(_DEFAULTS, doc)
-    for value in (cfg["data"]["source_path"], cfg["data"]["target_path"]):
-        if value is not None and not os.path.exists(value):
-            raise ConfigError(f"dataset path does not exist: {value}")
+    cfg = _merge(_SCHEMA, doc)
+    data.DataSpec(**cfg["data"])
+    classifier.TrainConfig(architecture=cfg["train"]["architecture"])
     return cfg
-
-
-def _datasets(cfg, with_source=True):
-    """Build (source, target) full datasets per the data section. A CSV source
-    is read only `with_source`; the synthetic pair comes from one generator."""
-    dcfg = cfg["data"]
-    if dcfg["mode"] == "synthetic":
-        return data.synth_tasks(cfg["seed"], dcfg["source_size"], dcfg["target_size"])
-    if dcfg["mode"] == "csv":
-        source = None
-        if with_source and dcfg["source_path"]:
-            source = data.load_csv(dcfg["source_path"], dcfg["sequence_column"],
-                                   dcfg["label_column"])
-        if not dcfg["target_path"]:
-            raise ConfigError("csv mode requires data.target_path")
-        target = data.load_csv(dcfg["target_path"], dcfg["sequence_column"],
-                               dcfg["label_column"])
-        return source, target
-    raise ConfigError(f"unknown data mode {dcfg['mode']!r}")
 
 
 def _target_splits(cfg):
     """The target's (train, valid, test) splits; the full dataset is not kept."""
-    _, target = _datasets(cfg, with_source=False)
+    _, target = data.DataSpec(**cfg["data"]).load(cfg["seed"], with_source=False)
     return data.split(target, data.SplitSpec(**cfg["split"]))
 
 
@@ -132,8 +121,7 @@ def _label_map(cfg, target):
 
 def _write_json(doc, path):
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write_table(header, rows, path):
@@ -146,7 +134,7 @@ def _write_table(header, rows, path):
 
 
 def cmd_train_source(cfg, args) -> int:
-    source, _ = _datasets(cfg)
+    source, _ = data.DataSpec(**cfg["data"]).load(cfg["seed"])
     if source is None:
         raise ConfigError("train-source needs a source dataset (data.source_path)")
     train, valid, test = data.split(source, data.SplitSpec(**cfg["split"]))
@@ -155,8 +143,7 @@ def cmd_train_source(cfg, args) -> int:
     report["test_accuracy"] = classifier.evaluate_source(model, test)
     ckpt = os.path.join(args.out, "source_checkpoint.json")
     classifier.save_checkpoint(model, ckpt)
-    report["checkpoint"] = os.path.basename(ckpt)
-    report["seed"] = cfg["seed"]
+    report.update(checkpoint=os.path.basename(ckpt), seed=cfg["seed"])
     _write_json(report, os.path.join(args.out, "train_source_report.json"))
     print(f"train accuracy:          {report['train_accuracy']:.4f}")
     print(f"valid accuracy:          {report['valid_accuracy']:.4f}")
@@ -166,28 +153,18 @@ def cmd_train_source(cfg, args) -> int:
     return 0
 
 
-def _run_reprogram(rcfg, model, label_map, splits):
-    train, valid, test = splits
-    prog, trace = program.reprogram_train(model, label_map, train, valid, rcfg)
-    test_acc, confusion = program.evaluate_program(prog, model, label_map, test)
-    return prog, trace, test_acc, confusion
-
-
 def cmd_reprogram(cfg, args) -> int:
     model = classifier.load_checkpoint(args.source_checkpoint)
-    splits = _target_splits(cfg)
-    label_map = _label_map(cfg, splits[0])
+    train, valid, test = _target_splits(cfg)
+    label_map = _label_map(cfg, train)
     rcfg = _reprogram_config(cfg)
-    prog, trace, test_acc, confusion = _run_reprogram(rcfg, model, label_map, splits)
+    prog, trace = program.reprogram_train(model, label_map, train, valid, rcfg)
+    test_acc, confusion = program.evaluate_program(prog, model, label_map, test)
     program.save_program(prog, os.path.join(args.out, "program.json"))
     program.trace_to_csv(trace, os.path.join(args.out, "trace.csv"))
-    summary = {
-        "test_accuracy": test_acc,
-        "confusion": confusion.tolist(),
-        "ksvd_iterations": rcfg.ksvd.codings,
-        "epsilon": rcfg.ksvd.epsilon,
-        "seed": cfg["seed"],
-    }
+    summary = {"test_accuracy": test_acc, "confusion": confusion.tolist(),
+               "ksvd_iterations": rcfg.ksvd.codings, "epsilon": rcfg.ksvd.epsilon,
+               "seed": cfg["seed"]}
     _write_json(summary, os.path.join(args.out, "summary.json"))
     print(f"test accuracy: {test_acc:.4f}")
     print(f"confusion: {confusion.tolist()}")
@@ -199,8 +176,7 @@ def cmd_eval(cfg, args) -> int:
     prog = program.load_program(args.program)
     _, _, test = _target_splits(cfg)
     accuracy, confusion = program.evaluate_program(prog, model, _label_map(cfg, test), test)
-    summary = {"accuracy": accuracy, "confusion": confusion.tolist(),
-               "num_samples": len(test)}
+    summary = {"accuracy": accuracy, "confusion": confusion.tolist(), "num_samples": len(test)}
     _write_json(summary, os.path.join(args.out, "eval_summary.json"))
     print(f"accuracy: {accuracy:.4f}")
     print(f"confusion: {confusion.tolist()}")
@@ -208,20 +184,18 @@ def cmd_eval(cfg, args) -> int:
 
 
 def cmd_sweep_data(cfg, args) -> int:
-    grid = _parse_grid(args.grid)
     model = classifier.load_checkpoint(args.source_checkpoint)
     train, valid, test = _target_splits(cfg)
-    if max(grid) > len(train):
-        raise ConfigError(f"grid entry {max(grid)} exceeds training size {len(train)}")
+    if max(args.grid) > len(train):
+        raise ConfigError(f"grid entry {max(args.grid)} exceeds training size {len(train)}")
     label_map = _label_map(cfg, train)
-    rcfg = _reprogram_config(cfg)
+    rcfg, tcfg = _reprogram_config(cfg), classifier.TrainConfig(**cfg["train"])
     rows = []
-    for n in grid:
+    for n in args.grid:
         subset = data.subsample(train, n, cfg["seed"])
         prog, _ = program.reprogram_train(model, label_map, subset, valid, rcfg)
         rp_acc, _ = program.evaluate_program(prog, model, label_map, test)
-        scratch_model, _ = classifier.train_source(subset, classifier.TrainConfig(**cfg["train"]),
-                                                   cfg["seed"], valid=valid)
+        scratch_model, _ = classifier.train_source(subset, tcfg, cfg["seed"], valid=valid)
         scratch_acc = classifier.evaluate_source(scratch_model, test)
         rows.append((n, rp_acc, scratch_acc))
         print(f"n={n}: reprogram={rp_acc:.4f} scratch={scratch_acc:.4f}")
@@ -231,22 +205,21 @@ def cmd_sweep_data(cfg, args) -> int:
 
 
 def cmd_sweep_ksvd(cfg, args) -> int:
-    grid = _parse_grid(args.grid)
     model = classifier.load_checkpoint(args.source_checkpoint)
-    splits = _target_splits(cfg)
-    label_map = _label_map(cfg, splits[0])
+    train, valid, test = _target_splits(cfg)
+    label_map = _label_map(cfg, train)
     fixed = not cfg["reprogram"]["ksvd"]["update_dictionary"]
     if fixed:
-        print("sweep-ksvd: update_dictionary is false, so every sweep count codes "
-              "against the same fixed dictionary and the rows cannot differ",
-              file=sys.stderr)
+        print("sweep-ksvd: update_dictionary is false, so every sweep count codes against "
+              "the same fixed dictionary and the rows cannot differ", file=sys.stderr)
     rcfg = _reprogram_config(cfg)
     rows = []
-    for sweeps in grid:
+    for sweeps in args.grid:
         if not (fixed and rows):  # a fixed dictionary's run is trained once
             run_cfg = replace(rcfg, ksvd=replace(rcfg.ksvd, sweeps=sweeps))
-            prog, trace, test_acc, _ = _run_reprogram(run_cfg, model, label_map, splits)
-            train_acc, _ = program.evaluate_program(prog, model, label_map, splits[0])
+            prog, trace = program.reprogram_train(model, label_map, train, valid, run_cfg)
+            test_acc, _ = program.evaluate_program(prog, model, label_map, test)
+            train_acc, _ = program.evaluate_program(prog, model, label_map, train)
             final_error = trace[0]["coding_error"]
         rows.append((sweeps, train_acc, test_acc, final_error))
         print(f"sweeps={sweeps}: train={train_acc:.4f} test={test_acc:.4f} "
@@ -257,7 +230,7 @@ def cmd_sweep_ksvd(cfg, args) -> int:
 
 
 def _parse_grid(text):
-    """A sweep grid: one or more comma-separated integers of at least 1, ascending."""
+    """A sweep's --grid: one or more comma-separated integers of at least 1, ascending."""
     try:
         grid = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
@@ -304,6 +277,8 @@ def main(argv=None) -> int:
         for name, seed in (("seed", cfg["seed"]), ("split.seed", cfg["split"]["seed"])):
             if seed < 0:
                 raise ConfigError(f"{name} must be non-negative, got {seed}")
+        if "grid" in args:
+            args.grid = _parse_grid(args.grid)
         os.makedirs(args.out, exist_ok=True)
         return args.run(cfg, args)
     except (ConfigError, DataFormatError, FileNotFoundError, FileExistsError,

@@ -11,6 +11,7 @@ token ids once, when a dataset is built; every consumer reads the arrays, and
 import csv
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -139,11 +140,41 @@ class SplitSpec:
             raise ConfigError(f"split parts must be non-negative, got {parts}")
         if abs(sum(parts) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
-        n_train = int(round(self.train * size))
-        n_valid = int(round(self.valid * size))
-        n_train = min(n_train, size)
-        n_valid = min(n_valid, size - n_train)
+        n_train = min(int(round(self.train * size)), size)
+        n_valid = min(int(round(self.valid * size)), size - n_train)
         return n_train, n_valid, size - n_train - n_valid
+
+
+@dataclass(frozen=True)
+class DataSpec:
+    """Where a run's (source, target) datasets come from: the synthetic pair, or CSV
+    files with the named columns. `mode` is "synthetic" or "csv"; given paths exist."""
+
+    mode: str = "synthetic"
+    source_size: int = 2000
+    target_size: int = 2500
+    source_path: str | None = None
+    target_path: str | None = None
+    sequence_column: str = "sequence"
+    label_column: str = "label"
+
+    def __post_init__(self):
+        for path in (self.source_path, self.target_path):
+            if path is not None and not os.path.exists(path):
+                raise ConfigError(f"dataset path does not exist: {path}")
+        if self.mode not in ("synthetic", "csv"):
+            raise ConfigError(f"unknown data mode {self.mode!r}")
+
+    def load(self, seed: int, with_source: bool = True):
+        """The full datasets; a CSV source is read only `with_source` (else None)."""
+        if self.mode == "synthetic":
+            return synth_tasks(seed, self.source_size, self.target_size)
+        source = None
+        if with_source and self.source_path:
+            source = load_csv(self.source_path, self.sequence_column, self.label_column)
+        if not self.target_path:
+            raise ConfigError("csv mode requires data.target_path")
+        return source, load_csv(self.target_path, self.sequence_column, self.label_column)
 
 
 def read_json(path):
@@ -257,13 +288,9 @@ def save_csv(dataset: SequenceDataset, path, sequence_column="sequence", label_c
 
 def split(dataset: SequenceDataset, spec: SplitSpec):
     """Disjoint, covering, seed-deterministic train/valid/test split."""
-    n_train, n_valid, n_test = spec.counts(len(dataset))
-    rng = np.random.default_rng(spec.seed)
-    order = rng.permutation(len(dataset))
-    train = dataset.take(order[:n_train])
-    valid = dataset.take(order[n_train : n_train + n_valid])
-    test = dataset.take(order[n_train + n_valid : n_train + n_valid + n_test])
-    return train, valid, test
+    n_train, n_valid, _ = spec.counts(len(dataset))
+    order = np.random.default_rng(spec.seed).permutation(len(dataset))
+    return tuple(dataset.take(rows) for rows in np.split(order, [n_train, n_train + n_valid]))
 
 
 def subsample(dataset: SequenceDataset, n: int, seed: int) -> SequenceDataset:
@@ -272,9 +299,7 @@ def subsample(dataset: SequenceDataset, n: int, seed: int) -> SequenceDataset:
         raise ConfigError(f"cannot subsample {n} rows; n must be at least 1")
     if n > len(dataset):
         raise ConfigError(f"cannot subsample {n} from {len(dataset)} rows")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(dataset))
-    return dataset.take(order[:n])
+    return dataset.take(np.random.default_rng(seed).permutation(len(dataset))[:n])
 
 
 SOURCE_VOCAB_SIZE = 200
@@ -297,12 +322,8 @@ def _synth_source(rng, size):
         length = int(rng.integers(10, 21))
         majority = int(rng.integers(length // 2 + 1, length + 1))
         k_positive = majority if label == 1 else length - majority
-        tokens = np.concatenate(
-            [
-                rng.integers(0, half, size=k_positive),
-                rng.integers(half, SOURCE_VOCAB_SIZE, size=length - k_positive),
-            ]
-        )
+        tokens = np.concatenate([rng.integers(0, half, size=k_positive),
+                                 rng.integers(half, SOURCE_VOCAB_SIZE, size=length - k_positive)])
         rng.shuffle(tokens)
         sequences.append(tokens)
         labels.append(label)

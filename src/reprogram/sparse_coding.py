@@ -75,7 +75,9 @@ class KsvdConfig:
     `update_dictionary` turns the k-SVD update on (learned atoms) or off (the
     initial atoms stay fixed). `sweeps` counts k-SVD sweeps, so it means
     nothing over a fixed dictionary: `ksvd_run` codes once and records that
-    one coding error (`codings`).
+    one coding error (`codings`). These defaults (1 sweep, learned atoms) are the
+    library's; the CLI's config sets its own (5 sweeps, fixed atoms) until the
+    learned-dictionary path is kept or dropped.
     """
 
     epsilon: float

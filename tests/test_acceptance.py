@@ -1,16 +1,23 @@
 """Acceptance criteria, one test per criterion, printing one line each.
 
 Run with `pytest tests/test_acceptance.py -v`. The end-to-end criteria train
-a synthetic source model once (module-scoped fixture) and reuse it.
+a synthetic source model once (module-scoped fixture) and reuse it. The last
+test carries criterion 7's run over to other BLAS and numpy kernels.
 """
 
+import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reprogram
 from reprogram.classifier import (
     ClassifierParams,
     TrainConfig,
@@ -30,6 +37,7 @@ from reprogram.program import (
     evaluate,
     evaluate_program,
     initial_theta,
+    load_program,
     loss_and_grad,
     reprogram_train,
 )
@@ -330,3 +338,74 @@ def test_criterion_8_reduction_consistency(pipeline):
     expected = dictionary.fold_codes(codes)
     report(8, "zero-step run equals pure sparse coding",
            np.array_equal(program.theta, expected))
+
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
+# A child process that prints the OpenBLAS configuration it runs on to stderr,
+# then runs the CLI on its arguments.
+_CHILD = """
+import ctypes, glob, os, sys
+import numpy
+from reprogram.cli import main
+configs = []
+for lib in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*")):
+    for name in ("scipy_openblas_get_config64_", "openblas_get_config64_", "openblas_get_config"):
+        get = getattr(ctypes.CDLL(lib), name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            configs.append(get().decode())
+print("; ".join(configs) or "no OpenBLAS configuration found", file=sys.stderr)
+sys.exit(main(sys.argv[1:]))
+"""
+_KERNEL_VARIABLES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def _kernels():
+    """Per run, the kernel variables of its child: the default kernels, OpenBLAS's
+    kernels for each older CPU this one can stand in for, and numpy's loops
+    with AVX-512 off."""
+    kernels = {"default": {}}
+    for feature, coretype in (("AVX2", "Haswell"), ("AVX", "Sandybridge"), ("SSE3", "Prescott")):
+        if __cpu_features__.get(feature):
+            kernels[coretype] = {"OPENBLAS_CORETYPE": coretype}
+    if all(__cpu_features__.get(feature) for feature in _AVX512):
+        kernels["no_avx512"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512)}
+    return kernels
+
+
+def test_reprogram_holds_across_blas_and_numpy_kernels(tmp_path):
+    # criterion 7's reprogram from one source checkpoint, in a child process per
+    # kernel: equal supports and scores, and theta within 1e-12 relative. On a
+    # BLAS that ignores the variables the runs are reruns, and still hold.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    assert cli_main(["train-source", "--config", str(config), "--out", str(tmp_path)]) == 0
+    base = {key: value for key, value in os.environ.items() if key not in _KERNEL_VARIABLES}
+    paths = [str(Path(reprogram.__file__).parents[1]), base.get("PYTHONPATH", "")]
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    runs = {}
+    for name, variables in _kernels().items():
+        out = tmp_path / name
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD, "reprogram", "--config", str(config),
+             "--source-checkpoint", str(tmp_path / "source_checkpoint.json"), "--out", str(out)],
+            env={**base, **variables}, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        print(f"\n  {name} {variables}: {child.stderr.strip()}")
+        with open(out / "trace.csv", newline="") as fh:
+            valid = [float(row["valid_accuracy"]) for row in csv.DictReader(fh)
+                     if row["valid_accuracy"]]
+        runs[name] = (load_program(out / "program.json").theta, valid,
+                      json.loads((out / "summary.json").read_text())["test_accuracy"])
+    theta, valid, test_accuracy = runs.pop("default")
+    assert valid
+    for name, (other_theta, other_valid, other_test_accuracy) in runs.items():
+        assert np.array_equal(other_theta != 0, theta != 0), name
+        assert other_valid == valid and other_test_accuracy == test_accuracy, name
+        assert np.abs(other_theta - theta).max() <= 1e-12 * np.abs(theta).max(), name

@@ -4,15 +4,17 @@ import json
 import math
 import os
 import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reprogram import classifier, program
+from reprogram import classifier, data, program
 from reprogram.cli import load_config, main
 from reprogram.data import save_csv, synth_tasks
 from reprogram.errors import ConfigError, NumericError
+from reprogram.sparse_coding import KsvdConfig
 
 TINY = {
     "seed": 0,
@@ -134,6 +136,7 @@ class TestConfig:
                         first["data"]):
             section.clear()
         first["reprogram"]["batch_size"] = 1
+        first["reprogram"]["label_map"].append(1)  # a list default is copied too
         assert load_config(config_path) == expected
 
     @pytest.mark.parametrize("text, name", [
@@ -149,6 +152,95 @@ class TestConfig:
         with pytest.raises(ConfigError) as caught:
             load_config(str(path))
         assert name in str(caught.value)
+
+    def test_each_default_a_class_owns_is_its_field(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        cfg = load_config(str(path))
+        owners = {"data": data.DataSpec, "split": data.SplitSpec,
+                  "train": classifier.TrainConfig, "reprogram": program.ReprogramConfig}
+        # every field with a default, but `ReprogramConfig.seed`: that is the top-level seed
+        owned = {section: {field.name: field.default for field in fields(cls)
+                           if field.default is not MISSING
+                           and (section, field.name) != ("reprogram", "seed")}
+                 for section, cls in owners.items()}
+        assert sum(map(len, owned.values())) == 17
+        for section, defaults in owned.items():
+            for key, default in defaults.items():
+                value = cfg[section][key]
+                assert (value, type(value)) == (default, type(default)), f"{section}.{key}"
+
+    def test_the_cli_owns_only_the_defaults_no_class_gives_or_it_changes(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        cfg = load_config(str(path))
+        assert cfg["seed"] == 0 and cfg["reprogram"]["label_map"] == [0, 1]
+        assert cfg["reprogram"]["outer_iterations"] == 200
+        assert [cfg["split"][part] for part in ("train", "valid", "test")] == [0.8, 0.1, 0.1]
+        assert cfg["reprogram"]["ksvd"] == {"epsilon": 0.045, "max_atoms": 16, "sweeps": 5,
+                                            "update_dictionary": False}
+        # the library's own k-SVD defaults differ: one sweep of a learned dictionary
+        library = KsvdConfig(epsilon=0.045, max_atoms=16)
+        assert (library.sweeps, library.update_dictionary) == (1, True)
+
+    def test_the_walk_accepts_exactly_27_settable_keys(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("s,l\nA,x\n")
+        values = {
+            "seed": 4, "data.mode": "csv", "data.source_size": 9, "data.target_size": 9,
+            "data.source_path": str(table), "data.target_path": str(table),
+            "data.sequence_column": "s", "data.label_column": "l",
+            "split.train": 0.5, "split.valid": 0.25, "split.test": 0.25, "split.seed": 2,
+            "train.architecture": "birnn", "train.embed_dim": 4, "train.hidden_dim": 5,
+            "train.epochs": 2, "train.batch_size": 8, "train.learning_rate": 0.5,
+            "reprogram.outer_iterations": 3, "reprogram.step_size": 0.5,
+            "reprogram.decay": 0.9, "reprogram.batch_size": 7, "reprogram.label_map": [1, 0],
+            "reprogram.ksvd.epsilon": 0.1, "reprogram.ksvd.max_atoms": 3,
+            "reprogram.ksvd.sweeps": 2, "reprogram.ksvd.update_dictionary": True,
+        }
+        doc = {}
+        for key, value in values.items():
+            doc = _with(doc, key, value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        cfg = load_config(str(path))
+        leaves = {".".join(keys): value for keys, value in _leaves(cfg)}
+        assert len(values) == 27 and leaves == values
+
+
+def _leaves(doc, prefix=()):
+    """(key path, value) of every value of a config that is not a section."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,), value
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("data.mode", "csvv", "error: unknown data mode 'csvv'"),
+    ("train.architecture", "gru", "error: unknown architecture 'gru'"),
+], ids=["mode", "architecture"])
+@pytest.mark.parametrize("command", ["train-source", "reprogram", "eval", "sweep-data",
+                                     "sweep-ksvd"])
+def test_a_bad_choice_exits_2_before_any_file_is_read_or_written(
+        tmp_path, capsys, monkeypatch, saved_pair, command, key, value, message):
+    # with a good checkpoint, the config error comes first: no checkpoint is
+    # read and --out is not made, also by commands that never read `train`
+    root, _ = saved_pair
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(json.dumps(_with(TINY, key, value)))
+    reads = []
+    monkeypatch.setattr(classifier, "load_checkpoint", lambda *args: reads.append(args))
+    flags = {"eval": ["--program", str(root / "program.json")], "sweep-data": ["--grid", "50"],
+             "sweep-ksvd": ["--grid", "1"]}.get(command, [])
+    if command != "train-source":
+        flags += ["--source-checkpoint", str(root / "source_checkpoint.json")]
+    capsys.readouterr()
+    assert main([command, "--config", str(path), *flags, "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.splitlines() == [message]
+    assert reads == [] and not out.exists()
 
 
 _COMMAND_FLAGS = {
@@ -418,11 +510,19 @@ class TestSweeps:
         assert code == 0
         assert [args[-1].ksvd.sweeps for args in runs] == [1, 2]
 
-    def test_descending_grid_rejected(self, tmp_path, config_path, source_checkpoint):
+    def test_descending_grid_rejected(self, tmp_path, config_path, source_checkpoint, capsys):
         code = main(["sweep-ksvd", "--config", config_path,
                      "--source-checkpoint", source_checkpoint,
                      "--grid", "3,1", "--out", str(tmp_path / "sk")])
         assert code == 2
+        # the grid is read before --out is made, and the message stays one line
+        capsys.readouterr()
+        assert main(["sweep-data", "--config", config_path, "--source-checkpoint",
+                     source_checkpoint, "--grid", "3,2", "--out", str(tmp_path / "sd")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "error: invalid grid '3,2': give ascending integers of at least 1"]
+        assert not (tmp_path / "sk").exists() and not (tmp_path / "sd").exists()
 
     @pytest.mark.parametrize("command", ["sweep-data", "sweep-ksvd"])
     @pytest.mark.parametrize("grid", ["", ",", "-5", "0", "50,0"])
@@ -431,7 +531,7 @@ class TestSweeps:
         _exits_2_with_one_error_line(
             capsys, [command, "--config", config_path, "--source-checkpoint", source_checkpoint,
                      f"--grid={grid}", "--out", str(tmp_path / "sw")], "invalid grid")
-        assert not (tmp_path / "sw").exists() or not any((tmp_path / "sw").iterdir())
+        assert not (tmp_path / "sw").exists()
 
 
 class TestValidationWorker:
