@@ -1,19 +1,18 @@
 """Experiment harness: train-source, reprogram, eval, sweep-data, sweep-ksvd.
 
-One JSON config file drives every command; --seed and --out flags override
-it. All metrics are printed to stdout and written as JSON/CSV files under
-the output directory. Exit codes: 0 success, 2 config/validation error,
-3 runtime/numeric error or a failed allocation.
+One JSON config file drives every command; `load_config` checks all of it
+before a command reads or writes another file, and --seed overrides its seed.
+Metrics go to stdout and to JSON/CSV files under --out. Exit codes: 0 success,
+2 config/validation error, 3 runtime/numeric error or a failed allocation.
 """
 
 import argparse
-import copy
 import csv
 import json
 import os
 import sys
 import typing
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -69,7 +68,7 @@ def _merge(schema, doc, prefix=""):
     """The `schema`'s defaults filled in from a config document, with a new dict
     for every section. `doc` is walked in document order, depth first: the
     first unknown key or value of the wrong type met is a ConfigError."""
-    out = {key: _merge(default, {}) if hint is dict else copy.copy(default)
+    out = {key: _merge(default, {}) if hint is dict else default
            for key, (hint, default) in schema.items()}
     for key, value in doc.items():
         name = prefix + key
@@ -84,39 +83,48 @@ def _merge(schema, doc, prefix=""):
     return out
 
 
-def load_config(path) -> dict:
-    """Load, validate (unknown keys rejected), and default-fill a config file; the data
-    section and the architecture are checked here, before any file is read or written."""
+@dataclass(frozen=True)
+class Config:
+    """A checked config: the run's seed and each section built into its class."""
+
+    seed: int
+    data: data.DataSpec
+    split: data.SplitSpec
+    train: classifier.TrainConfig
+    reprogram: program.ReprogramConfig  # seeded with `seed`
+    label_map: program.LabelMap
+
+
+def load_config(path, seed=None) -> Config:
+    """Load a config file, `seed` (when given) in place of its own, and build every
+    section: an unknown key, a wrong type and every value a class rejects are a
+    ConfigError here, before any other file is read or written."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     doc = data.read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
     cfg = _merge(_SCHEMA, doc)
-    data.DataSpec(**cfg["data"])
-    classifier.TrainConfig(architecture=cfg["train"]["architecture"])
-    return cfg
+    spec, train = data.DataSpec(**cfg["data"]), classifier.TrainConfig(**cfg["train"])
+    seed = cfg["seed"] if seed is None else seed
+    for name, value in (("seed", seed), ("split.seed", cfg["split"]["seed"])):
+        if value < 0:
+            raise ConfigError(f"{name} must be non-negative, got {value}")
+    split, r = data.SplitSpec(**cfg["split"]), cfg["reprogram"]
+    label_map = program.LabelMap(source_to_target=tuple(r.pop("label_map")))
+    rcfg = program.ReprogramConfig(**dict(r, ksvd=KsvdConfig(**r["ksvd"]), seed=seed))
+    return Config(seed, spec, split, train, rcfg, label_map)
 
 
-def _target_splits(cfg):
-    """The target's (train, valid, test) splits; the full dataset is not kept."""
-    _, target = data.DataSpec(**cfg["data"]).load(cfg["seed"], with_source=False)
-    return data.split(target, data.SplitSpec(**cfg["split"]))
-
-
-def _reprogram_config(cfg):
-    r = {key: value for key, value in cfg["reprogram"].items() if key != "label_map"}
-    return program.ReprogramConfig(**dict(r, ksvd=KsvdConfig(**r["ksvd"]), seed=cfg["seed"]))
-
-
-def _label_map(cfg, target):
-    """The configured label map; it must map onto every class of the target data."""
-    label_map = program.LabelMap(source_to_target=tuple(cfg["reprogram"]["label_map"]))
-    if len(target.class_names) > label_map.num_target_classes:
-        raise ConfigError(f"config key 'reprogram.label_map' maps onto "
-                          f"{label_map.num_target_classes} target classes, but the target "
-                          f"data has {len(target.class_names)}")
-    return label_map
+def _target_splits(config):
+    """The target's (train, valid, test) splits, once the label map is checked to map
+    onto every class of the target; the full dataset is not kept."""
+    target = config.data.load(config.seed, "target")
+    mapped, classes = config.label_map.num_target_classes, len(target.class_names)
+    if classes > mapped:
+        raise ConfigError(f"config key 'reprogram.label_map' maps onto {mapped} target "
+                          f"classes, but the target data has {classes}")
+    return data.split(target, config.split)
 
 
 def _write_json(doc, path):
@@ -133,17 +141,13 @@ def _write_table(header, rows, path):
     print(f"wrote {path}")
 
 
-def cmd_train_source(cfg, args) -> int:
-    source, _ = data.DataSpec(**cfg["data"]).load(cfg["seed"])
-    if source is None:
-        raise ConfigError("train-source needs a source dataset (data.source_path)")
-    train, valid, test = data.split(source, data.SplitSpec(**cfg["split"]))
-    model, report = classifier.train_source(train, classifier.TrainConfig(**cfg["train"]),
-                                            cfg["seed"], valid=valid)
+def cmd_train_source(config, args) -> int:
+    train, valid, test = data.split(config.data.load(config.seed, "source"), config.split)
+    model, report = classifier.train_source(train, config.train, config.seed, valid=valid)
     report["test_accuracy"] = classifier.evaluate_source(model, test)
     ckpt = os.path.join(args.out, "source_checkpoint.json")
     classifier.save_checkpoint(model, ckpt)
-    report.update(checkpoint=os.path.basename(ckpt), seed=cfg["seed"])
+    report.update(checkpoint=os.path.basename(ckpt), seed=config.seed)
     _write_json(report, os.path.join(args.out, "train_source_report.json"))
     print(f"train accuracy:          {report['train_accuracy']:.4f}")
     print(f"valid accuracy:          {report['valid_accuracy']:.4f}")
@@ -153,29 +157,28 @@ def cmd_train_source(cfg, args) -> int:
     return 0
 
 
-def cmd_reprogram(cfg, args) -> int:
+def cmd_reprogram(config, args) -> int:
     model = classifier.load_checkpoint(args.source_checkpoint)
-    train, valid, test = _target_splits(cfg)
-    label_map = _label_map(cfg, train)
-    rcfg = _reprogram_config(cfg)
+    train, valid, test = _target_splits(config)
+    label_map, rcfg = config.label_map, config.reprogram
     prog, trace = program.reprogram_train(model, label_map, train, valid, rcfg)
     test_acc, confusion = program.evaluate_program(prog, model, label_map, test)
     program.save_program(prog, os.path.join(args.out, "program.json"))
     program.trace_to_csv(trace, os.path.join(args.out, "trace.csv"))
     summary = {"test_accuracy": test_acc, "confusion": confusion.tolist(),
                "ksvd_iterations": rcfg.ksvd.codings, "epsilon": rcfg.ksvd.epsilon,
-               "seed": cfg["seed"]}
+               "seed": config.seed}
     _write_json(summary, os.path.join(args.out, "summary.json"))
     print(f"test accuracy: {test_acc:.4f}")
     print(f"confusion: {confusion.tolist()}")
     return 0
 
 
-def cmd_eval(cfg, args) -> int:
+def cmd_eval(config, args) -> int:
     model = classifier.load_checkpoint(args.source_checkpoint)
     prog = program.load_program(args.program)
-    _, _, test = _target_splits(cfg)
-    accuracy, confusion = program.evaluate_program(prog, model, _label_map(cfg, test), test)
+    _, _, test = _target_splits(config)
+    accuracy, confusion = program.evaluate_program(prog, model, config.label_map, test)
     summary = {"accuracy": accuracy, "confusion": confusion.tolist(), "num_samples": len(test)}
     _write_json(summary, os.path.join(args.out, "eval_summary.json"))
     print(f"accuracy: {accuracy:.4f}")
@@ -183,19 +186,17 @@ def cmd_eval(cfg, args) -> int:
     return 0
 
 
-def cmd_sweep_data(cfg, args) -> int:
+def cmd_sweep_data(config, args) -> int:
     model = classifier.load_checkpoint(args.source_checkpoint)
-    train, valid, test = _target_splits(cfg)
+    train, valid, test = _target_splits(config)
     if max(args.grid) > len(train):
         raise ConfigError(f"grid entry {max(args.grid)} exceeds training size {len(train)}")
-    label_map = _label_map(cfg, train)
-    rcfg, tcfg = _reprogram_config(cfg), classifier.TrainConfig(**cfg["train"])
-    rows = []
+    label_map, rows = config.label_map, []
     for n in args.grid:
-        subset = data.subsample(train, n, cfg["seed"])
-        prog, _ = program.reprogram_train(model, label_map, subset, valid, rcfg)
+        subset = data.subsample(train, n, config.seed)
+        prog, _ = program.reprogram_train(model, label_map, subset, valid, config.reprogram)
         rp_acc, _ = program.evaluate_program(prog, model, label_map, test)
-        scratch_model, _ = classifier.train_source(subset, tcfg, cfg["seed"], valid=valid)
+        scratch_model, _ = classifier.train_source(subset, config.train, config.seed, valid=valid)
         scratch_acc = classifier.evaluate_source(scratch_model, test)
         rows.append((n, rp_acc, scratch_acc))
         print(f"n={n}: reprogram={rp_acc:.4f} scratch={scratch_acc:.4f}")
@@ -204,16 +205,14 @@ def cmd_sweep_data(cfg, args) -> int:
     return 0
 
 
-def cmd_sweep_ksvd(cfg, args) -> int:
+def cmd_sweep_ksvd(config, args) -> int:
     model = classifier.load_checkpoint(args.source_checkpoint)
-    train, valid, test = _target_splits(cfg)
-    label_map = _label_map(cfg, train)
-    fixed = not cfg["reprogram"]["ksvd"]["update_dictionary"]
+    train, valid, test = _target_splits(config)
+    label_map, rcfg, rows = config.label_map, config.reprogram, []
+    fixed = not rcfg.ksvd.update_dictionary
     if fixed:
         print("sweep-ksvd: update_dictionary is false, so every sweep count codes against "
               "the same fixed dictionary and the rows cannot differ", file=sys.stderr)
-    rcfg = _reprogram_config(cfg)
-    rows = []
     for sweeps in args.grid:
         if not (fixed and rows):  # a fixed dictionary's run is trained once
             run_cfg = replace(rcfg, ksvd=replace(rcfg.ksvd, sweeps=sweeps))
@@ -271,16 +270,11 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        for name, seed in (("seed", cfg["seed"]), ("split.seed", cfg["split"]["seed"])):
-            if seed < 0:
-                raise ConfigError(f"{name} must be non-negative, got {seed}")
+        config = load_config(args.config, args.seed)
         if "grid" in args:
             args.grid = _parse_grid(args.grid)
         os.makedirs(args.out, exist_ok=True)
-        return args.run(cfg, args)
+        return args.run(config, args)
     except (ConfigError, DataFormatError, FileNotFoundError, FileExistsError,
             IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

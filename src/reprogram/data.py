@@ -133,13 +133,15 @@ class SplitSpec:
     test: float
     seed: int = 0
 
-    def counts(self, size: int):
-        """Row counts of the three parts of a dataset of `size` rows."""
+    def __post_init__(self):
         parts = (self.train, self.valid, self.test)
         if min(parts) < 0:
             raise ConfigError(f"split parts must be non-negative, got {parts}")
         if abs(sum(parts) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
+
+    def counts(self, size: int):
+        """Row counts of the three parts of a dataset of `size` rows."""
         n_train = min(int(round(self.train * size)), size)
         n_valid = min(int(round(self.valid * size)), size - n_train)
         return n_train, n_valid, size - n_train - n_valid
@@ -147,8 +149,9 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class DataSpec:
-    """Where a run's (source, target) datasets come from: the synthetic pair, or CSV
-    files with the named columns. `mode` is "synthetic" or "csv"; given paths exist."""
+    """Where a run's source and target datasets come from: the synthetic pair, or CSV
+    files with the named columns. `mode` is "synthetic" or "csv", given paths exist,
+    and both sizes are at least 1."""
 
     mode: str = "synthetic"
     source_size: int = 2000
@@ -164,17 +167,19 @@ class DataSpec:
                 raise ConfigError(f"dataset path does not exist: {path}")
         if self.mode not in ("synthetic", "csv"):
             raise ConfigError(f"unknown data mode {self.mode!r}")
+        if self.source_size < 1 or self.target_size < 1:
+            raise ConfigError("sizes must be positive")
 
-    def load(self, seed: int, with_source: bool = True):
-        """The full datasets; a CSV source is read only `with_source` (else None)."""
+    def load(self, seed: int, part: str) -> SequenceDataset:
+        """The full "source" or "target" dataset: one of the synthetic pair, or the
+        CSV file at `data.<part>_path`, the only file read."""
         if self.mode == "synthetic":
-            return synth_tasks(seed, self.source_size, self.target_size)
-        source = None
-        if with_source and self.source_path:
-            source = load_csv(self.source_path, self.sequence_column, self.label_column)
-        if not self.target_path:
-            raise ConfigError("csv mode requires data.target_path")
-        return source, load_csv(self.target_path, self.sequence_column, self.label_column)
+            return synth_tasks(seed, self.source_size, self.target_size)[
+                ("source", "target").index(part)]
+        path = getattr(self, f"{part}_path")
+        if path is None:
+            raise ConfigError(f"csv mode requires data.{part}_path")
+        return load_csv(path, self.sequence_column, self.label_column)
 
 
 def read_json(path):

@@ -4,7 +4,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, FrozenInstanceError, asdict, fields
 from pathlib import Path
 
 import pytest
@@ -71,6 +71,13 @@ class TestConfig:
         assert code == 2
         assert "/nope/missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("part", ["source", "target"])
+    def test_csv_mode_needs_the_path_the_command_reads(self, tmp_path, capsys, request, part):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_with(TINY, "data.mode", "csv")))
+        _exits_2_with_one_error_line(capsys, _reading(f"data.{part}_path", path, request),
+                                     f"csv mode requires data.{part}_path")
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["train-source", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
@@ -112,12 +119,12 @@ class TestConfig:
     def test_list_valued_label_map_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"reprogram": {"label_map": [1, 0]}}))
-        assert load_config(str(path))["reprogram"]["label_map"] == [1, 0]
+        assert load_config(str(path)).label_map.source_to_target == (1, 0)
 
     def test_defaults_filled(self, config_path):
         cfg = load_config(config_path)
-        assert cfg["reprogram"]["ksvd"]["epsilon"] == 0.045
-        assert cfg["split"]["train"] == 0.8
+        assert cfg.reprogram.ksvd.epsilon == 0.045
+        assert cfg.split.train == 0.8
 
     def test_removed_projection_mode_rejected(self, tmp_path, capsys):
         # the training loop has one mode; a config that still picks one is stale
@@ -129,15 +136,15 @@ class TestConfig:
         assert err.splitlines() == ["error: unknown config key 'reprogram.projection_mode'"]
 
     def test_a_changed_result_leaves_the_next_load_alone(self, config_path):
-        # TINY leaves out `split`, and gives `reprogram.ksvd` in part
+        # TINY leaves out `split`, and gives `reprogram.ksvd` in part; the result
+        # and each of its sections are frozen, and the label map is a tuple
         first = load_config(config_path)
-        expected = json.loads(json.dumps(first))
-        for section in (first["split"], first["train"], first["reprogram"]["ksvd"],
-                        first["data"]):
-            section.clear()
-        first["reprogram"]["batch_size"] = 1
-        first["reprogram"]["label_map"].append(1)  # a list default is copied too
-        assert load_config(config_path) == expected
+        for record in (first, first.data, first.split, first.train, first.reprogram,
+                       first.reprogram.ksvd, first.label_map):
+            with pytest.raises(FrozenInstanceError):
+                record.seed = 1
+        assert type(first.label_map.source_to_target) is tuple
+        assert load_config(config_path) == first
 
     @pytest.mark.parametrize("text, name", [
         ('{"reprogram": {"ksvd": {"sweepz": 1}}, "sede": 1}', "'reprogram.ksvd.sweepz'"),
@@ -167,18 +174,18 @@ class TestConfig:
         assert sum(map(len, owned.values())) == 17
         for section, defaults in owned.items():
             for key, default in defaults.items():
-                value = cfg[section][key]
+                value = getattr(getattr(cfg, section), key)
                 assert (value, type(value)) == (default, type(default)), f"{section}.{key}"
 
     def test_the_cli_owns_only_the_defaults_no_class_gives_or_it_changes(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("{}")
         cfg = load_config(str(path))
-        assert cfg["seed"] == 0 and cfg["reprogram"]["label_map"] == [0, 1]
-        assert cfg["reprogram"]["outer_iterations"] == 200
-        assert [cfg["split"][part] for part in ("train", "valid", "test")] == [0.8, 0.1, 0.1]
-        assert cfg["reprogram"]["ksvd"] == {"epsilon": 0.045, "max_atoms": 16, "sweeps": 5,
-                                            "update_dictionary": False}
+        assert cfg.seed == 0 and cfg.label_map.source_to_target == (0, 1)
+        assert cfg.reprogram.outer_iterations == 200
+        assert [cfg.split.train, cfg.split.valid, cfg.split.test] == [0.8, 0.1, 0.1]
+        assert cfg.reprogram.ksvd == KsvdConfig(epsilon=0.045, max_atoms=16, sweeps=5,
+                                                update_dictionary=False)
         # the library's own k-SVD defaults differ: one sweep of a learned dictionary
         library = KsvdConfig(epsilon=0.045, max_atoms=16)
         assert (library.sweeps, library.update_dictionary) == (1, True)
@@ -203,8 +210,11 @@ class TestConfig:
             doc = _with(doc, key, value)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        cfg = load_config(str(path))
+        cfg = asdict(load_config(str(path)))
         leaves = {".".join(keys): value for keys, value in _leaves(cfg)}
+        # `ReprogramConfig.seed` is the top-level seed, and the label map is built apart
+        assert leaves.pop("reprogram.seed") == leaves["seed"]
+        leaves["reprogram.label_map"] = list(leaves.pop("label_map.source_to_target"))
         assert len(values) == 27 and leaves == values
 
 
@@ -218,15 +228,33 @@ def _leaves(doc, prefix=()):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("data.mode", "csvv", "error: unknown data mode 'csvv'"),
-    ("train.architecture", "gru", "error: unknown architecture 'gru'"),
-], ids=["mode", "architecture"])
+    pytest.param("data.mode", "csvv", "unknown data mode 'csvv'", id="mode"),
+    pytest.param("train.architecture", "gru", "unknown architecture 'gru'", id="architecture"),
+    # one value per check of the classes the sections are built into, and the seeds
+    *[pytest.param(key, value, message, id=f"{key}={value}") for key, value, message in [
+        ("train.epochs", 0, "embed_dim, hidden_dim, epochs, batch_size must be >= 1"),
+        ("train.learning_rate", 0, "learning_rate must be positive"),
+        ("reprogram.outer_iterations", 0, "outer_iterations must be at least 1"),
+        ("reprogram.batch_size", 0, "batch_size must be at least 1"),
+        ("reprogram.step_size", -1, "step_size must be non-negative"),
+        ("reprogram.decay", 0, "decay must lie in (0, 1]"),
+        ("reprogram.decay", 1.5, "decay must lie in (0, 1]"),
+        ("reprogram.ksvd.epsilon", -1, "epsilon must be non-negative"),
+        ("reprogram.ksvd.max_atoms", -1, "max_atoms must be non-negative"),
+        ("reprogram.ksvd.sweeps", 0, "sweeps must be at least 1"),
+        ("reprogram.label_map", [0, 2], "label map must be surjective onto 0..max target class"),
+        ("data.source_size", 0, "sizes must be positive"),
+        ("split.train", 0.7, "split fractions must sum to 1"),  # 0.7 + 0.1 + 0.1
+        ("seed", -1, "seed must be non-negative, got -1"),
+        ("split.seed", -1, "split.seed must be non-negative, got -1"),
+    ]],
+])
 @pytest.mark.parametrize("command", ["train-source", "reprogram", "eval", "sweep-data",
                                      "sweep-ksvd"])
 def test_a_bad_choice_exits_2_before_any_file_is_read_or_written(
         tmp_path, capsys, monkeypatch, saved_pair, command, key, value, message):
     # with a good checkpoint, the config error comes first: no checkpoint is
-    # read and --out is not made, also by commands that never read `train`
+    # read and --out is not made, also by commands that never read the section
     root, _ = saved_pair
     path, out = tmp_path / "cfg.json", tmp_path / "o"
     path.write_text(json.dumps(_with(TINY, key, value)))
@@ -239,7 +267,7 @@ def test_a_bad_choice_exits_2_before_any_file_is_read_or_written(
     capsys.readouterr()
     assert main([command, "--config", str(path), *flags, "--out", str(out)]) == 2
     stdout, err = capsys.readouterr()
-    assert stdout == "" and err.splitlines() == [message]
+    assert stdout == "" and err.splitlines() == [f"error: {message}"]
     assert reads == [] and not out.exists()
 
 
@@ -349,7 +377,7 @@ def test_negative_split_part_exit_2_before_training(tmp_path, capsys, request, p
     path.write_text(json.dumps(dict(TINY, split=dict(zip(("train", "valid", "test"), parts)))))
     assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
     stdout, err = capsys.readouterr()
-    assert stdout == "" and list(out.iterdir()) == []
+    assert stdout == "" and not out.exists()
     assert err.splitlines() == [f"error: split parts must be non-negative, got {parts}"]
 
 
@@ -361,6 +389,16 @@ class TestTrainSource:
         assert "majority_class_accuracy" in report
         assert report["train_accuracy"] > 0.5
         assert os.path.exists(out / "source_checkpoint.json")
+
+    def test_a_csv_source_alone_is_enough(self, tmp_path):
+        # train-source reads data.source_path and no target file
+        source, _ = synth_tasks(TINY["seed"], 400, 10)
+        save_csv(source, tmp_path / "source.csv")
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(
+            {**TINY, "data": {"mode": "csv", "source_path": str(tmp_path / "source.csv")}}))
+        assert main(["train-source", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "source_checkpoint.json").is_file()
 
     @pytest.mark.parametrize("architecture", ["bag_mlp", "birnn"])
     def test_diverging_training_exit_3(self, tmp_path, capsys, architecture):
@@ -836,14 +874,12 @@ class TestPathsOfTheWrongKind:
         _exits_2_with_one_error_line(capsys, argv, str(folder))
 
     @pytest.mark.parametrize("key", ["data.source_path", "data.target_path"])
-    def test_directory_for_a_dataset_exit_2(self, tmp_path, capsys, key):
+    def test_directory_for_a_dataset_exit_2(self, tmp_path, capsys, request, key):
         folder = tmp_path / "folder"
         folder.mkdir()
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(_with(_with(TINY, "data.mode", "csv"), key, str(folder))))
-        _exits_2_with_one_error_line(
-            capsys, ["train-source", "--config", str(path), "--out", str(tmp_path / "o")],
-            str(folder))
+        _exits_2_with_one_error_line(capsys, _reading(key, path, request), str(folder))
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_out_that_is_or_is_under_a_file_exit_2(self, tmp_path, config_path, capsys, out):
@@ -853,14 +889,13 @@ class TestPathsOfTheWrongKind:
             str(tmp_path / "file"))
         assert (tmp_path / "file").read_text() == "kept"
 
-    def test_undecodable_csv_exit_2(self, tmp_path, capsys):
+    def test_undecodable_csv_exit_2(self, tmp_path, capsys, request):
         target = tmp_path / "latin1.csv"
         target.write_bytes(b"sequence,label\nAC\xffD,x\n")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**TINY, "data": {"mode": "csv", "target_path": str(target)}}))
-        _exits_2_with_one_error_line(
-            capsys, ["train-source", "--config", str(path), "--out", str(tmp_path / "o")],
-            "latin1.csv: not valid UTF-8")
+        _exits_2_with_one_error_line(capsys, _reading("data.target_path", path, request),
+                                     "latin1.csv: not valid UTF-8")
 
     @pytest.mark.parametrize("command", ["reprogram", "eval", "sweep-data", "sweep-ksvd",
                                          "train-source"])
@@ -884,14 +919,23 @@ class TestPathsOfTheWrongKind:
         else:
             assert main(argv) == 0
 
-    def test_short_csv_row_exit_2(self, tmp_path, capsys):
+    def test_short_csv_row_exit_2(self, tmp_path, capsys, request):
         target = tmp_path / "short.csv"
         target.write_text("sequence,label\nACD,x\nKK\n")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**TINY, "data": {"mode": "csv", "target_path": str(target)}}))
-        _exits_2_with_one_error_line(
-            capsys, ["train-source", "--config", str(path), "--out", str(tmp_path / "o")],
-            "short.csv: line 3 has fewer fields than the header")
+        _exits_2_with_one_error_line(capsys, _reading("data.target_path", path, request),
+                                     "short.csv: line 3 has fewer fields than the header")
+
+
+def _reading(key, config_path, request):
+    """The argv of a command that reads the dataset at `key`: `train-source` for the
+    source, `reprogram`, on the `source_checkpoint` fixture, for the target."""
+    if key == "data.source_path":
+        return ["train-source", "--config", str(config_path),
+                "--out", str(config_path.parent / "o")]
+    checkpoint = request.getfixturevalue("source_checkpoint")
+    return _reprogram_argv(config_path, checkpoint, config_path.parent)
 
 
 @pytest.fixture(scope="module")
